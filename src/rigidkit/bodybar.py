@@ -44,10 +44,9 @@ from .frameworks import (
 )
 from .graphs import MultiGraph, SimpleGraph, induced_subgraph, normalize_edge
 from .sparsity import (
+    PebbleGame,
     SparsityCount,
-    blocking_tight_subgraph,
     extend_to_tight_spanning,
-    independent_edge_indices,
     is_sparse,
     tight_spanning_subgraph,
 )
@@ -89,6 +88,34 @@ def body_bar_count(norm: NormSpec) -> int:
     return d * (d + 1) // 2 if norm.euclidean else d
 
 
+def _structure_problems(g: SimpleGraph, bodies: Sequence[Sequence[int]]) -> list[str]:
+    """Partition rule violations, then (on a sound partition) shared joints."""
+    problems: list[str] = []
+    owner: dict[int, int] = {}
+    for i, b in enumerate(bodies):
+        if not b:
+            problems.append(f"body {i} is empty")
+        for v in b:
+            if v in owner:
+                problems.append(f"vertex {v} appears in bodies {owner[v]} and {i}")
+            owner[v] = i
+    missing = g.vertex_set - owner.keys()
+    if missing:
+        problems.append(f"vertices {sorted(missing)} belong to no body")
+    extra = owner.keys() - g.vertex_set
+    if extra:
+        problems.append(f"body vertices {sorted(extra)} are not in the graph")
+    if not problems:
+        seen: set[int] = set()
+        for v, w in g.edges:
+            if owner[v] != owner[w]:
+                for end in (v, w):
+                    if end in seen:
+                        problems.append(f"vertex {end} meets two inter-body bars")
+                    seen.add(end)
+    return problems
+
+
 @dataclass(frozen=True)
 class MultiBodyGraph:
     """Simple graph partitioned into bodies joined by vertex-disjoint bars.
@@ -112,32 +139,16 @@ class MultiBodyGraph:
     ):
         bs = tuple(tuple(sorted(int(v) for v in b)) for b in bodies)
         bs = tuple(sorted(bs, key=lambda b: b[0] if b else -1))
-        owner: dict[int, int] = {}
-        for i, b in enumerate(bs):
-            if not b:
-                raise InputError(f"body {i} is empty")
-            for v in b:
-                if v in owner:
-                    raise InputError(f"vertex {v} appears in two bodies")
-                owner[v] = i
-        missing = underlying.vertex_set - owner.keys()
-        if missing:
-            raise InputError(f"vertices {sorted(missing)} belong to no body")
-        extra = owner.keys() - underlying.vertex_set
-        if extra:
-            raise InputError(f"body vertices {sorted(extra)} are not in the graph")
+        problems = _structure_problems(underlying, bs)
+        if problems:
+            raise InputError("; ".join(problems))
+        owner = {v: i for i, b in enumerate(bs) for v in b}
         bars = tuple(normalize_edge(*e) for e in inter_body_edges)
         cross = tuple(e for e in underlying.edges if owner[e[0]] != owner[e[1]])
         if set(bars) != set(cross) or len(bars) != len(cross):
             raise InputError(
                 "inter-body edges must be exactly the edges between distinct bodies"
             )
-        used: set[int] = set()
-        for v, w in bars:
-            for end in (v, w):
-                if end in used:
-                    raise InputError(f"vertex {end} meets two inter-body bars")
-                used.add(end)
         object.__setattr__(self, "underlying", underlying)
         object.__setattr__(self, "bodies", bs)
         object.__setattr__(self, "inter_body_edges", cross)
@@ -176,29 +187,7 @@ def validate_multibody(
     random placements through the usual rank machinery.
     """
     bs = tuple(tuple(sorted(int(v) for v in b)) for b in bodies)
-    problems: list[str] = []
-    owner: dict[int, int] = {}
-    for i, b in enumerate(bs):
-        if not b:
-            problems.append(f"body {i} is empty")
-        for v in b:
-            if v in owner:
-                problems.append(f"vertex {v} appears in bodies {owner[v]} and {i}")
-            owner[v] = i
-    missing = g.vertex_set - owner.keys()
-    if missing:
-        problems.append(f"vertices {sorted(missing)} belong to no body")
-    extra = owner.keys() - g.vertex_set
-    if extra:
-        problems.append(f"body vertices {sorted(extra)} are not in the graph")
-    if not problems:
-        seen: set[int] = set()
-        for v, w in g.edges:
-            if owner[v] != owner[w]:
-                for end in (v, w):
-                    if end in seen:
-                        problems.append(f"vertex {end} meets two inter-body bars")
-                    seen.add(end)
+    problems = _structure_problems(g, bs)
     if problems:
         raise InputError("; ".join(problems))
     for i, b in enumerate(bs):
@@ -209,6 +198,7 @@ def validate_multibody(
             )
     if problems:
         raise InputError("; ".join(problems))
+    owner = {v: i for i, b in enumerate(bs) for v in b}
     bars = tuple(e for e in g.edges if owner[e[0]] != owner[e[1]])
     return MultiBodyGraph(g, bs, bars)
 
@@ -600,9 +590,8 @@ def rigid_container_multibody(
     _check_sub_multibody(g, h, norm)
     k = body_bar_count(norm)
     count = SparsityCount(k, k)
-    bb = body_bar_graph(g)
-    keep = independent_edge_indices(bb.graph, count)
-    thin = MultiGraph(bb.graph.vertices, tuple(bb.graph.edges[i] for i in keep))
+    collapsed = body_bar_graph(g).graph
+    game = PebbleGame.over(collapsed, count)
     bar_pos = {e: t for t, e in enumerate(g.inter_body_edges)}
     chosen_bodies = {g.body_index[frozenset(b)] for b in h.bodies}
     chosen_bars = {bar_pos[e] for e in h.inter_body_edges}
@@ -610,14 +599,13 @@ def rigid_container_multibody(
     for a, b in combinations(anchors, 2):
         # Probing with one more parallel bar is legitimate for every pair,
         # adjacent or not, so each pair must be inside a tight subgraph.
-        blocker = blocking_tight_subgraph(thin, count, a, b)
-        if blocker is None:
+        inside = game.blocker(a, b)
+        if inside is None:
             return None
-        inside = set(blocker.vertices)
         chosen_bodies |= inside
-        for pos, e in enumerate(thin.edges):
-            if e[0] in inside and e[1] in inside:
-                chosen_bars.add(keep[pos])
+        chosen_bars.update(
+            t for t in game.accepted if inside.issuperset(collapsed.edges[t])
+        )
     bodies = tuple(g.bodies[i] for i in sorted(chosen_bodies))
     bars = set(g.inter_body_edges[t] for t in sorted(chosen_bars))
     keep_vs = {v for b in bodies for v in b}

@@ -20,7 +20,7 @@ from typing import ClassVar, Iterator, Sequence, Union
 
 from .errors import AlgorithmError, InputError, MoveError
 from .graphs import SimpleGraph, normalize_edge
-from .sparsity import LAMAN, QNORM_2D, SparsityCount, blocking_tight_subgraph, is_sparse
+from .sparsity import LAMAN, QNORM_2D, PebbleGame, SparsityCount, is_sparse
 
 EUCLIDEAN_MODE = "euclidean"
 QNORM_MODE = "qnorm"
@@ -261,13 +261,14 @@ def inverse_candidates(g: SimpleGraph, count: SparsityCount, v: int) -> list[Mov
             f"{count.k} or {count.k + 1}"
         )
     reduced = g.without_vertex(v)
-    out: list[Move] = []
-    for vi, vj in combinations(nbrs, 2):
-        if g.has_edge(vi, vj):
-            continue
-        if blocking_tight_subgraph(reduced, count, vi, vj) is None:
-            out.append(EdgeMove(removed=(vi, vj), vertex=v, neighbors=nbrs))
-    return out
+    game = PebbleGame.over(reduced, count)
+    if len(game.accepted) != reduced.n_edges:
+        raise InputError(f"graph is not {count}-sparse")
+    return [
+        EdgeMove(removed=(vi, vj), vertex=v, neighbors=nbrs)
+        for vi, vj in combinations(nbrs, 2)
+        if not g.has_edge(vi, vj) and game.admits(vi, vj)
+    ]
 
 
 # ---- chains ------------------------------------------------------------
@@ -288,16 +289,6 @@ class ConstructionChain:
     @property
     def final(self) -> SimpleGraph:
         return self.stages[-1]
-
-
-def chain_limit(chain: ConstructionChain) -> SimpleGraph:
-    """Graph limit of the chain, truncated to its finite presentation.
-
-    The limit keeps every vertex ever added and exactly the edges whose
-    presence persists from some stage onward; for a finite chain that is
-    the final stage.
-    """
-    return chain.final
 
 
 def concatenate_chains(a: ConstructionChain, b: ConstructionChain) -> ConstructionChain:

@@ -6,14 +6,20 @@ The pebble game decides this for any count with l < 2k, covering the (2, 3),
 (2, 2) and (k, k) instances used elsewhere; parallel edges are handled, so the
 same engine serves multigraphs.
 
-Determinism: edges are inserted in input order, pebble searches run depth
-first visiting lower labels first, and failure witnesses are the reachability
-closure of the rejected edge's endpoints in the pebble digraph.
+One PebbleGame per graph answers every query on it.  The accepted edges are
+the greedy matroid basis in input order, whatever pebbles moved on the way,
+and witnesses do not depend on earlier queries: once no more pebbles can be
+gathered on a pair, the pair holds exactly l, so its reach closure in the
+pebble digraph is tight with no arc leaving it.  A tight subgraph containing
+the pair holds the same l free pebbles and no leaving arc either, so it
+contains the closure, which is thus the unique minimal one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Iterable
 
 from .errors import AlgorithmError, InputError, UnsupportedCountError
 from .graphs import GraphLike, MultiGraph, normalize_edge
@@ -70,14 +76,28 @@ class SparsityReport:
     witness: GraphLike | None = field(compare=False, default=None)
 
 
-class _PebbleGame:
-    """Directed pebble digraph for one (k, l) run."""
+class PebbleGame:
+    """Pebble digraph for one (k, l) count, built once per graph.
 
-    def __init__(self, vertices: tuple[int, ...], count: SparsityCount):
-        self.k = count.k
+    `accepted` lists the offering positions of the edges insert kept.  admits
+    and blocker query a pair against the accepted edges without adding one,
+    and may be mixed freely with insertions.
+    """
+
+    def __init__(self, vertices: Iterable[int], count: SparsityCount):
         self.l = count.l
         self.pebbles = {v: count.k for v in vertices}
-        self.out: dict[int, list[int]] = {v: [] for v in vertices}
+        self.out: dict[int, list[int]] = {v: [] for v in self.pebbles}
+        self.accepted: list[int] = []
+        self._offered = 0
+
+    @classmethod
+    def over(cls, g: GraphLike, count: SparsityCount) -> "PebbleGame":
+        """Game with every edge of g offered in input order."""
+        game = cls(g.vertices, count)
+        for u, w in g.edges:
+            game.insert(u, w)
+        return game
 
     def _find_pebble(self, root: int, blocked: set[int]) -> bool:
         """Pull one free pebble to root along a directed path, if any.
@@ -91,7 +111,7 @@ class _PebbleGame:
         found = None
         while stack and found is None:
             v = stack.pop()
-            for w in sorted(set(self.out[v])):
+            for w in self.out[v]:
                 if w in parent:
                     continue
                 parent[w] = v
@@ -112,8 +132,12 @@ class _PebbleGame:
         self.pebbles[root] += 1
         return True
 
-    def gather(self, u: int, w: int) -> bool:
-        """Collect at least l + 1 pebbles on the pair {u, w}."""
+    def admits(self, u: int, w: int) -> bool:
+        """Whether edge uw is independent of the accepted edges.
+
+        Gathers l + 1 pebbles on the pair {u, w}, which is possible exactly
+        when no tight subgraph contains both endpoints.
+        """
         need = self.l + 1
         blocked = {u, w}
         while self.pebbles[u] + self.pebbles[w] < need:
@@ -122,27 +146,47 @@ class _PebbleGame:
         return True
 
     def insert(self, u: int, w: int) -> bool:
-        """Try to add edge uw; keeps the digraph invariant on success."""
-        if not self.gather(u, w):
+        """Offer edge uw and keep it when admitted."""
+        pos = self._offered
+        self._offered += 1
+        if not self.admits(u, w):
             return False
         tail, head = (u, w) if self.pebbles[u] > 0 else (w, u)
         self.pebbles[tail] -= 1
         self.out[tail].append(head)
+        self.accepted.append(pos)
         return True
 
-    def reach_closure(self, u: int, w: int) -> tuple[int, ...]:
+    def blocker(self, u: int, w: int) -> frozenset[int] | None:
+        """Vertices of the minimal tight subgraph containing u and w.
+
+        None when edge uw is admitted.  The accepted edges induced on the
+        returned vertices form that subgraph.
+        """
+        if self.admits(u, w):
+            return None
         seen = {u, w}
         stack = [w, u]
         while stack:
-            v = stack.pop()
-            for x in sorted(set(self.out[v])):
+            for x in self.out[stack.pop()]:
                 if x not in seen:
                     seen.add(x)
                     stack.append(x)
-        return tuple(sorted(seen))
+        # No arc leaves the closure, so its accepted edges number k|V| minus
+        # the pebbles left on it.
+        if sum(self.pebbles[x] for x in seen) != self.l:
+            raise AlgorithmError("pebble closure failed to produce a tight subgraph")
+        return frozenset(seen)
 
 
-def _induced(g: GraphLike, keep: tuple[int, ...]) -> GraphLike:
+def _sparse_game(g: GraphLike, count: SparsityCount) -> PebbleGame:
+    game = PebbleGame.over(g, count)
+    if len(game.accepted) != g.n_edges:
+        raise InputError(f"graph is not {count}-sparse")
+    return game
+
+
+def _induced(g: GraphLike, keep: Iterable[int]) -> GraphLike:
     ks = set(keep)
     vs = tuple(v for v in g.vertices if v in ks)
     es = tuple(e for e in g.edges if e[0] in ks and e[1] in ks)
@@ -151,11 +195,10 @@ def _induced(g: GraphLike, keep: tuple[int, ...]) -> GraphLike:
 
 def is_sparse(g: GraphLike, count: SparsityCount) -> SparsityReport:
     """Run the pebble game over the edges of g in input order."""
-    game = _PebbleGame(g.vertices, count)
+    game = PebbleGame(g.vertices, count)
     for u, w in g.edges:
         if not game.insert(u, w):
-            closure = game.reach_closure(u, w)
-            witness = _induced(g, closure)
+            witness = _induced(g, game.blocker(u, w))
             return SparsityReport(sparse=False, tight=False, witness=witness)
     tight = g.n_edges == count.target(g.n_vertices)
     return SparsityReport(sparse=True, tight=tight, witness=None)
@@ -183,12 +226,6 @@ def brute_force_sparse(g: GraphLike, count: SparsityCount) -> SparsityReport:
     return SparsityReport(sparse=True, tight=tight, witness=None)
 
 
-def sparsity_rank(g: GraphLike, count: SparsityCount) -> int:
-    """Size of the maximal independent edge subset found greedily."""
-    game = _PebbleGame(g.vertices, count)
-    return sum(1 for u, w in g.edges if game.insert(u, w))
-
-
 def tight_spanning_subgraph(g: GraphLike, count: SparsityCount) -> GraphLike | None:
     """Maximal independent edge subset on the full vertex set, if tight.
 
@@ -196,11 +233,8 @@ def tight_spanning_subgraph(g: GraphLike, count: SparsityCount) -> GraphLike | N
     sparsity matroid restricted to g, so the result is independent of which
     maximal set would be needed, only of whether one reaches the tight count.
     """
-    game = _PebbleGame(g.vertices, count)
-    accepted = [e for e in g.edges if game.insert(*e)]
-    if len(accepted) != count.target(g.n_vertices):
-        return None
-    return type(g)(g.vertices, accepted)
+    basis = independent_restriction(g, count)
+    return basis if basis.n_edges == count.target(g.n_vertices) else None
 
 
 def independent_edge_indices(g: GraphLike, count: SparsityCount) -> tuple[int, ...]:
@@ -209,8 +243,7 @@ def independent_edge_indices(g: GraphLike, count: SparsityCount) -> tuple[int, .
     Positional form of independent_restriction for graphs whose parallel
     edges make the (v, w) pair an ambiguous identity.
     """
-    game = _PebbleGame(g.vertices, count)
-    return tuple(i for i, e in enumerate(g.edges) if game.insert(*e))
+    return tuple(PebbleGame.over(g, count).accepted)
 
 
 def independent_restriction(g: GraphLike, count: SparsityCount) -> GraphLike:
@@ -221,8 +254,8 @@ def independent_restriction(g: GraphLike, count: SparsityCount) -> GraphLike:
     dependent edges preserves the row space of any rigidity matrix built on
     the surviving graph, hence its kernel.
     """
-    keep = set(independent_edge_indices(g, count))
-    return type(g)(g.vertices, tuple(e for i, e in enumerate(g.edges) if i in keep))
+    kept = PebbleGame.over(g, count).accepted
+    return type(g)(g.vertices, tuple(g.edges[i] for i in kept))
 
 
 def extend_to_tight_spanning(
@@ -242,7 +275,7 @@ def extend_to_tight_spanning(
             pool.remove(e)
         except ValueError:
             raise InputError(f"seed edge {e} is not an edge of the graph") from None
-    game = _PebbleGame(g.vertices, count)
+    game = PebbleGame(g.vertices, count)
     accepted = []
     for e in seeds:
         if not game.insert(*e):
@@ -266,17 +299,8 @@ def blocking_tight_subgraph(
         raise InputError("blocking query needs two distinct vertices")
     if v not in g.vertex_set or w not in g.vertex_set:
         raise InputError(f"vertices ({v}, {w}) not both in the graph")
-    game = _PebbleGame(g.vertices, count)
-    for e in g.edges:
-        if not game.insert(*e):
-            raise InputError(f"graph is not {count}-sparse")
-    if game.gather(v, w):
-        return None
-    blocker = _induced(g, game.reach_closure(v, w))
-    m = len(blocker.edges)
-    if m != count.target(len(blocker.vertices)):
-        raise AlgorithmError("pebble closure failed to produce a tight subgraph")
-    return blocker
+    closure = _sparse_game(g, count).blocker(v, w)
+    return None if closure is None else _induced(g, closure)
 
 
 _MIN_AUGMENT_VERTICES = {
@@ -288,13 +312,12 @@ _MIN_AUGMENT_VERTICES = {
 def augment_to_tight(g: GraphLike, count: SparsityCount) -> GraphLike:
     """Grow a sparse graph to a tight one by adding admissible edges.
 
-    Scans vertex pairs in lexicographic label order and restarts after every
-    insertion.  Simple graphs only gain fresh edges; multigraphs may gain
-    parallel ones.
+    Offers vertex pairs in lexicographic label order, in one pass over a
+    single game: adding edges only ever blocks more pairs, so a pair refused
+    once stays refused.  Simple graphs only gain fresh edges; multigraphs may
+    gain parallel ones, so there a pair is offered again until refused.
     """
-    report = is_sparse(g, count)
-    if not report.sparse:
-        raise InputError(f"graph is not {count}-sparse")
+    game = _sparse_game(g, count)
     allow_parallel = isinstance(g, MultiGraph)
     minimum = _MIN_AUGMENT_VERTICES.get((count.k, count.l))
     if minimum is None and count.k == count.l and not allow_parallel:
@@ -305,24 +328,17 @@ def augment_to_tight(g: GraphLike, count: SparsityCount) -> GraphLike:
             f"augmenting under {count} needs at least {minimum} vertices, "
             f"got {g.n_vertices}"
         )
-    labels = sorted(g.vertices)
-    cur = g
-    target = count.target(g.n_vertices)
-    while cur.n_edges < target:
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                v, w = labels[i], labels[j]
-                if not allow_parallel and normalize_edge(v, w) in cur.edge_set:
-                    continue
-                if blocking_tight_subgraph(cur, count, v, w) is None:
-                    edge = normalize_edge(v, w)
-                    cur = type(cur)(cur.vertices, cur.edges + (edge,))
-                    break
-            else:
-                continue
-            break
-        else:
-            raise AlgorithmError(
-                f"no admissible edge although {target - cur.n_edges} are missing"
-            )
-    return cur
+    missing = count.target(g.n_vertices) - g.n_edges
+    added: list[tuple[int, int]] = []
+    for v, w in combinations(sorted(g.vertices), 2):
+        if not allow_parallel and g.has_edge(v, w):
+            continue
+        while len(added) < missing and game.insert(v, w):
+            added.append((v, w))
+            if not allow_parallel:
+                break
+    if len(added) < missing:
+        raise AlgorithmError(
+            f"no admissible edge although {missing - len(added)} are missing"
+        )
+    return type(g)(g.vertices, g.edges + tuple(added))

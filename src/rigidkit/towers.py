@@ -45,10 +45,9 @@ from .graphs import (
 from .sparsity import (
     LAMAN,
     QNORM_2D,
+    PebbleGame,
     SparsityCount,
-    blocking_tight_subgraph,
     extend_to_tight_spanning,
-    independent_restriction,
 )
 
 __all__ = [
@@ -196,18 +195,20 @@ def rigid_container_2d(
             f"rigid container for q={q} needs at least {need} vertices in h, "
             f"got {h.n_vertices}"
         )
-    count = _count_for_q(norm)
-    thin = independent_restriction(g, count)
-    container = h
+    game = PebbleGame.over(g, _count_for_q(norm))
+    thin = SimpleGraph(g.vertices, tuple(g.edges[i] for i in game.accepted))
+    # Ordered sets: the container lists h first, then each link as it comes.
+    vs, es = dict.fromkeys(h.vertices), dict.fromkeys(h.edges)
     for v, w in combinations(sorted(h.vertex_set), 2):
         if thin.has_edge(v, w):
-            container = graph_union(container, SimpleGraph((v, w), ((v, w),)))
+            es[(v, w)] = None
             continue
-        blocker = blocking_tight_subgraph(thin, count, v, w)
-        if blocker is None:
+        closure = game.blocker(v, w)
+        if closure is None:
             return None
-        container = graph_union(container, blocker)
-    return container
+        vs.update(dict.fromkeys(x for x in thin.vertices if x in closure))
+        es.update(dict.fromkeys(e for e in thin.edges if closure.issuperset(e)))
+    return SimpleGraph(vs, es)
 
 
 # ---- tower decisions -----------------------------------------------------

@@ -33,12 +33,13 @@ from rigidkit.frameworks import (
     is_rigid_generic,
     rigidity_matrix,
 )
-from rigidkit.graphs import SimpleGraph, Tower, complete_graph
+from rigidkit.graphs import SimpleGraph, Tower, complete_graph, induced_subgraph
 from rigidkit.moves import EUCLIDEAN_MODE, QNORM_MODE, find_chain, verify_chain
 from rigidkit.sparsity import (
     LAMAN,
     QNORM_2D,
     SparsityCount,
+    augment_to_tight,
     brute_force_sparse,
     is_sparse,
     tight_spanning_subgraph,
@@ -47,6 +48,8 @@ from rigidkit.towers import (
     TOWER_RIGID,
     exhaustive_rigid_container,
     relative_rigidity,
+    rigid_container_2d,
+    sequential_rigidity_2d,
     tower_rigidity,
 )
 
@@ -350,3 +353,28 @@ def test_10_configuration_path_tracking():
         )
         for step in euclid:
             assert all(step[v] == p_tri[v] for v in triangle.vertices)
+
+
+def test_11_pebble_engine_at_scale():
+    # Inputs: a 400-vertex Laman graph with a 10-vertex part, the even-position
+    # edges of a 100-vertex one, and five nested Henneberg stages of 20..100
+    # vertices, each grown from the last without touching its edges.
+    big = grow_tight_graph("euclidean", 400, 11)
+    part = induced_subgraph(big, big.vertices[::40])
+    laman = grow_tight_graph("euclidean", 100, 12)
+    loose = SimpleGraph(laman.vertices, laman.edges[::2])
+    stages = [grow_tight_graph("euclidean", 20, 13)]
+    for n in (40, 60, 80, 100):
+        prev = stages[-1]
+        stages.append(grow_tight_graph("euclidean", n, 13 + n, prev, prev.edges))
+    with budget(5):
+        container = rigid_container_2d(big, part, 2)
+        full = augment_to_tight(loose, LAMAN)
+        witness = sequential_rigidity_2d(Tower(stages), 2)
+    assert part.is_subgraph_of(container) and container.is_subgraph_of(big)
+    assert tight_spanning_subgraph(container, LAMAN) is not None
+    assert loose.is_subgraph_of(full) and is_sparse(full, LAMAN).tight
+    assert len(witness) == len(stages) - 1
+    for small, h, large in zip(stages, witness, stages[1:]):
+        assert small.is_subgraph_of(h) and h.is_subgraph_of(large)
+        assert tight_spanning_subgraph(h, LAMAN) is not None

@@ -13,7 +13,6 @@ from rigidkit.moves import (
     VertexTo4Cycle,
     VertexToK4,
     apply_move,
-    chain_limit,
     concatenate_chains,
     count_for_mode,
     find_chain,
@@ -113,7 +112,7 @@ def test_find_chain_k1_to_k4():
 def test_find_chain_identical_graphs_is_empty():
     chain = find_chain(K2, K2, "euclidean")
     assert chain.moves == ()
-    assert chain_limit(chain) == K2
+    assert chain.final == K2
 
 
 def test_find_chain_validates_inputs():
