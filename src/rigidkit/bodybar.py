@@ -36,11 +36,10 @@ from .frameworks import (
     FlexReport,
     NormSpec,
     Placement,
-    flex_report,
     is_rigid_generic,
-    matrix_rank,
+    placement_rank,
     random_placement,
-    rigidity_matrix,
+    report_at_rank,
 )
 from .graphs import MultiGraph, SimpleGraph, induced_subgraph, normalize_edge
 from .sparsity import (
@@ -464,11 +463,12 @@ def special_placement(
     collapsed multigraph is split into d spanning trees, and each bar's far
     endpoint is then pushed by eps along the coordinate axis of its tree.
     Each bar row of the resulting rigidity matrix is supported on one
-    coordinate only, which forces the kernel down to the d translations.  A
-    too-large eps can spoil the rank; it is halved up to six times before
-    giving up.  eps = 0 would leave bar endpoints coincident, which is not a
-    placement, and the construction has no Euclidean analogue; both are
-    rejected up front.
+    coordinate only, which forces the kernel down to the d translations.
+    placement_rank certifies the rank as the placement is built (exactly mod
+    PRIME for an integer q, by the SVD cutoff otherwise); a too-large eps can
+    spoil it, which raises PlacementError.  eps = 0 would leave bar endpoints
+    coincident, which is not a placement, and the construction has no
+    Euclidean analogue; both are rejected up front.
     """
     if norm.euclidean:
         raise InputError("the special placement exists for non-Euclidean norms only")
@@ -493,25 +493,21 @@ def special_placement(
     model = MultiBodyGraph(g, bodies, tuple(bars))
     rng = np.random.default_rng(seed)
     template = rng.uniform(-1.0, 1.0, size=(size, d))
-    base = {
+    coords = {
         i * size + s: tuple(template[s]) for i in range(m.n_bodies) for s in range(size)
     }
-    current = eps
-    for _ in range(7):
-        coords = dict(base)
-        for t, (a, b) in enumerate(bb.graph.edges):
-            shifted = template[t].copy()
-            shifted[layers[t]] += current
-            coords[b * size + t] = tuple(shifted)
-        p = Placement(d, coords)
-        report = flex_report(g, p, norm)
-        if report.nullity == d:
-            return SpecialPlacementResult(model, p, report, current, layers)
-        current /= 2
-    raise PlacementError(
-        "special placement stayed rank deficient after six halvings of eps; "
-        "reseed or start smaller"
-    )
+    for t, (a, b) in enumerate(bb.graph.edges):
+        shifted = template[t].copy()
+        shifted[layers[t]] += eps
+        coords[b * size + t] = tuple(shifted)
+    p = Placement(d, coords)
+    rank = placement_rank(g, p, norm)
+    if rank != d * g.n_vertices - d:
+        raise PlacementError(
+            f"special placement has rank {rank}, short of {d * g.n_vertices - d} "
+            f"at eps={eps}; reseed or pass a smaller eps"
+        )
+    return SpecialPlacementResult(model, p, report_at_rank(g, p, norm, rank), eps, layers)
 
 
 # ---- independence ---------------------------------------------------------
@@ -537,12 +533,10 @@ def essentially_independent(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) ->
     verdict = is_sparse(body_bar_graph(m).graph, SparsityCount(k, k)).sparse
     if n <= _NUMERIC_CHECK_CAP:
         p = random_placement(m.underlying, norm, seed)
-        total = matrix_rank(rigidity_matrix(m.underlying, p, norm).matrix)
+        total = placement_rank(m.underlying, p, norm)
         split = len(m.inter_body_edges)
         for part in m.body_subgraphs:
-            split += matrix_rank(
-                rigidity_matrix(part, p.restrict(part.vertices), norm).matrix
-            )
+            split += placement_rank(part, p.restrict(part.vertices), norm)
         if (total == split) != verdict:
             raise InconsistencyError(
                 "sparsity and direct-sum rank disagree on essential independence"

@@ -6,10 +6,15 @@ x^(e) acts componentwise as sgn(x)|x|^e.  For q = 2 this is the classical
 Euclidean matrix up to scale.  Rows are orientation-independent because the
 signed power is odd.
 
-Numeric rank uses the SVD cutoff  sigma > eps * sigma_max * max(rows, cols)
-with eps = 1e-9 by default.  For integer q an exact rational/integer oracle
-(fraction-free elimination) is available and is used to confirm rank
-decisions where the public API says so.
+Rank decisions at sampled placements go through placement_rank.  For an
+integer q every entry is a polynomial in the coordinates, which are dyadic
+rationals, so the exact matrix reduces mod the prime PRIME = 2^31 - 1, and
+int64 elimination gives its rank over GF(PRIME).  That never exceeds the rank
+over Q: reaching d*n - trivial_dim certifies rigidity, and falling short of a
+generic rank r happens with probability at most r(q-1)/PRIME per placement
+(Schwartz 1980).  A non-integer q, and flex_report at a given placement (an
+intended geometry that float rounding perturbs), use the SVD cutoff
+sigma > eps * sigma_max * max(rows, cols) with eps = 1e-9 by default.
 """
 
 from __future__ import annotations
@@ -162,21 +167,34 @@ class RigidityMatrix:
         return self.matrix.shape
 
 
-def rigidity_matrix(g: SimpleGraph, p: Placement, norm: NormSpec) -> RigidityMatrix:
-    """One row per edge in input order, d columns per vertex in graph order."""
+def _endpoints(
+    g: SimpleGraph, p: Placement, norm: NormSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Placement rows and the row indices of each edge's two endpoints."""
     if p.dim != norm.d:
         raise PlacementError(f"placement dimension {p.dim} != norm dimension {norm.d}")
-    pts = p.array_for(g)
-    d = norm.d
-    e = float(norm.q) - 1.0
-    m = np.zeros((g.n_edges, d * g.n_vertices))
     idx = g.index_of
-    for r, (a, b) in enumerate(g.edges):
-        ia, ib = idx[a], idx[b]
-        row = signed_power(pts[ia] - pts[ib], e)
-        m[r, d * ia : d * ia + d] = row
-        m[r, d * ib : d * ib + d] = -row
-    return RigidityMatrix(m, g.vertices, g.edges)
+    ends = np.array([(idx[a], idx[b]) for a, b in g.edges], dtype=np.intp)
+    return p.array_for(g).reshape(-1, norm.d), *ends.reshape(-1, 2).T
+
+
+def _layout(
+    g: SimpleGraph, d: int, ia: np.ndarray, ib: np.ndarray, vals: np.ndarray, neg: np.ndarray
+) -> np.ndarray:
+    """One row per edge: vals in the first endpoint's d columns, neg in the
+    second's."""
+    m = np.zeros((g.n_edges, d * g.n_vertices), dtype=vals.dtype)
+    rows, cols = np.arange(g.n_edges)[:, None], np.arange(d)
+    m[rows, d * ia[:, None] + cols] = vals
+    m[rows, d * ib[:, None] + cols] = neg
+    return m
+
+
+def rigidity_matrix(g: SimpleGraph, p: Placement, norm: NormSpec) -> RigidityMatrix:
+    """One row per edge in input order, d columns per vertex in graph order."""
+    pts, ia, ib = _endpoints(g, p, norm)
+    vals = signed_power(pts[ia] - pts[ib], float(norm.q) - 1.0)
+    return RigidityMatrix(_layout(g, norm.d, ia, ib, vals, -vals), g.vertices, g.edges)
 
 
 def _rank_from_singulars(s: np.ndarray, shape: tuple[int, int], eps: float) -> int:
@@ -201,6 +219,13 @@ def kernel_basis(m: np.ndarray, eps: float = RANK_EPS) -> np.ndarray:
     _, s, vt = np.linalg.svd(m, full_matrices=True)
     r = _rank_from_singulars(s, m.shape, eps)
     return vt[r:]
+
+
+def kernel_at_rank(m: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal kernel rows of a matrix whose rank is already known."""
+    if rank == 0:
+        return np.eye(m.shape[1])
+    return np.linalg.svd(m, full_matrices=True)[2][rank:]
 
 
 def trivial_motion_basis(
@@ -259,33 +284,50 @@ class FlexReport:
         return {v: arr[j].copy() for j, v in enumerate(self.vertex_order)}
 
 
-def flex_report(
-    g: SimpleGraph, p: Placement, norm: NormSpec, tol: float = RANK_EPS
+def _report(
+    g: SimpleGraph,
+    norm: NormSpec,
+    rank: int,
+    triv: np.ndarray,
+    kern: np.ndarray | None = None,
 ) -> FlexReport:
-    d, n = norm.d, g.n_vertices
-    rm = rigidity_matrix(g, p, norm)
-    kern = kernel_basis(rm.matrix, tol)
-    rank = d * n - kern.shape[0]
-    nullity = kern.shape[0]
-    triv = trivial_motion_basis(g, p, norm, tol)
-    trivial_dim = triv.shape[0]
-    flex_dim = nullity - trivial_dim
+    """The nontrivial flexes are the kernel rows with the trivial motions
+    projected out, so kern is needed only when some are left."""
+    n, d = g.n_vertices, norm.d
+    nullity = d * n - rank
+    flex_dim = nullity - triv.shape[0]
     basis: tuple[np.ndarray, ...] = ()
     if flex_dim > 0:
-        # Remove the trivial component from each kernel vector, then take an
-        # orthonormal set of what is left.
         residual = kern - (kern @ triv.T) @ triv
-        u, s, vt = np.linalg.svd(residual, full_matrices=False)
-        r = _rank_from_singulars(s, residual.shape, tol)
-        basis = tuple(vt[i].reshape(n, d) for i in range(min(r, flex_dim)))
+        vt = np.linalg.svd(residual, full_matrices=False)[2]
+        basis = tuple(vt[i].reshape(n, d) for i in range(flex_dim))
     return FlexReport(
         rank=rank,
         nullity=nullity,
-        trivial_dim=trivial_dim,
+        trivial_dim=triv.shape[0],
         flex_dim=flex_dim,
         vertex_order=g.vertices,
         nontrivial_flex_basis=basis,
     )
+
+
+def flex_report(
+    g: SimpleGraph, p: Placement, norm: NormSpec, tol: float = RANK_EPS
+) -> FlexReport:
+    """Flex report at a given placement, ranked by the SVD cutoff tol."""
+    kern = kernel_basis(rigidity_matrix(g, p, norm).matrix, tol)
+    rank = norm.d * g.n_vertices - kern.shape[0]
+    return _report(g, norm, rank, trivial_motion_basis(g, p, norm, tol), kern)
+
+
+def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> FlexReport:
+    """Flex report at p for a rank from placement_rank: a rigid one needs no
+    SVD, a flexible one takes the singular vectors after the known rank."""
+    triv = trivial_motion_basis(g, p, norm)
+    kern = None
+    if norm.d * g.n_vertices - rank > triv.shape[0]:
+        kern = kernel_at_rank(rigidity_matrix(g, p, norm).matrix, rank)
+    return _report(g, norm, rank, triv, kern)
 
 
 # ---- placement sampling ------------------------------------------------
@@ -316,112 +358,97 @@ def random_placement(
     raise SamplingError(f"no admissible placement in {max_attempts} attempts")
 
 
-def random_integer_points(
-    g: SimpleGraph, norm: NormSpec, seed: int, bound: int = 10**6, max_attempts: int = 100
-) -> dict[int, tuple[int, ...]]:
-    rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
-        pts = rng.integers(-bound, bound + 1, size=(g.n_vertices, norm.d))
-        if _off_variety(pts, g):
-            return {v: tuple(int(x) for x in pts[i]) for i, v in enumerate(g.vertices)}
-    raise SamplingError(f"no admissible integer placement in {max_attempts} attempts")
+# ---- exact rank mod a prime ----------------------------------------------
+
+PRIME = 2**31 - 1
 
 
-# ---- exact rational oracle ---------------------------------------------
+def residues(x: np.ndarray) -> np.ndarray:
+    """Exact residues mod PRIME of float64 values.
+
+    A finite double is mant * 2^k with an integer |mant| < 2^53, and
+    2^31 = 1 mod PRIME, so 2^k reduces to 2^(k mod 31); both factors stay
+    below 2^31, so their product fits in int64."""
+    frac, exp = np.frexp(np.asarray(x, dtype=float))
+    mant = np.ldexp(frac, 53).astype(np.int64)
+    scale = np.left_shift(np.int64(1), (exp.astype(np.int64) - 53) % 31)
+    return mant % PRIME * scale % PRIME
 
 
-def _signed_power_exact(x: Fraction, e: int) -> Fraction:
-    if x > 0:
-        return x**e
-    if x < 0:
-        return -((-x) ** e)
-    return Fraction(0)
+def rigidity_matrix_mod_p(g: SimpleGraph, p: Placement, norm: NormSpec) -> np.ndarray:
+    """The exact rigidity matrix at p mod PRIME, for an integer q.  Signs
+    come from comparing the floats, which is exact."""
+    pts, ia, ib = _endpoints(g, p, norm)
+    sign = np.sign(pts[ia] - pts[ib]).astype(np.int64)
+    res = residues(pts)
+    magnitude = (res[ia] - res[ib]) * sign % PRIME
+    power = magnitude
+    for _ in range(norm.q_int - 2):
+        power = power * magnitude % PRIME
+    vals = power * sign % PRIME
+    return _layout(g, norm.d, ia, ib, vals, -vals % PRIME)
 
 
-def rigidity_matrix_exact(
-    g: SimpleGraph, points: Mapping[int, Sequence[int | Fraction]], norm: NormSpec
-) -> list[list[Fraction]]:
-    """Exact matrix entries; requires an integer norm exponent."""
-    e = norm.q_int - 1
-    d = norm.d
-    idx = g.index_of
-    pts = [tuple(Fraction(x) for x in points[v]) for v in g.vertices]
-    rows = []
-    for a, b in g.edges:
-        pa, pb = pts[idx[a]], pts[idx[b]]
-        row = [Fraction(0)] * (d * g.n_vertices)
-        for i in range(d):
-            val = _signed_power_exact(pa[i] - pb[i], e)
-            row[d * idx[a] + i] = val
-            row[d * idx[b] + i] = -val
-        rows.append(row)
-    return rows
-
-
-def exact_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination."""
-    work: list[list[int]] = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        work.append([int(f * denom) for f in fracs])
-    if not work or not work[0]:
-        return 0
-    m, n = len(work), len(work[0])
+def rank_mod_p(m: np.ndarray) -> int:
+    """Rank over GF(PRIME) of an integer matrix, by int64 elimination.
+    Entries are reduced first, so a product of two stays below 2^62."""
+    a = np.array(m, dtype=np.int64) % PRIME
+    if a.shape[1] > a.shape[0]:
+        a = a.T.copy()  # one step per column: take the shorter side
+    rows, cols = a.shape
     rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        for r in range(row + 1, m):
-            for c in range(col + 1, n):
-                work[r][c] = (work[row][col] * work[r][c] - work[r][col] * work[row][c]) // prev
-            work[r][col] = 0
-        prev = work[row][col]
-        row += 1
-        rank += 1
-        if row == m:
+    for c in range(cols):
+        if rank == rows:
             break
+        nz = np.flatnonzero(a[rank:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
+        pivot = a[rank, c:] * pow(int(a[rank, c]), PRIME - 2, PRIME) % PRIME
+        # The swap left a zero at rank + nz[0], so these are the rows to clear.
+        below = rank + nz[1:]
+        if below.size:
+            a[below, c:] = (a[below, c:] - np.outer(a[below, c], pivot)) % PRIME
+        rank += 1
     return rank
 
 
-def exact_generic_rank(g: SimpleGraph, norm: NormSpec, seed: int = 0) -> int:
-    pts = random_integer_points(g, norm, seed)
-    return exact_rank(rigidity_matrix_exact(g, pts, norm))
+def placement_rank(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
+    """Rank of the rigidity matrix at p: exact mod PRIME for an integer q,
+    by the SVD cutoff otherwise."""
+    if norm.q_is_integer:
+        return rank_mod_p(rigidity_matrix_mod_p(g, p, norm))
+    return matrix_rank(rigidity_matrix(g, p, norm).matrix)
 
 
 # ---- generic-rank decisions --------------------------------------------
 
 
-def generic_rank(
-    g: SimpleGraph,
-    norm: NormSpec,
-    trials: int = 5,
-    seed: int = 0,
-    exact_confirm: bool = False,
-) -> int:
-    """Maximum rigidity-matrix rank over seeded random placements.
-
-    With exact_confirm and an integer exponent the value is checked against
-    fraction-free elimination at random integer placements; a persistent
-    disagreement raises InconsistencyError.
-    """
+def _best_placement(
+    g: SimpleGraph, norm: NormSpec, trials: int, seed: int
+) -> tuple[int, Placement]:
     if trials < 1:
-        raise InputError("generic_rank needs at least one trial")
-    best = 0
+        raise InputError("generic rank sampling needs at least one trial")
+    best: tuple[int, Placement] | None = None
     for t in range(trials):
         p = random_placement(g, norm, seed + t)
-        best = max(best, matrix_rank(rigidity_matrix(g, p, norm).matrix))
-    if exact_confirm and norm.q_is_integer:
-        exact = max(exact_generic_rank(g, norm, seed + t) for t in range(3))
-        if exact != best:
-            raise InconsistencyError(
-                f"numeric generic rank {best} disagrees with exact rank {exact}"
-            )
+        rank = placement_rank(g, p, norm)
+        if best is None or rank > best[0]:
+            best = (rank, p)
+        top = norm.d * g.n_vertices - trivial_motion_basis(g, p, norm).shape[0]
+        if rank >= min(g.n_edges, top):
+            break
+    assert best is not None
     return best
+
+
+def generic_rank(g: SimpleGraph, norm: NormSpec, trials: int = 5, seed: int = 0) -> int:
+    """Highest rank over seeded random placements, stopping at the first that
+    reaches min(|E|, d*n - trivial_dim).  For an integer q this certifies a
+    lower bound on the generic rank r, short of it with probability at most
+    r(q-1)/PRIME per placement; a non-integer q ranks by the SVD cutoff."""
+    return _best_placement(g, norm, trials, seed)[0]
 
 
 def _rigid_2d_combinatorial(g: SimpleGraph, norm: NormSpec) -> bool:
@@ -446,32 +473,26 @@ class GenericRigidityVerdict:
 def is_rigid_generic(
     g: SimpleGraph, norm: NormSpec, trials: int = 5, seed: int = 0
 ) -> GenericRigidityVerdict:
-    """Generic rigidity from the best of several random placements.
+    """Generic rigidity at the placement of generic_rank.
 
-    In the plane the verdict is cross-checked against the tight-spanning
-    combinatorial characterization; disagreement means the numeric tolerance
-    failed and raises InconsistencyError.
+    For an integer q, Rigid is certified by the exact rank mod PRIME, and
+    Flexible is wrong with probability at most r(q-1)/PRIME per placement; a
+    non-integer q decides by the SVD cutoff.  In the plane the verdict is
+    cross-checked against the tight-spanning combinatorial characterization;
+    disagreement raises InconsistencyError.
     """
-    if trials < 1:
-        raise InputError("is_rigid_generic needs at least one trial")
-    best: FlexReport | None = None
-    best_p: Placement | None = None
-    for t in range(trials):
-        p = random_placement(g, norm, seed + t)
-        rep = flex_report(g, p, norm)
-        if best is None or rep.rank > best.rank:
-            best, best_p = rep, p
-    assert best is not None and best_p is not None
+    rank, p = _best_placement(g, norm, trials, seed)
+    report = report_at_rank(g, p, norm, rank)
     comb: bool | None = None
     if norm.d == 2:
         comb = _rigid_2d_combinatorial(g, norm)
-        if comb != best.rigid:
+        if comb != report.rigid:
             raise InconsistencyError(
                 f"combinatorial verdict {comb} disagrees with numeric "
-                f"verdict {best.rigid} (rank {best.rank})"
+                f"verdict {report.rigid} (rank {report.rank})"
             )
     return GenericRigidityVerdict(
-        rigid=best.rigid, report=best, placement=best_p, combinatorial=comb
+        rigid=report.rigid, report=report, placement=p, combinatorial=comb
     )
 
 

@@ -21,18 +21,14 @@ import numpy as np
 
 from .errors import AlgorithmError, InconsistencyError, InputError
 from .frameworks import (
-    RANK_EPS,
     NormSpec,
     Placement,
     VelocityField,
-    exact_rank,
     is_rigid_generic,
-    kernel_basis,
-    matrix_rank,
-    random_integer_points,
+    kernel_at_rank,
+    placement_rank,
     random_placement,
     rigidity_matrix,
-    rigidity_matrix_exact,
 )
 from .graphs import (
     SimpleGraph,
@@ -84,10 +80,6 @@ def _anchored(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     return graph_union(g, complete_graph_on(h.vertices))
 
 
-def _nullity(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
-    return norm.d * g.n_vertices - matrix_rank(rigidity_matrix(g, p, norm).matrix)
-
-
 @dataclass(frozen=True)
 class RelativeRigidityVerdict:
     """Outcome of comparing a graph's freedom with and without its anchor
@@ -103,10 +95,15 @@ class RelativeRigidityVerdict:
 
 
 def _witness_flex(
-    g: SimpleGraph, anchored: SimpleGraph, p: Placement, norm: NormSpec
+    g: SimpleGraph,
+    anchored: SimpleGraph,
+    p: Placement,
+    norm: NormSpec,
+    rank_g: int,
+    rank_a: int,
 ) -> VelocityField:
-    kern_g = kernel_basis(rigidity_matrix(g, p, norm).matrix)
-    kern_a = kernel_basis(rigidity_matrix(anchored, p, norm).matrix)
+    kern_g = kernel_at_rank(rigidity_matrix(g, p, norm).matrix, rank_g)
+    kern_a = kernel_at_rank(rigidity_matrix(anchored, p, norm).matrix, rank_a)
     resid = kern_g
     if kern_a.size:
         resid = kern_g - (kern_g @ kern_a.T) @ kern_a
@@ -125,9 +122,11 @@ def relative_rigidity(
 ) -> RelativeRigidityVerdict:
     """Decide whether h is relatively rigid in g.
 
-    Sampled at one pseudo-generic placement; for integer exponents the
-    verdict is confirmed against exact ranks at integer placements, with a
-    couple of resampling rounds before a persistent disagreement escalates.
+    Both ranks come from placement_rank at one seeded random placement: exact
+    mod PRIME for an integer q, by the SVD cutoff otherwise.  Each rank falls
+    below its generic value with probability at most r(q-1)/PRIME, r that
+    value, so for an integer q either verdict is wrong with probability at
+    most (r_g + r_anchored)(q-1)/PRIME.
     """
     if not h.is_subgraph_of(g):
         raise InputError("h must be a subgraph of g")
@@ -139,30 +138,15 @@ def relative_rigidity(
         )
     anchored = _anchored(g, h)
     cols = norm.d * g.n_vertices
-    p = None
-    null_g = null_a = 0
-    for attempt in range(3):
-        p = random_placement(g, norm, seed + attempt)
-        null_g = _nullity(g, p, norm)
-        null_a = _nullity(anchored, p, norm)
-        if not norm.q_is_integer:
-            break
-        pts = random_integer_points(anchored, norm, seed + 7919 * (attempt + 1))
-        exact_g = cols - exact_rank(rigidity_matrix_exact(g, pts, norm))
-        exact_a = cols - exact_rank(rigidity_matrix_exact(anchored, pts, norm))
-        if (null_g == null_a) == (exact_g == exact_a):
-            break
-    else:
-        raise InconsistencyError(
-            "float and exact relative-rigidity verdicts disagree persistently"
-        )
-    assert p is not None
-    rigid_rel = null_g == null_a
-    witness = None if rigid_rel else _witness_flex(g, anchored, p, norm)
+    p = random_placement(g, norm, seed)
+    rank_g = placement_rank(g, p, norm)
+    rank_a = placement_rank(anchored, p, norm)
+    rigid_rel = rank_g == rank_a
+    witness = None if rigid_rel else _witness_flex(g, anchored, p, norm, rank_g, rank_a)
     return RelativeRigidityVerdict(
         relatively_rigid=rigid_rel,
-        nullity_graph=null_g,
-        nullity_anchored=null_a,
+        nullity_graph=cols - rank_g,
+        nullity_anchored=cols - rank_a,
         placement=p,
         witness_flex=witness,
     )

@@ -3,7 +3,7 @@
 import random
 
 from rigidkit.bodybar import body_bar_count, validate_multibody
-from rigidkit.graphs import SimpleGraph, normalize_edge
+from rigidkit.graphs import MultiGraph, SimpleGraph, normalize_edge
 from rigidkit.moves import (
     EdgeMove,
     VertexExtension,
@@ -83,6 +83,17 @@ def grow_tight_graph(mode, n_target, seed, start=None, protected=()):
     return g
 
 
+def zero_extension_graph(n, d, base, seed):
+    """Complete graph on `base` vertices, then each further vertex joined to
+    d random earlier ones.  Rigid by construction in dimension d when the
+    base is: K_{d+1} in the Euclidean case, K_{2d} otherwise."""
+    rng = random.Random(seed)
+    edges = [(a, b) for a in range(base) for b in range(a + 1, base)]
+    for v in range(base, n):
+        edges += [(u, v) for u in rng.sample(range(v), d)]
+    return SimpleGraph(range(n), edges)
+
+
 def random_multibody(n_bodies, norm, seed, n_bars=None):
     """Random multi-body structure with complete bodies and disjoint bars.
 
@@ -112,6 +123,45 @@ def random_multibody(n_bodies, norm, seed, n_bars=None):
         u = free[a].pop(rng.randrange(len(free[a])))
         w = free[b].pop(rng.randrange(len(free[b])))
         bars.append((u, w))
+    within = [
+        (b[i], b[j]) for b in bodies for i in range(len(b)) for j in range(i + 1, len(b))
+    ]
+    return validate_multibody(SimpleGraph(range(label), within + bars), bodies, norm)
+
+
+def random_tight_multigraph(n, d, seed):
+    """Union of d random spanning trees, shuffled; (d, d)-tight by layers."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(d):
+        order = list(range(n))
+        rng.shuffle(order)
+        edges += [(order[i], rng.choice(order[:i])) for i in range(1, n)]
+    rng.shuffle(edges)
+    return MultiGraph(range(n), edges)
+
+
+def realize_bodybar(gb, norm):
+    """Multi-body structure whose collapsed multigraph is gb."""
+    d = norm.d
+    deg = {v: 0 for v in gb.vertices}
+    for a, b in gb.edges:
+        deg[a] += 1
+        deg[b] += 1
+    base = {}
+    bodies = []
+    label = 0
+    for v in gb.vertices:
+        s = max(2 * d, deg[v])
+        base[v] = label
+        bodies.append(tuple(range(label, label + s)))
+        label += s
+    used = {v: 0 for v in gb.vertices}
+    bars = []
+    for a, b in gb.edges:
+        bars.append((base[a] + used[a], base[b] + used[b]))
+        used[a] += 1
+        used[b] += 1
     within = [
         (b[i], b[j]) for b in bodies for i in range(len(b)) for j in range(i + 1, len(b))
     ]

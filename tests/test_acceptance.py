@@ -13,7 +13,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import grow_tight_graph, random_graph, random_multibody, solve_exact
+from helpers import (
+    grow_tight_graph,
+    random_graph,
+    random_multibody,
+    random_tight_multigraph,
+    realize_bodybar,
+    solve_exact,
+    zero_extension_graph,
+)
 from rigidkit.bodybar import special_placement, tay_decide
 from rigidkit.catalog import (
     SimplicialMeta,
@@ -378,3 +386,21 @@ def test_11_pebble_engine_at_scale():
     for small, h, large in zip(stages, witness, stages[1:]):
         assert small.is_subgraph_of(h) and h.is_subgraph_of(large)
         assert tight_spanning_subgraph(h, LAMAN) is not None
+
+
+
+def test_12_certified_rank_at_scale():
+    # A 60-vertex rigid 0-extension graph in 3-space cut into 10 prefix
+    # stages, and a 10-body union of two spanning trees (18 bars) in the
+    # cubic plane, whose model has 180 vertices.
+    full = zero_extension_graph(60, 3, 4, 12)
+    tower = Tower([induced_subgraph(full, range(n)) for n in range(6, 61, 6)])
+    cubic = NormSpec(2, 3)
+    m = realize_bodybar(random_tight_multigraph(10, 2, seed=12), cubic)
+    with budget(5):
+        verdict = tower_rigidity(tower, NormSpec(3, 2), seed=0)
+        placed = special_placement(m, cubic, seed=0)
+    assert verdict.status == TOWER_RIGID
+    assert verdict.relatively_rigid_prefix == 10
+    assert placed.report.nullity == 2
+    assert placed.model.underlying.n_vertices == 180

@@ -5,9 +5,10 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from helpers import random_multibody
+from helpers import random_multibody, random_tight_multigraph, realize_bodybar
 from rigidkit.bodybar import (
     BODYBAR_TOWER_MINIMAL,
     BODYBAR_TOWER_NOT,
@@ -34,6 +35,7 @@ from rigidkit.frameworks import (
     flex_report,
     is_rigid_generic,
     random_placement,
+    rigidity_matrix,
 )
 from rigidkit.graphs import MultiGraph, SimpleGraph
 from rigidkit.sparsity import SparsityCount, is_sparse
@@ -77,45 +79,6 @@ def induced_multibody(m, ids):
     es = [e for e in m.underlying.edges if e[0] in keep and e[1] in keep]
     bars = [e for e in m.inter_body_edges if e[0] in keep and e[1] in keep]
     return MultiBodyGraph(SimpleGraph(vs, es), bodies, bars)
-
-
-def random_tight_multigraph(n, d, seed):
-    """Union of d random spanning trees, shuffled; (d, d)-tight by layers."""
-    rng = random.Random(seed)
-    edges = []
-    for _ in range(d):
-        order = list(range(n))
-        rng.shuffle(order)
-        edges += [(order[i], rng.choice(order[:i])) for i in range(1, n)]
-    rng.shuffle(edges)
-    return MultiGraph(range(n), edges)
-
-
-def realize_bodybar(gb, norm):
-    """Multi-body structure whose collapsed multigraph is gb."""
-    d = norm.d
-    deg = {v: 0 for v in gb.vertices}
-    for a, b in gb.edges:
-        deg[a] += 1
-        deg[b] += 1
-    base = {}
-    bodies = []
-    label = 0
-    for v in gb.vertices:
-        s = max(2 * d, deg[v])
-        base[v] = label
-        bodies.append(tuple(range(label, label + s)))
-        label += s
-    used = {v: 0 for v in gb.vertices}
-    bars = []
-    for a, b in gb.edges:
-        bars.append((base[a] + used[a], base[b] + used[b]))
-        used[a] += 1
-        used[b] += 1
-    within = [
-        (b[i], b[j]) for b in bodies for i in range(len(b)) for j in range(i + 1, len(b))
-    ]
-    return validate_multibody(SimpleGraph(range(label), within + bars), bodies, norm)
 
 
 # ---- validation ----------------------------------------------------------
@@ -384,6 +347,25 @@ def test_special_placement_kernel_is_translations(case):
     m = realize_bodybar(gb, norm)
     res = special_placement(m, norm, seed=case)
     assert res.report.nullity == d
+
+
+@pytest.mark.parametrize(
+    "norm,n_bodies,seed", [(CUBIC2, 10, 0), (CUBIC3, 8, 0)], ids=["d2-10", "d3-8"]
+)
+def test_special_placement_at_scale(norm, n_bodies, seed):
+    # Tree unions with 18 and 21 bars: the bar count sets the body size of
+    # the model, so the placement has 180 and 168 vertices.
+    d = norm.d
+    m = realize_bodybar(random_tight_multigraph(n_bodies, d, seed=seed), norm)
+    assert len(m.inter_body_edges) == d * (n_bodies - 1)
+    res = special_placement(m, norm, seed=seed)
+    assert res.eps == 1e-2
+    assert res.report.nullity == d and res.report.flex_dim == 0
+    # The float singular values agree, with a clear gap after the rank.
+    g = res.model.underlying
+    s = np.linalg.svd(rigidity_matrix(g, res.placement, norm).matrix, compute_uv=False)
+    rank = d * g.n_vertices - d
+    assert s[rank - 1] > 1e6 * s[rank]
 
 
 # ---- essential independence ----------------------------------------------

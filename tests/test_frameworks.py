@@ -1,17 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from helpers import grow_tight_graph, zero_extension_graph
 from rigidkit.errors import ContinuationError, InputError
 from rigidkit.frameworks import (
+    PRIME,
     ExtensionResult,
     NormSpec,
     Placement,
     continuation_track,
-    exact_generic_rank,
-    exact_rank,
     flex_extends,
     flex_growth_profile,
     flex_report,
@@ -20,8 +21,10 @@ from rigidkit.frameworks import (
     kernel_basis,
     matrix_rank,
     random_placement,
+    rank_mod_p,
+    residues,
     rigidity_matrix,
-    rigidity_matrix_exact,
+    rigidity_matrix_mod_p,
     signed_power,
     trivial_motion_basis,
 )
@@ -134,38 +137,124 @@ def test_trivial_dim_two_vertices_euclidean():
     assert trivial_motion_basis(g, p, CUBIC).shape[0] == 2
 
 
+def fraction_rank(rows):
+    """Rank over Q by plain Gaussian elimination on Fractions."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] / work[rank][c]
+            work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def residue(x):
+    """Residue mod PRIME of the exact rational value of a float."""
+    f = Fraction(x)
+    return f.numerator * pow(f.denominator, -1, PRIME) % PRIME
+
+
 def test_exact_rank_basics():
-    assert exact_rank([[1, 2], [3, 4]]) == 2
-    assert exact_rank([[2, 4], [1, 2]]) == 1
-    assert exact_rank([]) == 0
-    assert (
-        exact_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]])
-        == 1
-    )
+    assert rank_mod_p(np.array([[1, 2], [3, 4]])) == 2
+    assert rank_mod_p(np.array([[2, 4], [1, 2]])) == 1
+    assert rank_mod_p(np.zeros((0, 3), dtype=np.int64)) == 0
+    # [[1/2, 1/3], [1/4, 1/6]] scaled by 12
+    assert rank_mod_p(np.array([[6, 4], [3, 2]])) == 1
+    # entries are reduced: PRIME itself is zero
+    assert rank_mod_p(np.array([[PRIME, 0], [0, 1]])) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_mod_p_matches_fraction_rank_on_planted_rank(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(4, 12, size=2)
+    r = int(rng.integers(0, min(rows, cols) + 1))
+    planted = rng.integers(-3, 4, size=(rows, r)) @ rng.integers(-3, 4, size=(r, cols))
+    want = fraction_rank(planted.tolist())
+    # Same residues, but entries at and far above PRIME: -1 becomes PRIME - 1,
+    # and random multiples of PRIME push the rest up to about 2^51.
+    big = planted % PRIME + PRIME * rng.integers(0, 2**20, size=planted.shape)
+    big[planted == -1] = PRIME - 1
+    assert big.max() >= PRIME
+    assert rank_mod_p(big) == want
+    assert rank_mod_p(big.T) == want
+
+
+def test_rank_mod_p_all_entries_prime_minus_one():
+    # Every product in the elimination is (PRIME - 1)^2, the largest there is.
+    m = np.full((7, 9), PRIME - 1, dtype=np.int64)
+    assert rank_mod_p(m) == 1
+    m[np.arange(7), np.arange(7)] = 1
+    assert rank_mod_p(m) == fraction_rank(np.where(m == PRIME - 1, -1, m).tolist())
 
 
 def test_exact_matrix_matches_float_on_integer_points():
     g = complete_graph(4)
     pts = {0: (0, 0), 1: (3, 1), 2: (-2, 5), 3: (7, -4)}
-    rows = rigidity_matrix_exact(g, pts, CUBIC)
     p = Placement(2, {v: tuple(float(x) for x in pt) for v, pt in pts.items()})
     rm = rigidity_matrix(g, p, CUBIC)
-    assert np.allclose(rm.matrix, np.array(rows, dtype=float))
+    exact = rm.matrix.astype(np.int64) % PRIME
+    assert np.array_equal(rigidity_matrix_mod_p(g, p, CUBIC), exact)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_mod_p_matrix_is_float_matrix_mod_p_at_integer_points(q, d):
+    # Differences of either sign up to 60, so the float entries are exact
+    # integers and even powers must take their sign from the difference.
+    g = complete_graph(6)
+    rng = np.random.default_rng(10 * q + d)
+    p = Placement(d, {v: tuple(rng.integers(-30, 31, size=d).astype(float)) for v in g.vertices})
+    norm = NormSpec(d, q)
+    float_matrix = rigidity_matrix(g, p, norm).matrix
+    assert (float_matrix < 0).any()
+    expected = float_matrix.astype(np.int64) % PRIME
+    assert np.array_equal(rigidity_matrix_mod_p(g, p, norm), expected)
+
+
+def test_residues_of_dyadic_values():
+    xs = [0.375, -0.375, 1e-2, -1e-2, 0.3 + 1e-2, 2.0**-70, -(2.0**40) * 3, 0.0]
+    assert residues(np.array(xs)).tolist() == [residue(x) for x in xs]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_mod_p_matrix_at_dyadic_placement(q):
+    # Points such as 0.375, and the same points shifted by 1e-2 along one
+    # axis, as the special body-bar placement builds them.
+    g = complete_graph(5)
+    base = [(0.375, -0.625), (-0.125, 0.875), (0.5, 0.25)]
+    coords = dict(enumerate(base))
+    coords[3] = (base[0][0] + 1e-2, base[0][1])
+    coords[4] = (base[1][0], base[1][1] - 1e-2)
+    p = Placement(2, coords)
+    norm = NormSpec(2, q)
+    expected = []
+    for a, b in g.edges:
+        row = [0] * 10
+        for i in range(2):
+            x = Fraction(coords[a][i]) - Fraction(coords[b][i])
+            val = (1 if x > 0 else -1 if x < 0 else 0) * abs(x) ** (q - 1)
+            row[2 * a + i] = val.numerator * pow(val.denominator, -1, PRIME) % PRIME
+            row[2 * b + i] = -val.numerator * pow(val.denominator, -1, PRIME) % PRIME
+        expected.append(row)
+    assert rigidity_matrix_mod_p(g, p, norm).tolist() == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("q", [2, 3])
 def test_numeric_rank_agrees_with_exact(seed, q):
+    # K5 less an edge has 9 edges: rank 2*5 - 3 in the Euclidean plane,
+    # 2*5 - 2 for q = 3.
     g = complete_graph(5).without_edge(0, 3)
     norm = NormSpec(2, q)
-    assert generic_rank(g, norm, trials=3, seed=seed) == exact_generic_rank(
-        g, norm, seed=seed
-    )
-
-
-def test_generic_rank_exact_confirm_path():
+    assert generic_rank(g, norm, trials=3, seed=seed) == {2: 7, 3: 8}[q]
     # K4 is (2,2)-tight: full row rank 2*4 - 2.
-    assert generic_rank(complete_graph(4), CUBIC, trials=3, seed=5, exact_confirm=True) == 6
+    assert generic_rank(complete_graph(4), CUBIC, trials=3, seed=5) == 6
 
 
 @pytest.mark.parametrize(
@@ -182,6 +271,39 @@ def test_is_rigid_generic_with_planar_cross_check(g, norm, expect):
     verdict = is_rigid_generic(g, norm, trials=3, seed=11)
     assert verdict.rigid is expect
     assert verdict.combinatorial is expect
+
+
+SCALE_GRAPHS = {
+    "laman-200": (lambda: grow_tight_graph("euclidean", 200, 9), EUCLID2),
+    "laman-400": (lambda: grow_tight_graph("euclidean", 400, 0), EUCLID2),
+    "22tight-200-q3": (lambda: grow_tight_graph("qnorm", 200, 0), CUBIC),
+    "0ext-d3-120-q3": (lambda: zero_extension_graph(120, 3, 6, 0), NormSpec(3, 3)),
+    "0ext-d3-240-q2": (lambda: zero_extension_graph(240, 3, 4, 0), NormSpec(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", SCALE_GRAPHS)
+def test_is_rigid_generic_certifies_tight_graphs_at_scale(name):
+    # Rigid by construction and tight, so the rank must reach |E|.  A float
+    # rank cutoff misses it at these sizes.
+    build, norm = SCALE_GRAPHS[name]
+    g = build()
+    verdict = is_rigid_generic(g, norm, seed=0)
+    assert verdict.rigid
+    assert verdict.report.rank == g.n_edges
+    assert g.n_edges == norm.d * g.n_vertices - norm.trivial_dim_generic
+    assert verdict.combinatorial in (None, True)
+    # One edge less leaves one flex; its basis vector comes from the singular
+    # vectors after the known rank.
+    loose = g.without_edge(*g.edges[-1])
+    verdict = is_rigid_generic(loose, norm, seed=0)
+    assert not verdict.rigid
+    assert (verdict.report.rank, verdict.report.flex_dim) == (loose.n_edges, 1)
+    u = verdict.report.nontrivial_flex_basis[0].ravel()
+    m = rigidity_matrix(loose, verdict.placement, norm).matrix
+    assert np.linalg.norm(m @ u) < 1e-9 * np.linalg.norm(m)
+    triv = trivial_motion_basis(loose, verdict.placement, norm)
+    assert np.linalg.norm(triv @ u) < 1e-9
 
 
 def test_flex_of_edge_extends_into_triangle():

@@ -131,6 +131,27 @@ def test_relative_rigidity_nonEuclidean_needs_four_anchors():
     assert verdict.relatively_rigid
 
 
+def test_relative_rigidity_at_scale():
+    # A 200-vertex Laman graph grown from a 100-vertex one: relatively rigid.
+    small = grow_tight_graph("euclidean", 100, 21)
+    big = grow_tight_graph("euclidean", 200, 22, small, small.edges)
+    verdict = relative_rigidity(big, small, EUCLID2, seed=1)
+    assert verdict.relatively_rigid
+    assert verdict.nullity_graph == verdict.nullity_anchored == 3
+    # Two 100-vertex Laman blocks joined by two bars keep one joint freedom,
+    # which pinning two vertices of each block removes.
+    right = grow_tight_graph("euclidean", 100, 23)
+    shifted = [(a + 100, b + 100) for a, b in right.edges]
+    joined = SimpleGraph(range(200), small.edges + tuple(shifted) + ((5, 105), (50, 150)))
+    anchor = SimpleGraph([0, 1, 100, 101], [])
+    verdict = relative_rigidity(joined, anchor, EUCLID2, seed=2)
+    assert not verdict.relatively_rigid
+    assert (verdict.nullity_graph, verdict.nullity_anchored) == (4, 3)
+    u = np.concatenate([verdict.witness_flex[v] for v in joined.vertices])
+    rm = rigidity_matrix(joined, verdict.placement, EUCLID2).matrix
+    assert np.linalg.norm(rm @ u) < 1e-8 * np.linalg.norm(rm)
+
+
 # ---- rigid containers in the plane ---------------------------------------
 
 
