@@ -11,24 +11,12 @@ import argparse
 import json
 import sys
 
-from . import __version__, jsonio
-from .bodybar import tay_decide, validate_multibody
-from .catalog import available_families, generate
+from . import __version__
 from .errors import AlgorithmError, InconsistencyError, InputError, RigidkitError
-from .frameworks import (
-    RANK_EPS,
-    NormSpec,
-    flex_report,
-    is_rigid_generic,
-)
-from .moves import count_for_mode, find_chain, verify_chain
-from .sparsity import SparsityCount, is_sparse
-from .svg import render_svg
-from .towers import (
-    laman_tower_decide,
-    sequential_rigidity_2d,
-    tower_rigidity,
-)
+from .norms import RANK_EPS, NormSpec
+
+# Each verb imports the modules it calls, so the pebble-game verbs
+# (sparsity, chain, tower --mode laman and sequential) start without numpy.
 
 __all__ = ["main", "run"]
 
@@ -114,6 +102,8 @@ def _read_file(path: str) -> str:
 
 
 def _emit_json(obj: dict, path: str | None) -> None:
+    from . import jsonio
+
     text = json.dumps(jsonio.jsonable(obj), indent=2, sort_keys=True) + "\n"
     _emit_text(text, path)
 
@@ -127,6 +117,8 @@ def _emit_text(text: str, path: str | None) -> None:
 
 
 def _report(args, norm: NormSpec | None, payload: dict, trials=None) -> dict:
+    from . import jsonio
+
     out = {
         "version": __version__,
         "norm": jsonio.norm_to_json(norm) if norm is not None else None,
@@ -146,6 +138,9 @@ def _resolve_norm(args, from_file: NormSpec | None) -> NormSpec:
 
 
 def _cmd_analyze(args) -> None:
+    from . import jsonio
+    from .frameworks import flex_report, is_rigid_generic
+
     g, p, file_norm = jsonio.loose_input_from_json(_load(args.input))
     norm = _resolve_norm(args, file_norm)
     if args.generic:
@@ -174,6 +169,9 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_sparsity(args) -> None:
+    from . import jsonio
+    from .sparsity import SparsityCount, is_sparse
+
     g, _, _ = jsonio.loose_input_from_json(_load(args.input))
     count = SparsityCount.parse(args.count)
     rep = is_sparse(g, count)
@@ -189,6 +187,9 @@ def _cmd_sparsity(args) -> None:
 
 
 def _cmd_chain(args) -> None:
+    from . import jsonio
+    from .moves import count_for_mode, find_chain, verify_chain
+
     g_from, _, _ = jsonio.loose_input_from_json(_load(args.source))
     g_to, _, _ = jsonio.loose_input_from_json(_load(args.target))
     count = count_for_mode(args.mode)
@@ -210,6 +211,9 @@ def _cmd_chain(args) -> None:
 
 
 def _cmd_tower(args) -> None:
+    from . import jsonio
+    from .towers import laman_tower_decide, sequential_rigidity_2d, tower_rigidity
+
     t = jsonio.tower_from_json(_load(args.input))
     norm = _resolve_norm(args, None)
     if args.mode == "relative":
@@ -254,6 +258,9 @@ def _cmd_tower(args) -> None:
 
 
 def _cmd_bodybar(args) -> None:
+    from . import jsonio
+    from .bodybar import tay_decide, validate_multibody
+
     raw = jsonio.multibody_from_json(_load(args.input))
     norm = _resolve_norm(args, None)
     m = validate_multibody(raw.underlying, raw.bodies, norm)
@@ -285,6 +292,9 @@ def _parse_param(item: str):
 
 
 def _cmd_catalog(args) -> None:
+    from . import jsonio
+    from .catalog import available_families, generate
+
     if args.family == "list":
         if args.params:
             raise UsageError("catalog list takes no params")
@@ -297,6 +307,10 @@ def _cmd_catalog(args) -> None:
 
 
 def _cmd_render(args) -> None:
+    from . import jsonio
+    from .frameworks import flex_report
+    from .svg import render_svg
+
     g, p, file_norm = jsonio.loose_input_from_json(_load(args.input))
     if p is None:
         raise InputError("render needs a placement")

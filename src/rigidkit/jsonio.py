@@ -7,16 +7,15 @@ becomes a decimal string with 17 significant digits so that reparsing
 reproduces the double exactly.
 """
 
+from __future__ import annotations
+
 import dataclasses
+import sys
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from numbers import Integral, Real
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-import numpy as np
-
-from .bodybar import MultiBodyGraph
-from .catalog import GeneratedFamily, SimplicialMeta
 from .errors import InputError
-from .frameworks import NormSpec, Placement
 from .graphs import SimpleGraph, Tower
 from .moves import (
     ConstructionChain,
@@ -26,6 +25,14 @@ from .moves import (
     VertexTo4Cycle,
     VertexToK4,
 )
+from .norms import NormSpec
+
+# numpy and the numeric modules load only when a document needs them, so the
+# pebble-game verbs of the command line start without numpy.
+if TYPE_CHECKING:
+    from .bodybar import MultiBodyGraph
+    from .catalog import GeneratedFamily, SimplicialMeta
+    from .frameworks import Placement
 
 __all__ = [
     "chain_from_json",
@@ -62,7 +69,9 @@ _MOVE_TYPES = {
 def format_number(x) -> int | str:
     if isinstance(x, bool):
         raise InputError("booleans are not numbers here")
-    if isinstance(x, (int, np.integer)):
+    # Built-in types come first: they match without the slower ABC check,
+    # which only numpy scalars reach.
+    if isinstance(x, (int, Integral)):
         return int(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
@@ -90,15 +99,21 @@ def parse_number(v) -> int | float | Fraction:
     raise InputError(f"expected a number, got {type(v).__name__}")
 
 
+def _is_ndarray(x) -> bool:
+    # An array can exist only once numpy is loaded, so asking never loads it.
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
 def jsonable(x) -> Any:
     """Recursively rewrite a value into the emitted-JSON number convention."""
     if x is None or isinstance(x, (bool, str)):
         return x
-    if isinstance(x, (int, float, Fraction, np.integer, np.floating)):
+    if isinstance(x, (int, float, Fraction, Real)):
         return format_number(x)
     if isinstance(x, Mapping):
         return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, np.ndarray)):
+    if isinstance(x, (list, tuple)) or _is_ndarray(x):
         return [jsonable(v) for v in x]
     raise InputError(f"cannot serialize {type(x).__name__}")
 
@@ -165,6 +180,8 @@ def placement_to_json(p: Placement) -> dict:
 
 
 def placement_from_json(obj) -> Placement:
+    from .frameworks import Placement
+
     if not isinstance(obj, dict) or not obj:
         raise InputError("placement must be a non-empty JSON object")
     coords: dict[int, tuple[float, ...]] = {}
@@ -247,6 +264,8 @@ def meta_to_json(meta: SimplicialMeta) -> dict:
 
 
 def meta_from_json(obj) -> SimplicialMeta:
+    from .catalog import SimplicialMeta
+
     _require(obj, "meta", ("connectivity", "holeCycles", "refinement"))
     return SimplicialMeta(
         _int(obj["connectivity"], "connectivity"),
@@ -295,6 +314,8 @@ def multibody_to_json(m: MultiBodyGraph) -> dict:
 
 
 def multibody_from_json(obj) -> MultiBodyGraph:
+    from .bodybar import MultiBodyGraph
+
     _require(obj, "multibody", ("graph", "bodies", "interbody_edges"))
     g = graph_from_json(obj["graph"])
     if not isinstance(obj["bodies"], list):

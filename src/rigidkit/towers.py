@@ -16,20 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AlgorithmError, InconsistencyError, InputError
-from .frameworks import (
-    NormSpec,
-    Placement,
-    VelocityField,
-    is_rigid_generic,
-    kernel_at_rank,
-    placement_rank,
-    random_placement,
-    rigidity_matrix,
-)
 from .graphs import (
     SimpleGraph,
     Tower,
@@ -38,6 +27,7 @@ from .graphs import (
     induced_subgraph,
     validate_tower,
 )
+from .norms import NormSpec
 from .sparsity import (
     LAMAN,
     QNORM_2D,
@@ -45,6 +35,11 @@ from .sparsity import (
     SparsityCount,
     extend_to_tight_spanning,
 )
+
+# numpy and frameworks load inside the functions that compute ranks, so the
+# pebble-game decisions (laman_tower_decide, rigid_container_2d) never load them.
+if TYPE_CHECKING:
+    from .frameworks import Placement, VelocityField
 
 __all__ = [
     "RelativeRigidityVerdict",
@@ -102,6 +97,10 @@ def _witness_flex(
     rank_g: int,
     rank_a: int,
 ) -> VelocityField:
+    import numpy as np
+
+    from .frameworks import kernel_at_rank, rigidity_matrix
+
     kern_g = kernel_at_rank(rigidity_matrix(g, p, norm).matrix, rank_g)
     kern_a = kernel_at_rank(rigidity_matrix(anchored, p, norm).matrix, rank_a)
     resid = kern_g
@@ -128,6 +127,8 @@ def relative_rigidity(
     value, so for an integer q either verdict is wrong with probability at
     most (r_g + r_anchored)(q-1)/PRIME.
     """
+    from .frameworks import placement_rank, random_placement
+
     if not h.is_subgraph_of(g):
         raise InputError("h must be a subgraph of g")
     need = anchor_threshold(norm)
@@ -220,21 +221,31 @@ class TowerVerdict:
 
 
 def _consecutive_pairs(t: Tower) -> list[tuple[SimpleGraph, SimpleGraph]]:
-    # A single-stage presentation is read as the constant tower, so the one
-    # stage is still tested against its own completion rather than waved
+    # A finite presentation (one stage, or a final stage equal to the declared
+    # target) is read as the constant tower from its final stage on, so that
+    # stage is also tested against its own completion rather than waved
     # through vacuously.
-    if t.depth == 1:
-        return [(t.stages[0], t.stages[0])]
-    return list(zip(t.stages, t.stages[1:]))
+    pairs = list(zip(t.stages, t.stages[1:]))
+    if t.depth == 1 or t.stages[-1] == t.target:
+        pairs.append((t.stages[-1], t.stages[-1]))
+    return pairs
 
 
 def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
     """Certify a staged presentation rigid, flexible, or neither.
 
-    Rigidity needs every consecutive stage pair relatively rigid plus vertex
-    completeness.  Flexibility is only ever certified for genuinely finite
-    input, where the final stage equals the declared target; a truncated
-    presentation that fails the pair checks stays Undecided."""
+    Rigidity needs every tested stage pair relatively rigid plus vertex
+    completeness.  The pairs are the consecutive stages, and a finite
+    presentation (one stage, or a final stage equal to the declared target)
+    also pairs its final stage with itself, so that stage must be rigid.
+    With no declared target the stages are read as a truncated presentation
+    of the countable graph they build: the final stage is not tested against
+    itself, so flexible stages each pinned by the next certify rigid, as in
+    the banana tower.  When a pair fails, Flexible is certified if the final
+    stage is flexible and no declared target reaches beyond it; otherwise
+    the verdict stays Undecided."""
+    from .frameworks import is_rigid_generic
+
     validate_tower(t)
     pairs = _consecutive_pairs(t)
     prefix = 1
@@ -247,7 +258,7 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
         if not verdict.relatively_rigid:
             all_rigid = False
             break
-        prefix = k + 2 if t.depth > 1 else 1
+        prefix = min(k + 2, t.depth)
     vc = t.vertex_complete
     if all_rigid and vc:
         return TowerVerdict(TOWER_RIGID, prefix, t.depth, vc)
@@ -264,7 +275,9 @@ def sequential_rigidity_2d(
 ) -> tuple[SimpleGraph, ...] | None:
     """Nested rigid subgraphs H_k with G_k inside H_k inside G_{k+1}.
 
-    Returns None when some consecutive pair is not relatively rigid; if a
+    The stage pairs are those of tower_rigidity, so a finite presentation
+    ends with its final stage as its own container.
+    Returns None when some tested pair is not relatively rigid; if a
     pair is relatively rigid yet no container can be built, the planar
     equivalence itself has been violated and the failure escalates."""
     validate_tower(t)
@@ -335,6 +348,8 @@ def exhaustive_rigid_container(
     Any rigid subgraph containing h induces a rigid subgraph on its own
     vertex set, so induced candidates suffice.  Exponential in the number of
     vertices outside h, hence the hard cap."""
+    from .frameworks import is_rigid_generic
+
     if g.n_vertices > cap:
         raise InputError(
             f"exhaustive container search capped at {cap} vertices, "

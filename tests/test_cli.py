@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +252,20 @@ def test_tower_sequential_and_laman(invoke):
         assert rep["witness"]
 
 
+def test_tower_relative_tests_declared_final_stage(invoke, tmp_path):
+    # the last stage adds a pendant vertex; with the target declared equal
+    # to it the tower is finite, and its flexible final stage must show
+    k3 = complete_graph(3)
+    last = SimpleGraph(range(4), [*k3.edges, (2, 3)])
+    t = Tower([k3, last], target=last)
+    path = write_json(tmp_path / "t.json", jsonio.tower_to_json(t))
+    code, out, _ = invoke("tower", "--norm", "d=2,q=2", path)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == "FlexibleCertified"
+    assert rep["relativelyRigidPrefix"] == 2
+
+
 def test_tower_laman_count_follows_exponent(invoke):
     # a bare triangle cannot span a (2,2)-tight stage, so q=3 must refuse
     # the same tower that q=2 certifies
@@ -451,12 +468,12 @@ def test_unknown_verb(invoke):
 
 
 def test_internal_errors_exit_2(invoke, monkeypatch):
-    from rigidkit import cli
+    from rigidkit import towers
 
     def boom(*a, **k):
         raise InconsistencyError("routes disagree")
 
-    monkeypatch.setattr(cli, "tower_rigidity", boom)
+    monkeypatch.setattr(towers, "tower_rigidity", boom)
     code, _, err = invoke("tower", "--norm", "d=2,q=2", stdin=tower_text(3, 4))
     assert code == 2
     assert "internal inconsistency" in err
@@ -466,3 +483,56 @@ def test_version_flag(invoke, capsys):
     with pytest.raises(SystemExit):
         run(["--version"])
     assert rigidkit.__version__ in capsys.readouterr().out
+
+
+# ---- start-up -------------------------------------------------------------
+
+
+_FENCE = """
+import json, sys
+from rigidkit.cli import run
+try:
+    code = run(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, "numpy" in sys.modules]), file=sys.stderr)
+"""
+
+
+def _fresh_python(code, *argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(rigidkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sparsity", "--count", "2,3", "g.json"],
+        ["chain", "--mode", "euclidean", "--from", "a.json", "--to", "g.json"],
+        ["tower", "--mode", "laman", "--norm", "d=2,q=2", "t.json"],
+        ["tower", "--mode", "sequential", "--norm", "d=2,q=2", "t.json"],
+        ["--version"],
+    ],
+    ids=["sparsity", "chain", "laman", "sequential", "version"],
+)
+def test_pebble_verbs_start_without_numpy(argv, tmp_path):
+    two_tree = SimpleGraph(range(4), [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    write_json(tmp_path / "g.json", jsonio.graph_to_json(two_tree))
+    write_json(tmp_path / "a.json", jsonio.graph_to_json(complete_graph(2)))
+    (tmp_path / "t.json").write_text(tower_text(3, 4, 5))
+    assert _fresh_python(_FENCE, *argv, cwd=tmp_path) == [0, False]
+
+
+def test_pebble_modules_import_without_numpy(tmp_path):
+    code = (
+        "import json, sys\n"
+        "import rigidkit.graphs, rigidkit.sparsity, rigidkit.moves, "
+        "rigidkit.jsonio, rigidkit.towers\n"
+        "print(json.dumps('numpy' in sys.modules), file=sys.stderr)\n"
+    )
+    assert _fresh_python(code, cwd=tmp_path) is False

@@ -73,6 +73,37 @@ def test_jsonable_walks_structures():
         jsonio.jsonable(object())
 
 
+def test_number_convention_is_pinned():
+    # numpy scalars and arrays follow the convention of the built-in numbers
+    assert jsonio.format_number(np.int64(-7)) == -7
+    assert jsonio.format_number(np.uint8(200)) == 200
+    assert jsonio.format_number(np.float32(0.1)) == "0.10000000149011612"
+    assert jsonio.format_number(np.float64(1 / 3)) == "0.33333333333333331"
+    assert jsonio.format_number(np.float64(2.0)) == "2"
+    assert jsonio.format_number(Fraction(-3, 4)) == "-3/4"
+    out = jsonio.jsonable(
+        {
+            "row": np.array([1.5, -2.0, 1 / 3]),
+            "grid": np.array([[1, 2], [3, 4]]),
+            "f32": np.array([[0.1]], dtype=np.float32),
+            7: {"q": [Fraction(5, 1), Fraction(1, 3), np.float32(0.1)]},
+            "t": (np.int64(9), None, True, "s"),
+        }
+    )
+    assert out == {
+        "row": ["1.5", "-2", "0.33333333333333331"],
+        "grid": [[1, 2], [3, 4]],
+        "f32": [["0.10000000149011612"]],
+        "7": {"q": [5, "1/3", "0.10000000149011612"]},
+        "t": [9, None, True, "s"],
+    }
+    with pytest.raises(InputError):
+        jsonio.format_number(True)
+    for x in (np.True_, np.array([True]), np.complex128(1)):
+        with pytest.raises(InputError):
+            jsonio.jsonable(x)
+
+
 # ---- graphs ---------------------------------------------------------------
 
 

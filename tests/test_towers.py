@@ -241,6 +241,27 @@ def test_truncated_tower_stays_undecided():
     assert not verdict.vertex_complete or verdict.relatively_rigid_prefix == 1
 
 
+# K3, then K3 with a pendant vertex: each stage pins the one before, yet the
+# final stage is flexible.
+K3_PENDANT = SimpleGraph(range(4), [*complete_graph(3).edges, (2, 3)])
+
+
+def test_declared_final_stage_is_tested_against_itself():
+    t = Tower([complete_graph(3), K3_PENDANT], target=K3_PENDANT)
+    verdict = tower_rigidity(t, EUCLID2)
+    assert verdict.status == TOWER_FLEXIBLE
+    assert verdict.relatively_rigid_prefix == 2
+    # read as a truncated presentation, the same stages certify rigid
+    assert tower_rigidity(Tower(t.stages), EUCLID2).status == TOWER_RIGID
+
+
+def test_declared_rigid_final_stage_keeps_full_prefix():
+    k4 = complete_graph(4)
+    verdict = tower_rigidity(Tower([complete_graph(3), k4], target=k4), EUCLID2)
+    assert verdict.status == TOWER_RIGID
+    assert verdict.relatively_rigid_prefix == 2
+
+
 def test_vertex_incomplete_tower_stays_undecided():
     t = Tower([complete_graph(3)], target=complete_graph(4))
     verdict = tower_rigidity(t, EUCLID2)
@@ -300,6 +321,14 @@ def test_sequential_witness_under_cubic_count():
 
 def test_sequential_rigidity_refuses_flexible_tower():
     assert sequential_rigidity_2d(Tower([C4, C4]), 2) is None
+
+
+def test_sequential_rigidity_tests_declared_final_stage():
+    t = Tower([complete_graph(3), K3_PENDANT], target=K3_PENDANT)
+    assert sequential_rigidity_2d(t, 2) is None
+    k4 = complete_graph(4)
+    witness = sequential_rigidity_2d(Tower([complete_graph(3), k4], target=k4), 2)
+    assert witness is not None and witness[-1] == k4
 
 
 def test_sequential_witness_inside_successor():
