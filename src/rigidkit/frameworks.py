@@ -6,21 +6,23 @@ x^(e) acts componentwise as sgn(x)|x|^e.  For q = 2 this is the classical
 Euclidean matrix up to scale.  Rows are orientation-independent because the
 signed power is odd.
 
-Rank decisions at sampled placements go through placement_rank.  For an
-integer q every entry is a polynomial in the coordinates, which are dyadic
-rationals, so the exact matrix reduces mod the prime PRIME = 2^31 - 1, and
-int64 elimination gives its rank over GF(PRIME).  That never exceeds the rank
-over Q: reaching d*n - trivial_dim certifies rigidity, and falling short of a
-generic rank r happens with probability at most r(q-1)/PRIME per placement
-(Schwartz 1980).  A non-integer q, and flex_report at a given placement (an
-intended geometry that float rounding perturbs), use the SVD cutoff
+Rank decisions at sampled placements go through placement_rank, or through
+pinned_ranks, which also ranks the matrix with some vertices' columns deleted
+(relative rigidity pins its anchor that way).  For an integer q every entry
+is a polynomial in the coordinates, which are dyadic rationals, so the exact
+matrix reduces mod the prime PRIME = 2^31 - 1, and int64 elimination gives
+its rank over GF(PRIME).  That never exceeds the rank over Q: reaching
+d*n - trivial_dim certifies rigidity, and falling short of a generic rank r
+happens with probability at most r(q-1)/PRIME per placement (Schwartz 1980).
+A non-integer q, and flex_report at a given placement (an intended geometry
+that float rounding perturbs), use the SVD cutoff
 sigma > eps * sigma_max * max(rows, cols) with eps = 1e-9 by default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,52 +35,9 @@ from .errors import (
 )
 from .graphs import SimpleGraph
 from .norms import RANK_EPS, NormSpec
+from .placements import Placement
 from . import sparsity
 from .sparsity import LAMAN, QNORM_2D
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Assignment of a point in R^d to each vertex label."""
-
-    dim: int
-    coords: dict[int, tuple[float, ...]]
-
-    def __init__(self, dim: int, coords: Mapping[int, Sequence[float]]):
-        fixed = {}
-        for v, pt in coords.items():
-            pt = tuple(float(x) for x in pt)
-            if len(pt) != dim:
-                raise PlacementError(
-                    f"vertex {v} has a {len(pt)}-coordinate point in dimension {dim}"
-                )
-            fixed[int(v)] = pt
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coords", fixed)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.coords
-
-    def __getitem__(self, v: int) -> tuple[float, ...]:
-        return self.coords[v]
-
-    def array_for(self, g: SimpleGraph) -> np.ndarray:
-        missing = [v for v in g.vertices if v not in self.coords]
-        if missing:
-            raise PlacementError(f"placement misses vertices {missing}")
-        return np.array([self.coords[v] for v in g.vertices], dtype=float)
-
-    def restrict(self, labels: Iterable[int]) -> "Placement":
-        keep = set(labels)
-        return Placement(self.dim, {v: p for v, p in self.coords.items() if v in keep})
-
-    @classmethod
-    def from_array(cls, g: SimpleGraph, arr: np.ndarray) -> "Placement":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape[0] != g.n_vertices:
-            raise PlacementError("array row count does not match the vertex count")
-        return cls(arr.shape[1], {v: tuple(arr[i]) for i, v in enumerate(g.vertices)})
-
 
 VelocityField = dict[int, np.ndarray]
 
@@ -104,9 +63,14 @@ def _endpoints(
     """Placement rows and the row indices of each edge's two endpoints."""
     if p.dim != norm.d:
         raise PlacementError(f"placement dimension {p.dim} != norm dimension {norm.d}")
+    return p.array_for(g).reshape(-1, norm.d), *_edge_ends(g)
+
+
+def _edge_ends(g: SimpleGraph) -> np.ndarray:
+    """Vertex-order indices of each edge's two endpoints, as two rows."""
     idx = g.index_of
     ends = np.array([(idx[a], idx[b]) for a, b in g.edges], dtype=np.intp)
-    return p.array_for(g).reshape(-1, norm.d), *ends.reshape(-1, 2).T
+    return ends.reshape(-1, 2).T
 
 
 def _layout(
@@ -264,14 +228,6 @@ def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> F
 # ---- placement sampling ------------------------------------------------
 
 
-def _off_variety(pts: np.ndarray, g: SimpleGraph) -> bool:
-    idx = g.index_of
-    for a, b in g.edges:
-        if np.any(pts[idx[a]] == pts[idx[b]]):
-            return False
-    return True
-
-
 def random_placement(
     g: SimpleGraph,
     norm: NormSpec,
@@ -282,9 +238,10 @@ def random_placement(
     """Uniform in [-scale, scale]^d, resampled while any edge has an equal
     coordinate pair (keeps the placement off the degenerate variety)."""
     rng = np.random.default_rng(seed)
+    ia, ib = _edge_ends(g)
     for _ in range(max_attempts):
         pts = rng.uniform(-scale, scale, size=(g.n_vertices, norm.d))
-        if _off_variety(pts, g):
+        if not np.any(pts[ia] == pts[ib]):
             return Placement.from_array(g, pts)
     raise SamplingError(f"no admissible placement in {max_attempts} attempts")
 
@@ -331,26 +288,46 @@ def rank_mod_p(m: np.ndarray) -> int:
     for c in range(cols):
         if rank == rows:
             break
-        nz = np.flatnonzero(a[rank:, c])
+        nz = a[rank:, c].nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0]:
             a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
-        pivot = a[rank, c:] * pow(int(a[rank, c]), PRIME - 2, PRIME) % PRIME
+        pivot = a[rank, c:] * pow(int(a[rank, c]), -1, PRIME) % PRIME
         # The swap left a zero at rank + nz[0], so these are the rows to clear.
         below = rank + nz[1:]
         if below.size:
-            a[below, c:] = (a[below, c:] - np.outer(a[below, c], pivot)) % PRIME
+            a[below, c:] = (a[below, c:] - a[below, c, None] * pivot) % PRIME
         rank += 1
     return rank
+
+
+def _ranked_matrix(
+    g: SimpleGraph, p: Placement, norm: NormSpec
+) -> tuple[np.ndarray, Callable[[np.ndarray], int]]:
+    """The rigidity matrix at p that decides ranks, with its rank function:
+    exact mod PRIME for an integer q, the SVD cutoff otherwise."""
+    if norm.q_is_integer:
+        return rigidity_matrix_mod_p(g, p, norm), rank_mod_p
+    return rigidity_matrix(g, p, norm).matrix, matrix_rank
 
 
 def placement_rank(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
     """Rank of the rigidity matrix at p: exact mod PRIME for an integer q,
     by the SVD cutoff otherwise."""
-    if norm.q_is_integer:
-        return rank_mod_p(rigidity_matrix_mod_p(g, p, norm))
-    return matrix_rank(rigidity_matrix(g, p, norm).matrix)
+    m, rank = _ranked_matrix(g, p, norm)
+    return rank(m)
+
+
+def pinned_ranks(
+    g: SimpleGraph, p: Placement, norm: NormSpec, keep: np.ndarray
+) -> tuple[int, int]:
+    """Ranks at p, by placement_rank's route, of the rigidity matrix and of
+    its columns where keep is True.  Rows that the deleted columns leave all
+    zero are dropped before the second rank."""
+    m, rank = _ranked_matrix(g, p, norm)
+    part = m[:, keep]
+    return rank(m), rank(part[part.any(axis=1)])
 
 
 # ---- generic-rank decisions --------------------------------------------

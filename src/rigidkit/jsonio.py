@@ -26,13 +26,13 @@ from .moves import (
     VertexToK4,
 )
 from .norms import NormSpec
+from .placements import Placement
 
 # numpy and the numeric modules load only when a document needs them, so the
 # pebble-game verbs of the command line start without numpy.
 if TYPE_CHECKING:
     from .bodybar import MultiBodyGraph
     from .catalog import GeneratedFamily, SimplicialMeta
-    from .frameworks import Placement
 
 __all__ = [
     "chain_from_json",
@@ -180,8 +180,6 @@ def placement_to_json(p: Placement) -> dict:
 
 
 def placement_from_json(obj) -> Placement:
-    from .frameworks import Placement
-
     if not isinstance(obj, dict) or not obj:
         raise InputError("placement must be a non-empty JSON object")
     coords: dict[int, tuple[float, ...]] = {}

@@ -22,8 +22,6 @@ from .errors import AlgorithmError, InconsistencyError, InputError
 from .graphs import (
     SimpleGraph,
     Tower,
-    complete_graph_on,
-    graph_union,
     induced_subgraph,
     validate_tower,
 )
@@ -39,6 +37,8 @@ from .sparsity import (
 # numpy and frameworks load inside the functions that compute ranks, so the
 # pebble-game decisions (laman_tower_decide, rigid_container_2d) never load them.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .frameworks import Placement, VelocityField
 
 __all__ = [
@@ -62,17 +62,16 @@ __all__ = [
 
 
 def anchor_threshold(norm: NormSpec) -> int:
-    """Fewest anchor vertices for which the glued complete graph is rigid.
+    """Fewest anchor vertices for which pinning the anchor is the same as
+    gluing a complete graph over it.
 
-    Complete graphs on two or more vertices are rigid in every Euclidean
-    space; outside the Euclidean case the smallest rigid one is K_{2d}.
+    relative_rigidity counts on the complete graph over the anchor being
+    rigid at its placement, so that pinning it leaves exactly its trivial
+    motions.  Complete graphs on two or more vertices are rigid in every
+    Euclidean space; outside the Euclidean case the smallest rigid one is
+    K_{2d}.
     """
     return 2 if norm.euclidean else 2 * norm.d
-
-
-def _anchored(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
-    # Same vertex tuple as g, so placements and kernel coordinates line up.
-    return graph_union(g, complete_graph_on(h.vertices))
 
 
 @dataclass(frozen=True)
@@ -91,26 +90,32 @@ class RelativeRigidityVerdict:
 
 def _witness_flex(
     g: SimpleGraph,
-    anchored: SimpleGraph,
     p: Placement,
     norm: NormSpec,
+    free: np.ndarray,
     rank_g: int,
-    rank_a: int,
+    rank_pinned: int,
+    nullity_anchored: int,
 ) -> VelocityField:
     import numpy as np
 
-    from .frameworks import kernel_at_rank, rigidity_matrix
+    from .frameworks import kernel_at_rank, rigidity_matrix, trivial_motion_basis
 
-    kern_g = kernel_at_rank(rigidity_matrix(g, p, norm).matrix, rank_g)
-    kern_a = kernel_at_rank(rigidity_matrix(anchored, p, norm).matrix, rank_a)
-    resid = kern_g
-    if kern_a.size:
-        resid = kern_g - (kern_g @ kern_a.T) @ kern_a
+    m = rigidity_matrix(g, p, norm).matrix
+    kern_g = kernel_at_rank(m, rank_g)
+    # The anchored kernel: the trivial motions plus the flexes that vanish on
+    # h, which are the pinned kernel extended by zero over h's columns.
+    pinned = kernel_at_rank(m[:, free], rank_pinned)
+    spanning = np.zeros((pinned.shape[0], m.shape[1]))
+    spanning[:, free] = pinned
+    spanning = np.vstack([trivial_motion_basis(g, p, norm), spanning])
+    anchored = np.linalg.svd(spanning, full_matrices=False)[2][:nullity_anchored]
+    resid = kern_g - (kern_g @ anchored.T) @ anchored
     norms = np.linalg.norm(resid, axis=1)
     best = int(np.argmax(norms))
     if norms[best] < 1e-8:
         raise AlgorithmError("nullity gap reported but no separating flex found")
-    # Both kernels contain the trivial motions, so the residual is already
+    # The anchored kernel holds the trivial motions, so the residual is
     # orthogonal to them; normalizing makes the nontriviality scale-free.
     vec = (resid[best] / norms[best]).reshape(g.n_vertices, norm.d)
     return {v: vec[i].copy() for i, v in enumerate(g.vertices)}
@@ -121,13 +126,23 @@ def relative_rigidity(
 ) -> RelativeRigidityVerdict:
     """Decide whether h is relatively rigid in g.
 
-    Both ranks come from placement_rank at one seeded random placement: exact
-    mod PRIME for an integer q, by the SVD cutoff otherwise.  Each rank falls
-    below its generic value with probability at most r(q-1)/PRIME, r that
-    value, so for an integer q either verdict is wrong with probability at
-    most (r_g + r_anchored)(q-1)/PRIME.
+    The anchored nullity is that of g with a complete graph K_h glued over
+    h, computed by pinning h instead.  Once h has anchor_threshold vertices,
+    K_h is rigid at a generic placement, so the anchored kernel is the
+    trivial motions T plus the flexes of g that vanish on h, and
+    nullity_anchored = dim(T restricted to h) + d(n - |h|) - r_pinned,
+    where r_pinned is the rank of g's rigidity matrix with h's columns
+    deleted.  Both ranks come from one seeded random placement: exact mod
+    PRIME for an integer q, by the SVD cutoff otherwise.  Each falls below
+    its generic value with probability at most r(q-1)/PRIME, r that value,
+    so for an integer q either verdict is wrong with probability at most
+    (r_g + r_pinned)(q-1)/PRIME.  Since the anchored kernel lies inside g's,
+    an anchored nullity above g's can only come from such a shortfall and
+    raises InconsistencyError.
     """
-    from .frameworks import placement_rank, random_placement
+    import numpy as np
+
+    from .frameworks import pinned_ranks, random_placement, trivial_motion_basis
 
     if not h.is_subgraph_of(g):
         raise InputError("h must be a subgraph of g")
@@ -137,17 +152,27 @@ def relative_rigidity(
             f"relative rigidity for {norm} needs at least {need} anchor "
             f"vertices, got {h.n_vertices}"
         )
-    anchored = _anchored(g, h)
-    cols = norm.d * g.n_vertices
     p = random_placement(g, norm, seed)
-    rank_g = placement_rank(g, p, norm)
-    rank_a = placement_rank(anchored, p, norm)
-    rigid_rel = rank_g == rank_a
-    witness = None if rigid_rel else _witness_flex(g, anchored, p, norm, rank_g, rank_a)
+    free = np.repeat([v not in h.vertex_set for v in g.vertices], norm.d)
+    rank_g, rank_pinned = pinned_ranks(g, p, norm, free)
+    nullity_g = norm.d * g.n_vertices - rank_g
+    nullity_a = (
+        trivial_motion_basis(h, p, norm).shape[0]
+        + norm.d * (g.n_vertices - h.n_vertices)
+        - rank_pinned
+    )
+    if nullity_a > nullity_g:
+        raise InconsistencyError(
+            f"anchored nullity {nullity_a} exceeds graph nullity {nullity_g}"
+        )
+    rigid_rel = nullity_a == nullity_g
+    witness = None
+    if not rigid_rel:
+        witness = _witness_flex(g, p, norm, free, rank_g, rank_pinned, nullity_a)
     return RelativeRigidityVerdict(
         relatively_rigid=rigid_rel,
-        nullity_graph=cols - rank_g,
-        nullity_anchored=cols - rank_a,
+        nullity_graph=nullity_g,
+        nullity_anchored=nullity_a,
         placement=p,
         witness_flex=witness,
     )

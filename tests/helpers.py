@@ -2,8 +2,23 @@
 
 import random
 
+import numpy as np
+
 from rigidkit.bodybar import body_bar_count, validate_multibody
-from rigidkit.graphs import MultiGraph, SimpleGraph, normalize_edge
+from rigidkit.frameworks import (
+    kernel_at_rank,
+    placement_rank,
+    random_placement,
+    rigidity_matrix,
+    trivial_motion_basis,
+)
+from rigidkit.graphs import (
+    MultiGraph,
+    SimpleGraph,
+    complete_graph_on,
+    graph_union,
+    normalize_edge,
+)
 from rigidkit.moves import (
     EdgeMove,
     VertexExtension,
@@ -166,6 +181,35 @@ def realize_bodybar(gb, norm):
         (b[i], b[j]) for b in bodies for i in range(len(b)) for j in range(i + 1, len(b))
     ]
     return validate_multibody(SimpleGraph(range(label), within + bars), bodies, norm)
+
+
+def glued_relative_nullities(g, h, norm, seed):
+    """Reference for relative_rigidity: the nullities of g and of g with a
+    complete graph glued over h's vertices, ranked by placement_rank at the
+    placement relative_rigidity samples for the same seed."""
+    p = random_placement(g, norm, seed)
+    glued = graph_union(g, complete_graph_on(h.vertices))
+    cols = norm.d * g.n_vertices
+    return cols - placement_rank(g, p, norm), cols - placement_rank(glued, p, norm)
+
+
+def assert_witness_flex(g, h, norm, verdict):
+    """A failing verdict's witness is a unit flex of g, orthogonal to the
+    trivial motions and to every flex of g with a complete graph glued over
+    h, which therefore does not annihilate it."""
+    p = verdict.placement
+    u = np.concatenate([verdict.witness_flex[v] for v in g.vertices])
+    assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+    rg = rigidity_matrix(g, p, norm).matrix
+    assert np.linalg.norm(rg @ u) <= 1e-9 * max(np.linalg.norm(rg), 1.0)
+    triv = trivial_motion_basis(g, p, norm)
+    assert np.linalg.norm(triv @ u) < 1e-9
+    glued = rigidity_matrix(graph_union(g, complete_graph_on(h.vertices)), p, norm)
+    rank = norm.d * g.n_vertices - verdict.nullity_anchored
+    assert np.linalg.norm(kernel_at_rank(glued.matrix, rank) @ u) < 1e-8
+    k_h = rigidity_matrix(complete_graph_on(h.vertices), p, norm).matrix
+    u_h = np.concatenate([verdict.witness_flex[v] for v in h.vertices])
+    assert np.linalg.norm(k_h @ u_h) > 1e-6 * np.linalg.norm(k_h)
 
 
 def solve_exact(rows, rhs):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_witness_flex,
     grow_tight_graph,
     random_graph,
     random_multibody,
@@ -404,3 +405,24 @@ def test_12_certified_rank_at_scale():
     assert verdict.relatively_rigid_prefix == 10
     assert placed.report.nullity == 2
     assert placed.model.underlying.n_vertices == 180
+
+
+def test_13_relative_rigidity_by_pinning():
+    # A 400-vertex Laman graph grown from a 200-vertex one, and two
+    # 200-vertex Laman blocks joined by two bars, pinned at two vertices of
+    # each block, which removes all but one joint freedom.
+    euclid = NormSpec(2, 2)
+    small = grow_tight_graph("euclidean", 200, 31)
+    big = grow_tight_graph("euclidean", 400, 32, small, small.edges)
+    right = grow_tight_graph("euclidean", 200, 33)
+    shifted = tuple((a + 200, b + 200) for a, b in right.edges)
+    joined = SimpleGraph(range(400), small.edges + shifted + ((5, 205), (50, 250)))
+    anchor = SimpleGraph([0, 1, 200, 201], [])
+    with budget(5):
+        rigid = relative_rigidity(big, small, euclid, seed=1)
+        loose = relative_rigidity(joined, anchor, euclid, seed=2)
+    assert rigid.relatively_rigid and rigid.witness_flex is None
+    assert (rigid.nullity_graph, rigid.nullity_anchored) == (3, 3)
+    assert not loose.relatively_rigid
+    assert (loose.nullity_graph, loose.nullity_anchored) == (4, 3)
+    assert_witness_flex(joined, anchor, euclid, loose)

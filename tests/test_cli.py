@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rigidkit
-from rigidkit import jsonio
+from rigidkit import catalog, jsonio
 from rigidkit.cli import run
 from rigidkit.errors import InconsistencyError
 from rigidkit.frameworks import NormSpec, Placement, RANK_EPS
@@ -517,13 +517,16 @@ def _fresh_python(code, *argv, cwd):
         ["tower", "--mode", "laman", "--norm", "d=2,q=2", "t.json"],
         ["tower", "--mode", "sequential", "--norm", "d=2,q=2", "t.json"],
         ["--version"],
+        # Catalog output carries a placement that the verb never uses.
+        ["sparsity", "--count", "2,3", "strip.json"],
     ],
-    ids=["sparsity", "chain", "laman", "sequential", "version"],
+    ids=["sparsity", "chain", "laman", "sequential", "version", "placed-input"],
 )
 def test_pebble_verbs_start_without_numpy(argv, tmp_path):
     two_tree = SimpleGraph(range(4), [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     write_json(tmp_path / "g.json", jsonio.graph_to_json(two_tree))
     write_json(tmp_path / "a.json", jsonio.graph_to_json(complete_graph(2)))
+    write_json(tmp_path / "strip.json", jsonio.family_to_json(catalog.strip(cells=8)))
     (tmp_path / "t.json").write_text(tower_text(3, 4, 5))
     assert _fresh_python(_FENCE, *argv, cwd=tmp_path) == [0, False]
 
@@ -532,7 +535,7 @@ def test_pebble_modules_import_without_numpy(tmp_path):
     code = (
         "import json, sys\n"
         "import rigidkit.graphs, rigidkit.sparsity, rigidkit.moves, "
-        "rigidkit.jsonio, rigidkit.towers\n"
+        "rigidkit.jsonio, rigidkit.towers, rigidkit.placements\n"
         "print(json.dumps('numpy' in sys.modules), file=sys.stderr)\n"
     )
     assert _fresh_python(code, cwd=tmp_path) is False

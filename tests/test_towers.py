@@ -3,8 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from helpers import grow_tight_graph
-from rigidkit.errors import InputError
+from helpers import (
+    assert_witness_flex,
+    glued_relative_nullities,
+    grow_tight_graph,
+    random_graph,
+    zero_extension_graph,
+)
+import rigidkit.frameworks
+from rigidkit.errors import InconsistencyError, InputError
 from rigidkit.frameworks import (
     NormSpec,
     flex_report,
@@ -35,6 +42,7 @@ from rigidkit.towers import (
     TOWER_FLEXIBLE,
     TOWER_RIGID,
     TOWER_UNDECIDED,
+    anchor_threshold,
     exhaustive_rigid_container,
     laman_tower_decide,
     relative_rigidity,
@@ -150,6 +158,89 @@ def test_relative_rigidity_at_scale():
     u = np.concatenate([verdict.witness_flex[v] for v in joined.vertices])
     rm = rigidity_matrix(joined, verdict.placement, EUCLID2).matrix
     assert np.linalg.norm(rm @ u) < 1e-8 * np.linalg.norm(rm)
+
+
+def _pinning_case(idx):
+    """Graph, anchor and norm for one pinned-against-glued trial: d = 2, 3
+    and q = 2, 3, 4, 2.5 in turn, anchors of every size from the threshold
+    up, induced, edgeless or half their induced edges."""
+    rng = random.Random(idx)
+    norm = NormSpec((2, 3)[idx % 2], (2, 3, 4, 2.5)[idx // 2 % 4])
+    need = anchor_threshold(norm)
+    n = rng.randint(need + 1, 12)
+    g = random_graph(n, rng.uniform(0.3, 0.9), seed=idx)
+    verts = sorted(rng.sample(range(n), rng.randint(need, n)))
+    induced = induced_subgraph(g, verts)
+    shapes = (induced, SimpleGraph(verts, []), SimpleGraph(verts, induced.edges[::2]))
+    return g, shapes[idx // 8 % 3], norm
+
+
+def _check_against_glued(g, h, norm, seed):
+    verdict = relative_rigidity(g, h, norm, seed=seed)
+    graph, glued = glued_relative_nullities(g, h, norm, seed)
+    assert (verdict.nullity_graph, verdict.nullity_anchored) == (graph, glued)
+    assert verdict.relatively_rigid == (graph == glued)
+    if verdict.relatively_rigid:
+        assert verdict.witness_flex is None
+    else:
+        assert_witness_flex(g, h, norm, verdict)
+    return verdict
+
+
+@pytest.mark.parametrize("idx", range(72))
+def test_pinned_nullities_match_glued_reference(idx):
+    _check_against_glued(*_pinning_case(idx), seed=idx)
+
+
+def test_pinning_cases_reach_both_verdicts():
+    verdicts = {
+        relative_rigidity(*_pinning_case(idx), seed=idx).relatively_rigid
+        for idx in range(72)
+    }
+    assert verdicts == {True, False}
+
+
+_RIGID_3D = zero_extension_graph(9, 3, 4, 5)
+_LOOSE_3D = _RIGID_3D.without_edge(*_RIGID_3D.edges[-1])
+
+
+@pytest.mark.parametrize(
+    "g, h, norm, rigid",
+    [
+        (complete_graph(5), complete_graph(5), NormSpec(3, 2), True),
+        (cycle_graph(6), cycle_graph(6), EUCLID2, False),
+        (complete_graph(7), complete_graph(7), NormSpec(3, 3), True),
+        # Two anchor vertices in 3-space keep 5 of the 6 trivial motions:
+        # the rotation about their axis fixes both.
+        (_RIGID_3D, SimpleGraph([0, 6], []), NormSpec(3, 2), True),
+        (_LOOSE_3D, SimpleGraph([0, 6], []), NormSpec(3, 2), True),
+        (_LOOSE_3D, SimpleGraph([0, 8], []), NormSpec(3, 2), False),
+    ],
+    ids=[
+        "h=g-rigid",
+        "h=g-flexible",
+        "h=g-cubic",
+        "two-anchors",
+        "loose-off-anchor",
+        "loose-at-anchor",
+    ],
+)
+def test_pinned_nullities_on_chosen_anchors(g, h, norm, rigid):
+    assert _check_against_glued(g, h, norm, seed=4).relatively_rigid == rigid
+
+
+def test_anchored_nullity_above_graph_nullity_raises(monkeypatch):
+    # A pinned rank that falls short mod p makes the anchored kernel look
+    # larger than g's, which cannot happen over Q.
+    real = rigidkit.frameworks.pinned_ranks
+
+    def short_pinned(*args):
+        rank_g, rank_pinned = real(*args)
+        return rank_g, rank_pinned - 1
+
+    monkeypatch.setattr(rigidkit.frameworks, "pinned_ranks", short_pinned)
+    with pytest.raises(InconsistencyError, match="anchored nullity 4 exceeds graph nullity 3"):
+        relative_rigidity(complete_graph(4), complete_graph(3), EUCLID2)
 
 
 # ---- rigid containers in the plane ---------------------------------------
