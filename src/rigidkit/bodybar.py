@@ -439,11 +439,11 @@ def remodel_bodies(m: MultiBodyGraph, size: int) -> MultiBodyGraph:
 
 @dataclass(frozen=True)
 class SpecialPlacementResult:
-    """Constructed rigid placement of a remodeled multi-body structure.
+    """Constructed rigid placement of a multi-body structure.
 
-    The model carries canonical labels (bodies of uniform size in blocks), so
-    the placement indexes the model, not the structure that was passed in.
-    Layers give the spanning tree each bar was threaded along.
+    model is the structure that was placed, the one passed in, so the
+    placement indexes its own vertex labels.  Layers give the spanning tree
+    each bar was threaded along, aligned with model.inter_body_edges.
     """
 
     model: MultiBodyGraph
@@ -458,56 +458,42 @@ def special_placement(
 ) -> SpecialPlacementResult:
     """Explicit rigid placement for a tight structure, non-Euclidean norms.
 
-    All bodies are remodeled to one complete graph and placed on a single
-    generic template so that the two endpoints of every bar coincide; the
-    collapsed multigraph is split into d spanning trees, and each bar's far
-    endpoint is then pushed by eps along the coordinate axis of its tree.
-    Each bar row of the resulting rigidity matrix is supported on one
-    coordinate only, which forces the kernel down to the d translations.
+    The structure itself is placed: every vertex is drawn uniformly from
+    [-1, 1]^d, the collapsed multigraph is split into d spanning trees, and
+    each bar (v, w) then gets p[w] = p[v] + eps along the coordinate axis of
+    its tree.  No vertex carries two bars, so every body's points stay
+    independent continuous draws (some shifted by a constant), and a
+    generically rigid body keeps only the d translations.  Each bar row is
+    supported on one coordinate, and the d trees tie those translations
+    together, which forces the kernel down to the d translations.
     placement_rank certifies the rank as the placement is built (exactly mod
-    PRIME for an integer q, by the SVD cutoff otherwise); a too-large eps can
-    spoil it, which raises PlacementError.  eps = 0 would leave bar endpoints
-    coincident, which is not a placement, and the construction has no
-    Euclidean analogue; both are rejected up front.
+    PRIME for an integer q, by the SVD cutoff otherwise); a body that is not
+    generically rigid (validate_multibody checks this), an unlucky draw or a
+    too-large eps leaves it short, which raises PlacementError.  eps = 0
+    would leave bar endpoints coincident, which is not a placement, and the
+    construction has no Euclidean analogue; both are rejected up front.
     """
     if norm.euclidean:
         raise InputError("the special placement exists for non-Euclidean norms only")
     if not eps > 0:
         raise InputError("eps must be positive: coincident bar endpoints")
     d = norm.d
-    bb = body_bar_graph(m)
-    layers = spanning_tree_layers(bb.graph, d)
-    n_bars = len(bb.bars)
-    size = max(2 * d + 1, n_bars)
-    bars = [
-        (a * size + t, b * size + t) for t, (a, b) in enumerate(bb.graph.edges)
-    ]
-    edges = [
-        (i * size + s, i * size + u)
-        for i in range(m.n_bodies)
-        for s in range(size)
-        for u in range(s + 1, size)
-    ]
-    g = SimpleGraph(range(m.n_bodies * size), edges + bars)
-    bodies = tuple(tuple(range(i * size, (i + 1) * size)) for i in range(m.n_bodies))
-    model = MultiBodyGraph(g, bodies, tuple(bars))
+    g = m.underlying
+    layers = spanning_tree_layers(body_bar_graph(m).graph, d)
     rng = np.random.default_rng(seed)
-    template = rng.uniform(-1.0, 1.0, size=(size, d))
-    coords = {
-        i * size + s: tuple(template[s]) for i in range(m.n_bodies) for s in range(size)
-    }
-    for t, (a, b) in enumerate(bb.graph.edges):
-        shifted = template[t].copy()
-        shifted[layers[t]] += eps
-        coords[b * size + t] = tuple(shifted)
-    p = Placement(d, coords)
+    pts = dict(zip(g.vertices, rng.uniform(-1.0, 1.0, size=(g.n_vertices, d))))
+    for (v, w), layer in zip(m.inter_body_edges, layers):
+        pts[w] = pts[v].copy()
+        pts[w][layer] += eps
+    p = Placement(d, pts)
     rank = placement_rank(g, p, norm)
     if rank != d * g.n_vertices - d:
         raise PlacementError(
             f"special placement has rank {rank}, short of {d * g.n_vertices - d} "
-            f"at eps={eps}; reseed or pass a smaller eps"
+            f"at eps={eps}; the bodies must be generically rigid for {norm} "
+            "(validate_multibody checks this); reseed or pass a smaller eps"
         )
-    return SpecialPlacementResult(model, p, report_at_rank(g, p, norm, rank), eps, layers)
+    return SpecialPlacementResult(m, p, report_at_rank(g, p, norm, rank), eps, layers)
 
 
 # ---- independence ---------------------------------------------------------

@@ -224,11 +224,7 @@ def _cmd_tower(args) -> None:
             "relativelyRigidPrefix": v.relatively_rigid_prefix,
             "stageCount": v.stage_count,
             "vertexComplete": v.vertex_complete,
-            "sequentialWitness": (
-                [jsonio.graph_to_json(h) for h in v.sequential_witness]
-                if v.sequential_witness is not None
-                else None
-            ),
+            "sequentialWitness": None,
         }
     elif args.mode == "sequential":
         if norm.d != 2:

@@ -17,14 +17,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import InputError
 from .graphs import SimpleGraph, Tower
-from .moves import (
-    ConstructionChain,
-    EdgeMove,
-    VertexExtension,
-    VertexSplit3D,
-    VertexTo4Cycle,
-    VertexToK4,
-)
+from .moves import MOVE_CLASSES, ConstructionChain
 from .norms import NormSpec
 from .placements import Placement
 
@@ -59,11 +52,6 @@ __all__ = [
     "tower_from_json",
     "tower_to_json",
 ]
-
-_MOVE_TYPES = {
-    cls.kind: cls
-    for cls in (VertexExtension, EdgeMove, VertexToK4, VertexTo4Cycle, VertexSplit3D)
-}
 
 
 def format_number(x) -> int | str:
@@ -351,10 +339,10 @@ def move_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("move record needs a 'kind' field")
     kind = obj["kind"]
-    cls = _MOVE_TYPES.get(kind)
+    cls = MOVE_CLASSES.get(kind)
     if cls is None:
         raise InputError(
-            f"unknown move kind {kind!r}; known: {', '.join(sorted(_MOVE_TYPES))}"
+            f"unknown move kind {kind!r}; known: {', '.join(sorted(MOVE_CLASSES))}"
         )
     fields = tuple(f.name for f in dataclasses.fields(cls))
     _require(obj, f"{kind} record", ("kind",), fields)

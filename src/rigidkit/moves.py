@@ -7,8 +7,9 @@ used for (2,2)-tight graphs, and 3D vertex splitting.  Each move only ever
 adds vertices, so a chain of moves is replayable forward from its start
 graph.  The chain search runs backward, contracting the target one
 reducible vertex at a time; candidate reductions are scanned in a fixed
-deterministic order (smallest labels first) and each one is validated for
-tightness and nesting before being committed.
+deterministic order (smallest labels first).  Inverse vertex extensions and
+edge moves are tight and nested by construction; each (2,2) contraction is
+validated for tightness and nesting before being committed.
 """
 
 from __future__ import annotations
@@ -454,6 +455,14 @@ def _qnorm_contractions(
 def _reductions_at(
     cur: SimpleGraph, g_from: SimpleGraph, count: SparsityCount, mode: str, v: int
 ) -> Iterator[tuple[Move, SimpleGraph]]:
+    """Valid reductions of the tight graph cur at v, outside g_from.
+
+    The two Henneberg inverses need no check.  Deleting v keeps g_from,
+    which avoids v.  An inverse vertex extension leaves a subgraph of cur
+    with k(n-1)-l edges; an inverse edge move leaves one edge fewer plus a
+    pair the pebble game admits on cur - v.  Either is sparse with k(n-1)-l
+    edges, hence tight.  Only the (2,2) contractions are tested.
+    """
     deg = cur.degree(v)
     if deg == count.k:
         move = VertexExtension(vertex=v, neighbors=cur.neighbors(v))
@@ -467,7 +476,9 @@ def _reductions_at(
     if mode == QNORM_MODE and all(
         cur.has_edge(a, b) for a, b in combinations(cur.neighbors(v), 2)
     ):
-        yield from _qnorm_contractions(cur, g_from, v)
+        for move, reduced in _qnorm_contractions(cur, g_from, v):
+            if _valid_reduction(reduced, g_from, count):
+                yield move, reduced
 
 
 def find_chain(g_from: SimpleGraph, g_to: SimpleGraph, mode: str) -> ConstructionChain:
@@ -487,23 +498,19 @@ def find_chain(g_from: SimpleGraph, g_to: SimpleGraph, mode: str) -> Constructio
     rev: list[Move] = []
     cur = g_to
     while cur != g_from:
-        progressed = False
         for v in sorted(cur.vertex_set - g_from.vertex_set):
             if not (count.k <= cur.degree(v) <= 2 * count.k - 1):
                 continue
-            for move, reduced in _reductions_at(cur, g_from, count, mode, v):
-                if _valid_reduction(reduced, g_from, count):
-                    rev.append(move)
-                    cur = reduced
-                    progressed = True
-                    break
-            if progressed:
+            found = next(_reductions_at(cur, g_from, count, mode, v), None)
+            if found is not None:
                 break
-        if not progressed:
+        else:
             raise AlgorithmError(
                 "no reducible vertex admits a valid inverse move; "
                 f"stuck at {cur.n_vertices} vertices"
             )
+        move, cur = found
+        rev.append(move)
     chain = ConstructionChain(g_from, tuple(reversed(rev)))
     if chain.final != g_to:
         raise AlgorithmError("replayed chain does not reproduce the target")

@@ -242,7 +242,6 @@ class TowerVerdict:
     relatively_rigid_prefix: int
     stage_count: int
     vertex_complete: bool
-    sequential_witness: tuple[SimpleGraph, ...] | None = None
 
 
 def _consecutive_pairs(t: Tower) -> list[tuple[SimpleGraph, SimpleGraph]]:

@@ -393,7 +393,7 @@ def test_11_pebble_engine_at_scale():
 def test_12_certified_rank_at_scale():
     # A 60-vertex rigid 0-extension graph in 3-space cut into 10 prefix
     # stages, and a 10-body union of two spanning trees (18 bars) in the
-    # cubic plane, whose model has 180 vertices.
+    # cubic plane, placed on its own 45 vertices.
     full = zero_extension_graph(60, 3, 4, 12)
     tower = Tower([induced_subgraph(full, range(n)) for n in range(6, 61, 6)])
     cubic = NormSpec(2, 3)
@@ -404,7 +404,7 @@ def test_12_certified_rank_at_scale():
     assert verdict.status == TOWER_RIGID
     assert verdict.relatively_rigid_prefix == 10
     assert placed.report.nullity == 2
-    assert placed.model.underlying.n_vertices == 180
+    assert placed.model == m and m.underlying.n_vertices == 45
 
 
 def test_13_relative_rigidity_by_pinning():
@@ -426,3 +426,15 @@ def test_13_relative_rigidity_by_pinning():
     assert not loose.relatively_rigid
     assert (loose.nullity_graph, loose.nullity_anchored) == (4, 3)
     assert_witness_flex(joined, anchor, euclid, loose)
+
+
+def test_14_special_placement_at_scale():
+    # A 16-body union of three spanning trees (45 bars) in cubic 3-space:
+    # the structure itself, 104 vertices, is placed and certified.
+    cubic = NormSpec(3, 3)
+    m = realize_bodybar(random_tight_multigraph(16, 3, seed=0), cubic)
+    assert len(m.inter_body_edges) == 45
+    with budget(5):
+        placed = special_placement(m, cubic, seed=0)
+    assert placed.model == m
+    assert placed.report.nullity == 3 and placed.report.flex_dim == 0

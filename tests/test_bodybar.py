@@ -29,7 +29,7 @@ from rigidkit.bodybar import (
     tay_decide,
     validate_multibody,
 )
-from rigidkit.errors import InputError, NestingError
+from rigidkit.errors import InputError, NestingError, PlacementError
 from rigidkit.frameworks import (
     NormSpec,
     flex_report,
@@ -339,6 +339,33 @@ def test_special_placement_model_geometry():
         assert sum(1 for x in diff if x != 0.0) == 1
 
 
+def test_special_placement_places_the_given_structure():
+    # Labels far from 0..n-1, so a placement of any other model would show.
+    base = chain_multibody(3, 5, 2, CUBIC2)
+    lab = {v: 10 * v + 3 for v in base.underlying.vertices}
+    m = MultiBodyGraph(
+        SimpleGraph(lab.values(), [(lab[v], lab[w]) for v, w in base.underlying.edges]),
+        [[lab[v] for v in b] for b in base.bodies],
+        [(lab[v], lab[w]) for v, w in base.inter_body_edges],
+    )
+    res = special_placement(m, CUBIC2, seed=1)
+    assert res.model == m
+    assert list(res.placement.coords) == list(m.underlying.vertices)
+    for (v, w), layer in zip(m.inter_body_edges, res.layers):
+        diff = np.subtract(res.placement[w], res.placement[v])
+        assert diff[layer] == pytest.approx(res.eps)
+        assert np.count_nonzero(diff) == 1
+
+
+def test_special_placement_needs_rigid_bodies():
+    # Triangles are flexible in 3-space; MultiBodyGraph does not check the
+    # bodies, so the certified rank falls short.
+    g, bodies = build((3, 3), [(0, 3), (1, 4), (2, 5)])
+    m = MultiBodyGraph(g, bodies, [(0, 3), (1, 4), (2, 5)])
+    with pytest.raises(PlacementError, match="must be generically rigid"):
+        special_placement(m, CUBIC3)
+
+
 @pytest.mark.parametrize("case", range(8))
 def test_special_placement_kernel_is_translations(case):
     d = 2 if case % 2 == 0 else 3
@@ -353,8 +380,8 @@ def test_special_placement_kernel_is_translations(case):
     "norm,n_bodies,seed", [(CUBIC2, 10, 0), (CUBIC3, 8, 0)], ids=["d2-10", "d3-8"]
 )
 def test_special_placement_at_scale(norm, n_bodies, seed):
-    # Tree unions with 18 and 21 bars: the bar count sets the body size of
-    # the model, so the placement has 180 and 168 vertices.
+    # Tree unions with 18 and 21 bars, placed on their own 43 and 52
+    # vertices.
     d = norm.d
     m = realize_bodybar(random_tight_multigraph(n_bodies, d, seed=seed), norm)
     assert len(m.inter_body_edges) == d * (n_bodies - 1)

@@ -145,6 +145,23 @@ def test_find_chain_euclidean_random_targets(seed):
     assert report.ok, report.reason
 
 
+def test_laman_chain_checks_only_its_inputs(monkeypatch):
+    # Henneberg inverses are tight and nested by construction, so the
+    # search runs no sparsity check of its own beyond the two inputs.
+    checked = []
+
+    def counting(g, count):
+        checked.append(g)
+        return is_sparse(g, count)
+
+    monkeypatch.setattr("rigidkit.moves.is_sparse", counting)
+    target = grow_tight_graph("euclidean", 40, 7, protected=[(0, 1)])
+    chain = find_chain(K2, target, "euclidean")
+    assert checked == [K2, target]
+    assert {type(m) for m in chain.moves} == {VertexExtension, EdgeMove}
+    assert chain.final == target
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_find_chain_qnorm_random_targets(seed):
     n = 6 + seed % 5
