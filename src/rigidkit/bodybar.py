@@ -36,6 +36,8 @@ from .frameworks import (
     FlexReport,
     NormSpec,
     Placement,
+    _best_placement,
+    _plane_cross_check,
     is_rigid_generic,
     placement_rank,
     random_placement,
@@ -47,7 +49,6 @@ from .sparsity import (
     SparsityCount,
     extend_to_tight_spanning,
     is_sparse,
-    tight_spanning_subgraph,
 )
 from .towers import RelativeRigidityVerdict, relative_rigidity
 
@@ -182,16 +183,24 @@ def validate_multibody(
     """Build a multi-body structure, reporting every violated rule at once.
 
     The partition and bar rules are checked first; only a structurally sound
-    input proceeds to the per-body generic rigidity checks, which sample
-    random placements through the usual rank machinery.
+    input proceeds to the per-body generic rigidity checks.  One random
+    placement of g ranks every body's slice, as essentially_independent
+    does, and a body whose rank reaches d*n_i - trivial_dim_i is certified
+    rigid (in the plane, its tight-spanning count must agree).  Only a body
+    that falls short is redrawn by is_rigid_generic, at up to five
+    placements of its own, and reported if it stays short.
     """
     bs = tuple(tuple(sorted(int(v) for v in b)) for b in bodies)
     problems = _structure_problems(g, bs)
     if problems:
         raise InputError("; ".join(problems))
+    p = random_placement(g, norm, 0)
     for i, b in enumerate(bs):
         part = induced_subgraph(g, b)
-        if not is_rigid_generic(part, norm).rigid:
+        rank = placement_rank(part, p, norm)
+        if rank == norm.d * len(b) - norm.trivial_dim_at(len(b)):
+            _plane_cross_check(part, norm, True, rank)
+        elif not is_rigid_generic(part, norm).rigid:
             problems.append(
                 f"body {i} on vertices {list(b)} is not generically rigid for {norm}"
             )
@@ -254,22 +263,45 @@ def tay_decide(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) -> TayVerdict:
     """Decide rigidity through the collapsed multigraph's sparsity.
 
     Rigid exactly when the collapsed multigraph has a (k, k)-tight spanning
-    subgraph, returned as the witness.  At small sizes in dimension two or
-    three the verdict is cross-checked against the numeric rank of the full
-    structure; a disagreement would mean a broken invariant and escalates.
+    subgraph, returned as the witness.  Read as a matroid statement, Tay's
+    theorem also gives the generic rank of the structure: the body ranks
+    d*n_i - trivial_dim_i plus the number of bars the pebble game accepts.
+    At small sizes in dimension two or three the verdict is cross-checked
+    against the numeric rank of the full structure, drawn at the seeded
+    placements of is_rigid_generic (at most five) only until one reaches
+    that prediction or d*n - trivial_dim.  A rank above the prediction, a
+    numeric verdict that disagrees with the count, or in the plane with the
+    tight-spanning count of the whole graph, would mean a broken invariant
+    and raises InconsistencyError.
     """
     if m.n_bodies < 2:
         raise InputError(f"need at least 2 bodies, got {m.n_bodies}")
     k = body_bar_count(norm)
     count = SparsityCount(k, k)
-    witness = tight_spanning_subgraph(body_bar_graph(m).graph, count)
-    rigid = witness is not None
+    collapsed = body_bar_graph(m).graph
+    accepted = PebbleGame.over(collapsed, count).accepted
+    rigid = len(accepted) == count.target(m.n_bodies)
+    witness = None
+    if rigid:
+        bars = tuple(collapsed.edges[t] for t in accepted)
+        witness = MultiGraph(collapsed.vertices, bars)
+    g = m.underlying
     checked = False
-    if norm.d <= 3 and m.underlying.n_vertices <= _NUMERIC_CHECK_CAP:
-        numeric = is_rigid_generic(m.underlying, norm, seed=seed)
-        if numeric.rigid != rigid:
+    if norm.d <= 3 and g.n_vertices <= _NUMERIC_CHECK_CAP:
+        predicted = len(accepted) + sum(
+            norm.d * len(b) - norm.trivial_dim_at(len(b)) for b in m.bodies
+        )
+        rank, top, _ = _best_placement(g, norm, 5, seed, target=predicted)
+        if rank > predicted:
             raise InconsistencyError(
-                "collapsed-count and numeric multi-body verdicts disagree"
+                f"rank {rank} at a sampled placement exceeds the generic rank "
+                f"{predicted} that the collapsed count predicts"
+            )
+        _plane_cross_check(g, norm, rank == top, rank)
+        if (rank == top) != rigid:
+            raise InconsistencyError(
+                f"collapsed-count verdict {rigid} and numeric verdict "
+                f"{rank == top} (rank {rank} of {top}) disagree"
             )
         checked = True
     return TayVerdict(rigid, count, witness, checked)

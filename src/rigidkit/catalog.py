@@ -3,19 +3,24 @@
 Each generator returns either a bare graph or a GeneratedFamily carrying a
 placement and, for the surfaces, hole metadata.  Counts are re-derived from
 closed forms after construction, so a broken generator fails loudly instead
-of leaking a malformed family into an analysis.
+of leaking a malformed family into an analysis.  Only whirlpool_blocks,
+which returns arrays, loads numpy.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import AlgorithmError, InputError
-from .frameworks import NormSpec, Placement
 from .graphs import SimpleGraph, complete_graph, cycle_graph
+from .norms import NormSpec
+from .placements import Placement
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GeneratedFamily",
@@ -45,7 +50,7 @@ class GeneratedFamily:
 
     graph: SimpleGraph
     placement: Placement | None = None
-    meta: "SimplicialMeta | None" = None
+    meta: SimplicialMeta | None = None
 
 
 @dataclass(frozen=True)
@@ -265,6 +270,8 @@ def whirlpool_blocks(layers: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarra
     reference edge order.  The spoke rows act with opposite sign on the
     inner square; the caller reassembles [[R1, 0], [0, R2], [X, -X]].
     """
+    import numpy as np
+
     if layers < 1:
         raise InputError("the block decomposition needs at least one inner square")
     pts = whirlpool_exact_points(1)
@@ -282,6 +289,11 @@ def whirlpool_blocks(layers: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 # ---- pointed polytopes ----------------------------------------------------
+
+
+def _between(a: Sequence[float], b: Sequence[float], t: float) -> tuple[float, ...]:
+    """The point (1 - t) a + t b."""
+    return tuple((1 - t) * x + t * y for x, y in zip(a, b))
 
 
 def tetra_refined(levels: int) -> GeneratedFamily:
@@ -304,16 +316,16 @@ def tetra_refined(levels: int) -> GeneratedFamily:
     edges += [(3 * levels + i, apex) for i in range(3)]
     g = SimpleGraph(range(3 * levels + 4), edges)
     _check_edges(g, 9 * levels + 6, "tetra_refined")
-    top = np.array([0.0, 0.0, 1.0])
+    top = (0.0, 0.0, 1.0)
     corners = [
-        np.array([math.cos(2 * math.pi * i / 3), math.sin(2 * math.pi * i / 3), 0.0])
+        (math.cos(2 * math.pi * i / 3), math.sin(2 * math.pi * i / 3), 0.0)
         for i in range(3)
     ]
-    coords = {apex: tuple(top)}
+    coords = {apex: top}
     for k in range(levels + 1):
         t = 2.0**-k
         for i in range(3):
-            coords[3 * k + i] = tuple((1 - t) * top + t * corners[i])
+            coords[3 * k + i] = _between(top, corners[i], t)
     return GeneratedFamily(
         g, Placement(3, coords), SimplicialMeta(0, (), 1)
     )
@@ -337,16 +349,15 @@ def octa_pointed(levels: int) -> GeneratedFamily:
     edges += [(4 * levels + 1 + i, north) for i in range(4)]
     g = SimpleGraph(range(4 * levels + 6), edges)
     _check_edges(g, 12 * levels + 12, "octa_pointed")
-    top = np.array([0.0, 0.0, 1.0])
+    top = (0.0, 0.0, 1.0)
     equator = [
-        np.array([math.cos(math.pi * i / 2), math.sin(math.pi * i / 2), 0.0])
-        for i in range(4)
+        (math.cos(math.pi * i / 2), math.sin(math.pi * i / 2), 0.0) for i in range(4)
     ]
-    coords = {south: (0.0, 0.0, -1.0), north: tuple(top)}
+    coords = {south: (0.0, 0.0, -1.0), north: top}
     for k in range(levels + 1):
         t = 2.0**-k
         for i in range(4):
-            coords[4 * k + 1 + i] = tuple((1 - t) * top + t * equator[i])
+            coords[4 * k + 1 + i] = _between(top, equator[i], t)
     return GeneratedFamily(
         g, Placement(3, coords), SimplicialMeta(0, (), 1)
     )

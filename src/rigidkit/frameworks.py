@@ -334,18 +334,24 @@ def pinned_ranks(
 
 
 def _best_placement(
-    g: SimpleGraph, norm: NormSpec, trials: int, seed: int
-) -> tuple[int, Placement]:
+    g: SimpleGraph, norm: NormSpec, trials: int, seed: int, target: int | None = None
+) -> tuple[int, int, Placement]:
+    """Highest rank over the placements of seeds seed, seed + 1, ..., with its
+    top d*n - trivial_dim and the placement, stopping at the first whose rank
+    reaches min(target, top).  The target defaults to |E|, which bounds every
+    rank; a caller that knows the generic rank passes that instead."""
     if trials < 1:
         raise InputError("generic rank sampling needs at least one trial")
-    best: tuple[int, Placement] | None = None
+    if target is None:
+        target = g.n_edges
+    best: tuple[int, int, Placement] | None = None
     for t in range(trials):
         p = random_placement(g, norm, seed + t)
         rank = placement_rank(g, p, norm)
-        if best is None or rank > best[0]:
-            best = (rank, p)
         top = norm.d * g.n_vertices - trivial_motion_basis(g, p, norm).shape[0]
-        if rank >= min(g.n_edges, top):
+        if best is None or rank > best[0]:
+            best = (rank, top, p)
+        if rank >= min(target, top):
             break
     assert best is not None
     return best
@@ -357,13 +363,6 @@ def generic_rank(g: SimpleGraph, norm: NormSpec, trials: int = 5, seed: int = 0)
     lower bound on the generic rank r, short of it with probability at most
     r(q-1)/PRIME per placement; a non-integer q ranks by the SVD cutoff."""
     return _best_placement(g, norm, trials, seed)[0]
-
-
-def _rigid_2d_combinatorial(g: SimpleGraph, norm: NormSpec) -> bool:
-    if g.n_vertices <= 1:
-        return True
-    count = LAMAN if norm.euclidean else QNORM_2D
-    return sparsity.tight_spanning_subgraph(g, count) is not None
 
 
 @dataclass(frozen=True)
@@ -378,6 +377,23 @@ class GenericRigidityVerdict:
         return "Rigid" if self.rigid else "Flexible"
 
 
+def _plane_cross_check(
+    g: SimpleGraph, norm: NormSpec, rigid: bool, rank: int
+) -> bool | None:
+    """In the plane, the tight-spanning combinatorial verdict on g, which must
+    agree with a numeric one at the given rank; None in other dimensions."""
+    if norm.d != 2:
+        return None
+    count = LAMAN if norm.euclidean else QNORM_2D
+    comb = g.n_vertices <= 1 or sparsity.tight_spanning_subgraph(g, count) is not None
+    if comb != rigid:
+        raise InconsistencyError(
+            f"combinatorial verdict {comb} disagrees with numeric "
+            f"verdict {rigid} (rank {rank})"
+        )
+    return comb
+
+
 def is_rigid_generic(
     g: SimpleGraph, norm: NormSpec, trials: int = 5, seed: int = 0
 ) -> GenericRigidityVerdict:
@@ -389,16 +405,9 @@ def is_rigid_generic(
     cross-checked against the tight-spanning combinatorial characterization;
     disagreement raises InconsistencyError.
     """
-    rank, p = _best_placement(g, norm, trials, seed)
+    rank, _, p = _best_placement(g, norm, trials, seed)
     report = report_at_rank(g, p, norm, rank)
-    comb: bool | None = None
-    if norm.d == 2:
-        comb = _rigid_2d_combinatorial(g, norm)
-        if comb != report.rigid:
-            raise InconsistencyError(
-                f"combinatorial verdict {comb} disagrees with numeric "
-                f"verdict {report.rigid} (rank {report.rank})"
-            )
+    comb = _plane_cross_check(g, norm, report.rigid, report.rank)
     return GenericRigidityVerdict(
         rigid=report.rigid, report=report, placement=p, combinatorial=comb
     )

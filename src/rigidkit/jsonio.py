@@ -17,15 +17,15 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import InputError
 from .graphs import SimpleGraph, Tower
-from .moves import MOVE_CLASSES, ConstructionChain
 from .norms import NormSpec
 from .placements import Placement
 
-# numpy and the numeric modules load only when a document needs them, so the
-# pebble-game verbs of the command line start without numpy.
+# numpy, the numeric modules and the moves load only when a document needs
+# them, so each verb of the command line loads only what it uses.
 if TYPE_CHECKING:
     from .bodybar import MultiBodyGraph
     from .catalog import GeneratedFamily, SimplicialMeta
+    from .moves import ConstructionChain
 
 __all__ = [
     "chain_from_json",
@@ -336,6 +336,8 @@ def move_to_json(m) -> dict:
 
 
 def move_from_json(obj):
+    from .moves import MOVE_CLASSES
+
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("move record needs a 'kind' field")
     kind = obj["kind"]
@@ -364,6 +366,8 @@ def chain_to_json(chain: ConstructionChain) -> dict:
 
 
 def chain_from_json(obj) -> ConstructionChain:
+    from .moves import ConstructionChain
+
     _require(obj, "chain", ("start", "moves"))
     if not isinstance(obj["moves"], list):
         raise InputError("chain moves must be a list")

@@ -56,6 +56,13 @@ class NormSpec:
             return self.d * (self.d + 1) // 2
         return self.d
 
+    def trivial_dim_at(self, n: int) -> int:
+        """Dimension of the rigid motions evaluated at n >= 1 points in general
+        position: all of them, less in the Euclidean case the rotations that
+        fix the (n-1)-flat through the points when n <= d."""
+        fixed = max(self.d - n + 1, 0) if self.euclidean else 0
+        return self.trivial_dim_generic - fixed * (fixed - 1) // 2
+
     @classmethod
     def parse(cls, text: str) -> "NormSpec":
         d = None

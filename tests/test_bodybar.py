@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import random_multibody, random_tight_multigraph, realize_bodybar
+from rigidkit import bodybar, frameworks
 from rigidkit.bodybar import (
     BODYBAR_TOWER_MINIMAL,
     BODYBAR_TOWER_NOT,
@@ -29,7 +30,12 @@ from rigidkit.bodybar import (
     tay_decide,
     validate_multibody,
 )
-from rigidkit.errors import InputError, NestingError, PlacementError
+from rigidkit.errors import (
+    InconsistencyError,
+    InputError,
+    NestingError,
+    PlacementError,
+)
 from rigidkit.frameworks import (
     NormSpec,
     flex_report,
@@ -189,6 +195,51 @@ def test_decision_needs_two_bodies():
     m = validate_multibody(g, bodies, EUCLID2)
     with pytest.raises(InputError, match="at least 2 bodies"):
         tay_decide(m, EUCLID2)
+
+
+def counting(monkeypatch, module, name):
+    """Patch module.name with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_flexible_cross_check_stops_at_the_predicted_rank(monkeypatch):
+    # Body edges are dependent, so the rank never reaches min(|E|, top); the
+    # predicted rank 2 * (18 - 6) + 5 stops the draw after one placement.
+    g, bodies = build((6, 6), [(i, 6 + i) for i in range(5)])
+    m = validate_multibody(g, bodies, EUCLID3)
+    ranks = counting(monkeypatch, frameworks, "placement_rank")
+    verdict = tay_decide(m, EUCLID3, seed=3)
+    assert not verdict.rigid and verdict.cross_checked
+    assert len(ranks) == 1
+    assert not is_rigid_generic(g, EUCLID3, seed=3).rigid
+    assert len(ranks) == 1 + 5
+
+
+def test_rank_above_the_prediction_is_inconsistent(monkeypatch):
+    g, bodies = build((6, 6), [(i, 6 + i) for i in range(5)])
+    m = validate_multibody(g, bodies, EUCLID3)
+    monkeypatch.setattr(frameworks, "placement_rank", lambda g, p, norm: 30)
+    with pytest.raises(InconsistencyError, match="rank 30 .* generic rank 29"):
+        tay_decide(m, EUCLID3)
+
+
+@pytest.mark.parametrize("norm", [EUCLID2, CUBIC2, EUCLID3, CUBIC3, MID3])
+def test_rigid_bodies_share_one_placement(monkeypatch, norm):
+    m = random_multibody(5, norm, seed=8)
+    draws = counting(monkeypatch, frameworks, "random_placement")
+    # bodybar holds its own reference to the function
+    monkeypatch.setattr(bodybar, "random_placement", frameworks.random_placement)
+    again = validate_multibody(m.underlying, m.bodies, norm)
+    assert again == m
+    assert len(draws) == 1
 
 
 @pytest.mark.parametrize("idx", range(24))

@@ -519,8 +519,19 @@ def _fresh_python(code, *argv, cwd):
         ["--version"],
         # Catalog output carries a placement that the verb never uses.
         ["sparsity", "--count", "2,3", "strip.json"],
+        ["catalog", "list"],
+        ["catalog", "banana_tower", "--params", "stages=3", "--placement", "none"],
     ],
-    ids=["sparsity", "chain", "laman", "sequential", "version", "placed-input"],
+    ids=[
+        "sparsity",
+        "chain",
+        "laman",
+        "sequential",
+        "version",
+        "placed-input",
+        "catalog-list",
+        "catalog-graph",
+    ],
 )
 def test_pebble_verbs_start_without_numpy(argv, tmp_path):
     two_tree = SimpleGraph(range(4), [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -529,6 +540,49 @@ def test_pebble_verbs_start_without_numpy(argv, tmp_path):
     write_json(tmp_path / "strip.json", jsonio.family_to_json(catalog.strip(cells=8)))
     (tmp_path / "t.json").write_text(tower_text(3, 4, 5))
     assert _fresh_python(_FENCE, *argv, cwd=tmp_path) == [0, False]
+
+
+_MOVES_FENCE = _FENCE.replace('"numpy"', '"rigidkit.moves"')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "f.json"],
+        ["analyze", "--generic", "f.json"],
+        ["sparsity", "--count", "2,3", "g.json"],
+        ["chain", "--mode", "euclidean", "--from", "a.json", "--to", "g.json"],
+        ["tower", "--mode", "laman", "--norm", "d=2,q=2", "t.json"],
+        ["tower", "--mode", "sequential", "--norm", "d=2,q=2", "t.json"],
+        ["tower", "--mode", "relative", "--norm", "d=2,q=2", "t.json"],
+        ["bodybar", "--norm", "d=2,q=2", "b.json"],
+        ["catalog", "strip", "--params", "cells=3"],
+        ["render", "f.json"],
+    ],
+    ids=[
+        "analyze",
+        "analyze-generic",
+        "sparsity",
+        "chain",
+        "laman",
+        "sequential",
+        "relative",
+        "bodybar",
+        "catalog",
+        "render",
+    ],
+)
+def test_only_the_chain_verb_loads_moves(argv, tmp_path):
+    two_tree = SimpleGraph(range(4), [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    g, p = fig_k3()
+    write_json(tmp_path / "f.json", jsonio.framework_to_json(g, p, NormSpec(2, 3)))
+    write_json(tmp_path / "g.json", jsonio.graph_to_json(two_tree))
+    write_json(tmp_path / "a.json", jsonio.graph_to_json(complete_graph(2)))
+    (tmp_path / "t.json").write_text(tower_text(3, 4, 5))
+    (tmp_path / "b.json").write_text(bodybar_text(3))
+    code, moves_loaded = _fresh_python(_MOVES_FENCE, *argv, cwd=tmp_path)
+    assert code == 0
+    assert moves_loaded == (argv[0] == "chain")
 
 
 def test_pebble_modules_import_without_numpy(tmp_path):

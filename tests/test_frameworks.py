@@ -137,6 +137,16 @@ def test_trivial_dim_two_vertices_euclidean():
     assert trivial_motion_basis(g, p, CUBIC).shape[0] == 2
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 2.5])
+def test_trivial_dim_at_matches_the_evaluated_motions(d, q):
+    norm = NormSpec(d, q)
+    for n in range(1, d + 3):
+        g = complete_graph(n)
+        p = random_placement(g, norm, seed=n)
+        assert norm.trivial_dim_at(n) == trivial_motion_basis(g, p, norm).shape[0]
+
+
 def fraction_rank(rows):
     """Rank over Q by plain Gaussian elimination on Fractions."""
     work = [[Fraction(x) for x in row] for row in rows]
