@@ -43,14 +43,16 @@ from .frameworks import (
     random_placement,
     report_at_rank,
 )
-from .graphs import MultiGraph, SimpleGraph, induced_subgraph, normalize_edge
-from .sparsity import (
-    PebbleGame,
-    SparsityCount,
-    extend_to_tight_spanning,
-    is_sparse,
+from .graphs import MultiGraph, SimpleGraph, Tower, induced_subgraph, normalize_edge
+from .sparsity import PebbleGame, SparsityCount, is_sparse
+from .towers import (
+    LAMAN_TOWER_MINIMAL,
+    LAMAN_TOWER_NOT,
+    LAMAN_TOWER_RIGID,
+    _containers,
+    _nested_witnesses,
+    relative_rigidity,
 )
-from .towers import RelativeRigidityVerdict, relative_rigidity
 
 __all__ = [
     "MultiBodyGraph",
@@ -59,9 +61,7 @@ __all__ = [
     "SpecialPlacementResult",
     "MultiBodyTower",
     "BodyBarTowerVerdict",
-    "BODYBAR_TOWER_RIGID",
     "BODYBAR_TOWER_MINIMAL",
-    "BODYBAR_TOWER_NOT",
     "body_bar_count",
     "validate_multibody",
     "body_bar_graph",
@@ -72,7 +72,6 @@ __all__ = [
     "remodel_bodies",
     "special_placement",
     "essentially_independent",
-    "relative_rigidity_multibody",
     "rigid_container_multibody",
     "validate_multibody_tower",
     "bodybar_tower_decide",
@@ -579,14 +578,6 @@ def _check_sub_multibody(g: MultiBodyGraph, h: MultiBodyGraph, norm: NormSpec) -
         )
 
 
-def relative_rigidity_multibody(
-    g: MultiBodyGraph, h: MultiBodyGraph, norm: NormSpec, seed: int = 0
-) -> RelativeRigidityVerdict:
-    """Relative rigidity of a sub-structure whose bodies are bodies of g."""
-    _check_sub_multibody(g, h, norm)
-    return relative_rigidity(g.underlying, h.underlying, norm, seed=seed)
-
-
 def rigid_container_multibody(
     g: MultiBodyGraph, h: MultiBodyGraph, norm: NormSpec
 ) -> MultiBodyGraph | None:
@@ -635,31 +626,11 @@ def rigid_container_multibody(
 # ---- towers of multi-body structures -------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiBodyTower:
-    """Increasing sequence of multi-body structures, optionally targeted."""
-
-    stages: tuple[MultiBodyGraph, ...]
-    target: MultiBodyGraph | None = None
-
-    def __init__(
-        self, stages: Iterable[MultiBodyGraph], target: MultiBodyGraph | None = None
-    ):
-        object.__setattr__(self, "stages", tuple(stages))
-        object.__setattr__(self, "target", target)
-        if not self.stages:
-            raise InputError("a tower needs at least one stage")
-
-    @property
-    def depth(self) -> int:
-        return len(self.stages)
-
-    @property
-    def reference(self) -> MultiBodyGraph:
-        return self.target if self.target is not None else self.stages[-1]
+# Multi-body towers are towers whose stages are multi-body structures.
+MultiBodyTower = Tower
 
 
-def validate_multibody_tower(t: MultiBodyTower) -> None:
+def validate_multibody_tower(t: Tower) -> None:
     """Stage k+1 must contain stage k and carry every one of its bodies."""
 
     def check(small: MultiBodyGraph, large: MultiBodyGraph, idx: int, what: str) -> None:
@@ -677,9 +648,7 @@ def validate_multibody_tower(t: MultiBodyTower) -> None:
         check(t.stages[-1], t.target, t.depth - 1, "the target")
 
 
-BODYBAR_TOWER_RIGID = "Rigid"
 BODYBAR_TOWER_MINIMAL = "EssentiallyMinimallyRigid"
-BODYBAR_TOWER_NOT = "NotCertified"
 
 
 @dataclass(frozen=True)
@@ -698,70 +667,45 @@ class BodyBarTowerVerdict:
 
 
 def bodybar_tower_decide(
-    t: MultiBodyTower, norm: NormSpec, seed: int = 0
+    t: Tower, norm: NormSpec, seed: int = 0
 ) -> BodyBarTowerVerdict:
     """Certify a staged multi-body presentation through its collapsed graphs.
 
-    Mirrors the planar tower decision: each stage's collapsed multigraph must
-    admit a (k, k)-tight spanning subgraph extending the previous witness.  A
-    witness covering every body certifies Rigid, and EssentiallyMinimallyRigid
-    when it also exhausts the reference bars, so that no bar could be spared.
-    When some stage has no tight spanning subgraph the decision falls back on
-    rigid containers of consecutive pairs, which certify Rigid exactly when
-    relative rigidity holds stage by stage and the containers reach every
-    body.
+    Runs the planar tower decision on the collapsed multigraphs: each
+    stage's collapsed multigraph must admit a (k, k)-tight spanning subgraph
+    extending the previous witness.  A witness covering every body certifies Rigid, and
+    EssentiallyMinimallyRigid when it also exhausts the reference bars, so
+    that no bar could be spared.  When some stage has no tight spanning
+    subgraph the decision falls back on rigid containers of consecutive
+    pairs, which certify Rigid exactly when relative rigidity holds stage by
+    stage and the containers reach every body.
     """
     validate_multibody_tower(t)
     k = body_bar_count(norm)
-    count = SparsityCount(k, k)
-    ref = t.reference
-    ref_lab = labeled_body_bar(ref)
-    witness: list[MultiGraph] = []
-    prev: tuple[tuple[int, int], ...] = ()
-    extracted = True
-    for stage in t.stages:
-        tight = extend_to_tight_spanning(labeled_body_bar(stage), count, prev)
-        if tight is None:
-            extracted = False
-            break
-        witness.append(tight)
-        prev = tight.edges
-    if extracted:
-        # nesting makes the last witness the union of them all
-        if set(witness[-1].vertices) != set(ref_lab.vertices):
-            return BodyBarTowerVerdict(BODYBAR_TOWER_NOT, tight_witness=tuple(witness))
-        status = (
-            BODYBAR_TOWER_MINIMAL
-            if sorted(witness[-1].edges) == sorted(ref_lab.edges)
-            else BODYBAR_TOWER_RIGID
+    status, tight = _nested_witnesses(
+        (labeled_body_bar(s) for s in t.stages),
+        labeled_body_bar(t.reference),
+        SparsityCount(k, k),
+    )
+    if tight is not None:
+        if status == LAMAN_TOWER_MINIMAL:
+            status = BODYBAR_TOWER_MINIMAL
+        return BodyBarTowerVerdict(status, tight_witness=tight)
+    try:
+        containers = _containers(
+            zip(t.stages, t.stages[1:]),
+            lambda small, large: rigid_container_multibody(large, small, norm),
+            lambda i, small, large: relative_rigidity(
+                large.underlying, small.underlying, norm, seed=seed + 17 * i
+            ),
         )
-        return BodyBarTowerVerdict(status, tight_witness=tuple(witness))
-    if t.depth == 1:
-        return BodyBarTowerVerdict(BODYBAR_TOWER_NOT)
-    containers: list[MultiBodyGraph] = []
-    for i in range(t.depth - 1):
-        small, large = t.stages[i], t.stages[i + 1]
-        try:
-            c = rigid_container_multibody(large, small, norm)
-            if c is None:
-                check = relative_rigidity_multibody(
-                    large, small, norm, seed=seed + 17 * i
-                )
-                if check.relatively_rigid:
-                    raise InconsistencyError(
-                        f"stage {i + 1}: relatively rigid but no container found"
-                    )
-                return BodyBarTowerVerdict(BODYBAR_TOWER_NOT)
-        except InputError:
-            return BodyBarTowerVerdict(BODYBAR_TOWER_NOT)
-        containers.append(c)
-    covered: set[frozenset[int]] = set()
-    for c in containers:
-        covered.update(frozenset(b) for b in c.bodies)
-    if covered != {frozenset(b) for b in ref.bodies}:
-        return BodyBarTowerVerdict(
-            BODYBAR_TOWER_NOT, container_witness=tuple(containers)
-        )
+    except InputError:
+        containers = None
+    if not containers:  # a single stage, or a pair with no container
+        return BodyBarTowerVerdict(LAMAN_TOWER_NOT)
+    covered = {frozenset(b) for c in containers for b in c.bodies}
+    reached = covered == {frozenset(b) for b in t.reference.bodies}
     return BodyBarTowerVerdict(
-        BODYBAR_TOWER_RIGID, container_witness=tuple(containers)
+        LAMAN_TOWER_RIGID if reached else LAMAN_TOWER_NOT,
+        container_witness=containers,
     )

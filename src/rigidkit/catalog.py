@@ -528,32 +528,26 @@ def add_shafts(g: SimpleGraph, count: int = 3) -> SimpleGraph:
 
 # ---- dispatch -------------------------------------------------------------
 
-# allowed parameter names; the leading ones up to the count in _REQUIRED
-# must be supplied
-_FAMILIES = {
-    "complete": ("n",),
-    "cycle": ("n",),
-    "double_banana": (),
-    "banana_tower": ("stages",),
-    "strip": ("cells", "mode", "spacing", "shear"),
-    "whirlpool": ("layers",),
-    "tetra_refined": ("levels",),
-    "octa_pointed": ("levels",),
-    "diamond": ("levels",),
-    "simplicial_holes": ("holes", "kappa", "refinement", "size"),
-}
+def _holes_family(holes, **params) -> GeneratedFamily:
+    holes = tuple(holes)
+    meta = SimplicialMeta(
+        params.get("kappa", len(holes)), holes, params.get("refinement", 1)
+    )
+    return simplicial_holes(meta, params.get("size", 1))
 
-_REQUIRED = {
-    "complete": 1,
-    "cycle": 1,
-    "double_banana": 0,
-    "banana_tower": 1,
-    "strip": 1,
-    "whirlpool": 1,
-    "tetra_refined": 1,
-    "octa_pointed": 1,
-    "diamond": 1,
-    "simplicial_holes": 1,
+
+# name -> (builder, required parameters, optional parameters)
+_FAMILIES = {
+    "complete": (complete, ("n",), ()),
+    "cycle": (cycle, ("n",), ()),
+    "double_banana": (double_banana, (), ()),
+    "banana_tower": (banana_tower, ("stages",), ()),
+    "strip": (strip, ("cells",), ("mode", "spacing", "shear")),
+    "whirlpool": (whirlpool, ("layers",), ()),
+    "tetra_refined": (tetra_refined, ("levels",), ()),
+    "octa_pointed": (octa_pointed, ("levels",), ()),
+    "diamond": (diamond, ("levels",), ()),
+    "simplicial_holes": (_holes_family, ("holes",), ("kappa", "refinement", "size")),
 }
 
 
@@ -567,30 +561,13 @@ def generate(name: str, **params) -> GeneratedFamily:
         raise InputError(
             f"unknown family {name!r}; available: {', '.join(available_families())}"
         )
-    allowed = _FAMILIES[name]
-    extra = sorted(set(params) - set(allowed))
+    builder, required, optional = _FAMILIES[name]
+    extra = sorted(set(params) - set(required) - set(optional))
     if extra:
         raise InputError(f"family {name!r} does not take {', '.join(extra)}")
-    missing = [p for p in allowed[: _REQUIRED[name]] if p not in params]
+    missing = [p for p in required if p not in params]
     if missing:
         raise InputError(f"family {name!r} needs {', '.join(missing)}")
-    if name == "simplicial_holes":
-        holes = tuple(params.get("holes", ()))
-        meta = SimplicialMeta(
-            params.get("kappa", len(holes)), holes, params.get("refinement", 1)
-        )
-        return simplicial_holes(meta, params.get("size", 1))
-    builder = {
-        "complete": complete,
-        "cycle": cycle,
-        "double_banana": double_banana,
-        "banana_tower": banana_tower,
-        "strip": strip,
-        "whirlpool": whirlpool,
-        "tetra_refined": tetra_refined,
-        "octa_pointed": octa_pointed,
-        "diamond": diamond,
-    }[name]
     out = builder(**params)
     if isinstance(out, SimpleGraph):
         return GeneratedFamily(out)

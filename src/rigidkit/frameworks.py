@@ -503,27 +503,29 @@ def _pinned_coordinates(g: SimpleGraph, norm: NormSpec) -> list[int]:
     return pins
 
 
+def _scalar_power(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e entry by entry, each a Python float power (the C library's pow).
+
+    numpy's array power may take a vectorised pow whose last bit differs
+    from the C library's, and the edge lengths and Jacobian that tracked
+    paths are built on are pinned bit for bit to scalar powers of each
+    edge's length (tests/test_frameworks.py).
+    """
+    return np.array([v**e for v in x.tolist()])
+
+
 def _lq_lengths(pts: np.ndarray, g: SimpleGraph, qf: float) -> np.ndarray:
-    idx = g.index_of
-    out = np.zeros(g.n_edges)
-    for r, (a, b) in enumerate(g.edges):
-        diff = pts[idx[a]] - pts[idx[b]]
-        out[r] = np.sum(np.abs(diff) ** qf) ** (1.0 / qf)
-    return out
+    ia, ib = _edge_ends(g)
+    return _scalar_power(np.sum(np.abs(pts[ia] - pts[ib]) ** qf, axis=1), 1.0 / qf)
 
 
 def _length_jacobian(pts: np.ndarray, g: SimpleGraph, qf: float) -> np.ndarray:
-    """Jacobian of the edge-length map; rows are unit-scaled matrix rows."""
-    idx = g.index_of
-    d = pts.shape[1]
-    jac = np.zeros((g.n_edges, pts.size))
-    for r, (a, b) in enumerate(g.edges):
-        diff = pts[idx[a]] - pts[idx[b]]
-        norm_q = np.sum(np.abs(diff) ** qf) ** (1.0 / qf)
-        row = signed_power(diff, qf - 1.0) / norm_q ** (qf - 1.0)
-        jac[r, d * idx[a] : d * idx[a] + d] = row
-        jac[r, d * idx[b] : d * idx[b] + d] = -row
-    return jac
+    """Jacobian of the edge-length map: each rigidity matrix row divided by
+    its edge's lq length^(q-1)."""
+    ia, ib = _edge_ends(g)
+    scale = _scalar_power(_lq_lengths(pts, g, qf), qf - 1.0)
+    vals = signed_power(pts[ia] - pts[ib], qf - 1.0) / scale[:, None]
+    return _layout(g, pts.shape[1], ia, ib, vals, -vals)
 
 
 def continuation_track(

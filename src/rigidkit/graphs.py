@@ -243,10 +243,13 @@ GraphLike = SimpleGraph | MultiGraph
 
 @dataclass(frozen=True)
 class Tower:
-    """Increasing sequence of simple graphs, optionally with a declared target.
+    """Increasing sequence of stages, optionally with a declared target.
 
-    Completeness flags are relative to the target when one is declared and to
-    the stage union otherwise (where they hold trivially).
+    Stages are simple graphs, or multi-body structures for the staged
+    body-bar decision (bodybar.MultiBodyTower names this class).  The
+    reference is the declared target, or else the final stage, which for
+    a nested tower (see validate_tower) is the union of all stages;
+    vertex completeness is measured against it.
     """
 
     stages: tuple[SimpleGraph, ...]
@@ -262,25 +265,14 @@ class Tower:
     def depth(self) -> int:
         return len(self.stages)
 
-    @cached_property
-    def union(self) -> SimpleGraph:
-        g = self.stages[0]
-        for h in self.stages[1:]:
-            g = graph_union(g, h)
-        return g
-
-    @cached_property
+    @property
     def reference(self) -> SimpleGraph:
-        """Graph the completeness flags are measured against."""
-        return self.target if self.target is not None else self.union
+        """Graph the completeness flag is measured against."""
+        return self.target if self.target is not None else self.stages[-1]
 
     @property
     def vertex_complete(self) -> bool:
-        return self.union.vertex_set == self.reference.vertex_set
-
-    @property
-    def edge_complete(self) -> bool:
-        return self.union.edge_set == self.reference.edge_set
+        return self.stages[-1].vertex_set == self.reference.vertex_set
 
 
 def validate_tower(t: Tower) -> None:

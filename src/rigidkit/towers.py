@@ -185,9 +185,7 @@ def _count_for_q(norm: NormSpec) -> SparsityCount:
     return LAMAN if norm.euclidean else QNORM_2D
 
 
-def rigid_container_2d(
-    g: SimpleGraph, h: SimpleGraph, q, seed: int = 0
-) -> SimpleGraph | None:
+def rigid_container_2d(g: SimpleGraph, h: SimpleGraph, q) -> SimpleGraph | None:
     """Construct a rigid subgraph of g containing h, or report none exists.
 
     Works over the plane only: g is first thinned to an independent edge set
@@ -294,6 +292,27 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
     return TowerVerdict(TOWER_UNDECIDED, prefix, t.depth, vc)
 
 
+def _containers(pairs, container, confirm) -> tuple | None:
+    """Rigid containers of the (small, large) stage pairs, or None.
+
+    container(small, large) builds one or returns None.  A missing container
+    is confirmed by confirm(k, small, large), a relative rigidity verdict on
+    the k-th pair: containers exist exactly when the pair is relatively
+    rigid, so a relatively rigid pair without one raises InconsistencyError.
+    """
+    out = []
+    for k, (small, large) in enumerate(pairs):
+        c = container(small, large)
+        if c is None:
+            if confirm(k, small, large).relatively_rigid:
+                raise InconsistencyError(
+                    f"stage {k + 1}: relatively rigid but no container found"
+                )
+            return None
+        out.append(c)
+    return tuple(out)
+
+
 def sequential_rigidity_2d(
     t: Tower, q, seed: int = 0
 ) -> tuple[SimpleGraph, ...] | None:
@@ -306,18 +325,13 @@ def sequential_rigidity_2d(
     equivalence itself has been violated and the failure escalates."""
     validate_tower(t)
     norm = NormSpec(2, q)
-    witness = []
-    for k, (small, large) in enumerate(_consecutive_pairs(t)):
-        container = rigid_container_2d(large, small, q, seed=seed + 31 * k)
-        if container is None:
-            check = relative_rigidity(large, small, norm, seed=seed + 31 * k + 7)
-            if check.relatively_rigid:
-                raise InconsistencyError(
-                    f"stage {k + 1}: relatively rigid but no container found"
-                )
-            return None
-        witness.append(container)
-    return tuple(witness)
+    return _containers(
+        _consecutive_pairs(t),
+        lambda small, large: rigid_container_2d(large, small, q),
+        lambda k, small, large: relative_rigidity(
+            large, small, norm, seed=seed + 31 * k + 7
+        ),
+    )
 
 
 LAMAN_TOWER_RIGID = "Rigid"
@@ -331,6 +345,36 @@ class LamanTowerVerdict:
     witness: tuple[SimpleGraph, ...] | None = None
 
 
+def _nested_witnesses(
+    stages, reference, count: SparsityCount
+) -> tuple[str, tuple | None]:
+    """Status and nested tight spanning witnesses of a staged presentation.
+
+    The stages are simple graphs or multigraphs.  Each stage must admit a
+    tight spanning subgraph extending the previous stage's witness; when
+    one has none the status is NotCertified with no witness.  Nesting makes
+    the last witness the union of them all: it must reach every vertex of
+    the reference (else NotCertified, with the witnesses), and it is
+    MinimallyRigid when it equals the reference, Rigid otherwise.
+    """
+    witness = []
+    prev: tuple[tuple[int, int], ...] = ()
+    for stage in stages:
+        tight = extend_to_tight_spanning(stage, count, prev)
+        if tight is None:
+            return LAMAN_TOWER_NOT, None
+        witness.append(tight)
+        prev = tight.edges
+    last = witness[-1]
+    if last.vertex_set != reference.vertex_set:
+        status = LAMAN_TOWER_NOT
+    elif last == reference:
+        status = LAMAN_TOWER_MINIMAL
+    else:
+        status = LAMAN_TOWER_RIGID
+    return status, tuple(witness)
+
+
 def laman_tower_decide(t: Tower, q) -> LamanTowerVerdict:
     """Planar tower decision through nested tight spanning subgraphs.
 
@@ -340,25 +384,7 @@ def laman_tower_decide(t: Tower, q) -> LamanTowerVerdict:
     MinimallyRigid when the witnesses also exhaust the reference edge set."""
     validate_tower(t)
     count = _count_for_q(NormSpec(2, q))
-    witness: list[SimpleGraph] = []
-    prev: tuple[tuple[int, int], ...] = ()
-    for stage in t.stages:
-        tight = extend_to_tight_spanning(stage, count, prev)
-        if tight is None:
-            return LamanTowerVerdict(LAMAN_TOWER_NOT)
-        witness.append(tight)
-        prev = tight.edges
-    if not t.vertex_complete:
-        return LamanTowerVerdict(LAMAN_TOWER_NOT, tuple(witness))
-    covered = set()
-    for w in witness:
-        covered.update(w.edge_set)
-    status = (
-        LAMAN_TOWER_MINIMAL
-        if covered == t.reference.edge_set
-        else LAMAN_TOWER_RIGID
-    )
-    return LamanTowerVerdict(status, tuple(witness))
+    return LamanTowerVerdict(*_nested_witnesses(t.stages, t.reference, count))
 
 
 # ---- exhaustive container search ----------------------------------------

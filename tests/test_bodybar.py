@@ -12,8 +12,6 @@ from helpers import random_multibody, random_tight_multigraph, realize_bodybar
 from rigidkit import bodybar, frameworks
 from rigidkit.bodybar import (
     BODYBAR_TOWER_MINIMAL,
-    BODYBAR_TOWER_NOT,
-    BODYBAR_TOWER_RIGID,
     MultiBodyGraph,
     MultiBodyTower,
     body_bar_count,
@@ -22,7 +20,6 @@ from rigidkit.bodybar import (
     essentially_independent,
     labeled_body_bar,
     nash_williams_trees,
-    relative_rigidity_multibody,
     remodel_bodies,
     rigid_container_multibody,
     spanning_tree_layers,
@@ -44,7 +41,8 @@ from rigidkit.frameworks import (
     rigidity_matrix,
 )
 from rigidkit.graphs import MultiGraph, SimpleGraph
-from rigidkit.sparsity import SparsityCount, is_sparse
+from rigidkit.sparsity import SparsityCount, extend_to_tight_spanning, is_sparse
+from rigidkit.towers import LAMAN_TOWER_NOT, LAMAN_TOWER_RIGID, relative_rigidity
 
 EUCLID2 = NormSpec(2, 2)
 CUBIC2 = NormSpec(2, 3)
@@ -492,7 +490,7 @@ def test_independence_agrees_with_rank_split(idx):
 def test_pinning_the_ends_of_a_braced_chain():
     m = chain_multibody(3, 4, 2, CUBIC2)
     ends = induced_multibody(m, (0, 2))
-    assert relative_rigidity_multibody(m, ends, CUBIC2).relatively_rigid
+    assert relative_rigidity(m.underlying, ends.underlying, CUBIC2).relatively_rigid
     container = rigid_container_multibody(m, ends, CUBIC2)
     assert container is not None
     assert tay_decide(container, CUBIC2).rigid
@@ -501,7 +499,7 @@ def test_pinning_the_ends_of_a_braced_chain():
 def test_starved_chain_pair_is_not_relatively_rigid():
     m = chain_multibody(3, 4, 1, CUBIC2)
     front = induced_multibody(m, (0, 1))
-    verdict = relative_rigidity_multibody(m, front, CUBIC2)
+    verdict = relative_rigidity(m.underlying, front.underlying, CUBIC2)
     assert not verdict.relatively_rigid
     assert verdict.witness_flex is not None
     assert rigid_container_multibody(m, front, CUBIC2) is None
@@ -510,7 +508,7 @@ def test_starved_chain_pair_is_not_relatively_rigid():
 def test_single_body_anchor_in_a_flexible_host():
     m = chain_multibody(3, 4, 1, CUBIC2)
     one = induced_multibody(m, (0,))
-    assert relative_rigidity_multibody(m, one, CUBIC2).relatively_rigid
+    assert relative_rigidity(m.underlying, one.underlying, CUBIC2).relatively_rigid
     container = rigid_container_multibody(m, one, CUBIC2)
     assert container is not None
     assert container.n_bodies == 1
@@ -525,7 +523,7 @@ def test_foreign_body_rejected():
         [],
     )
     with pytest.raises(InputError, match="not a body of the host"):
-        relative_rigidity_multibody(m, odd, CUBIC2)
+        rigid_container_multibody(m, odd, CUBIC2)
 
 
 def test_undersized_anchor_rejected():
@@ -549,7 +547,7 @@ def test_container_matches_relative_rigidity(idx):
     rng = random.Random(idx)
     ids = tuple(sorted(rng.sample(range(m.n_bodies), 2)))
     h = induced_multibody(m, ids)
-    verdict = relative_rigidity_multibody(m, h, norm, seed=idx)
+    verdict = relative_rigidity(m.underlying, h.underlying, norm, seed=idx)
     container = rigid_container_multibody(m, h, norm)
     assert verdict.relatively_rigid == (container is not None)
     if container is not None:
@@ -584,7 +582,7 @@ def test_growing_chain_is_minimally_rigid():
 def test_redundant_bar_is_rigid_but_not_minimal():
     full = chain_multibody(4, 5, 2, CUBIC2, extra=[(2, 7)])
     verdict = bodybar_tower_decide(_prefix_tower(full, (2, 3, 4)), CUBIC2)
-    assert verdict.status == BODYBAR_TOWER_RIGID
+    assert verdict.status == LAMAN_TOWER_RIGID
     last = verdict.tight_witness[-1]
     assert last.n_edges == 6  # one junction bar spared
 
@@ -592,7 +590,7 @@ def test_redundant_bar_is_rigid_but_not_minimal():
 def test_starved_junctions_stay_uncertified():
     full = chain_multibody(3, 4, 1, CUBIC2)
     verdict = bodybar_tower_decide(_prefix_tower(full, (2, 3)), CUBIC2)
-    assert verdict.status == BODYBAR_TOWER_NOT
+    assert verdict.status == LAMAN_TOWER_NOT
 
 
 def test_euclidean_chain_tower():
@@ -630,7 +628,7 @@ def test_fallback_certifies_late_pinning():
         validate_multibody(g3, bodies3, CUBIC2),
     ]
     verdict = bodybar_tower_decide(MultiBodyTower(stages), CUBIC2)
-    assert verdict.status == BODYBAR_TOWER_RIGID
+    assert verdict.status == LAMAN_TOWER_RIGID
     assert verdict.tight_witness is None
     assert len(verdict.container_witness) == 2
 
@@ -643,14 +641,14 @@ def test_dangling_floppy_body_is_not_waved_through():
         validate_multibody(g2, bodies2, CUBIC2),
     ]
     verdict = bodybar_tower_decide(MultiBodyTower(stages), CUBIC2)
-    assert verdict.status == BODYBAR_TOWER_NOT
+    assert verdict.status == LAMAN_TOWER_NOT
 
 
 def test_unreached_target_blocks_certification():
     full = chain_multibody(4, 4, 2, CUBIC2)
     tower = _prefix_tower(full, (2, 3), target=full)
     verdict = bodybar_tower_decide(tower, CUBIC2)
-    assert verdict.status == BODYBAR_TOWER_NOT
+    assert verdict.status == LAMAN_TOWER_NOT
     assert verdict.tight_witness is not None
 
 
@@ -661,5 +659,130 @@ def test_single_stage_tower_decides_directly():
     loose = chain_multibody(2, 4, 1, CUBIC2)
     assert (
         bodybar_tower_decide(MultiBodyTower([loose]), CUBIC2).status
-        == BODYBAR_TOWER_NOT
+        == LAMAN_TOWER_NOT
     )
+
+
+# ---- the staged decision against a reference loop ------------------------
+
+# A reference copy of the multi-body decision written out on its own: a
+# nested-witness loop on the collapsed multigraphs, then a container loop
+# over consecutive pairs.  It also names the route that decided.
+
+
+def _bodybar_reference(t, norm, seed, confirm):
+    k = body_bar_count(norm)
+    count = SparsityCount(k, k)
+    host = t.target if t.target is not None else t.stages[-1]
+    ref = labeled_body_bar(host)
+    witness = []
+    prev = ()
+    for stage in t.stages:
+        tight = extend_to_tight_spanning(labeled_body_bar(stage), count, prev)
+        if tight is None:
+            break
+        witness.append(tight)
+        prev = tight.edges
+    else:
+        if set(witness[-1].vertices) != set(ref.vertices):
+            return (LAMAN_TOWER_NOT, tuple(witness), None), "tight"
+        minimal = sorted(witness[-1].edges) == sorted(ref.edges)
+        status = BODYBAR_TOWER_MINIMAL if minimal else LAMAN_TOWER_RIGID
+        return (status, tuple(witness), None), "tight"
+    if t.depth == 1:
+        return (LAMAN_TOWER_NOT, None, None), "single"
+    containers = []
+    for i in range(t.depth - 1):
+        small, large = t.stages[i], t.stages[i + 1]
+        try:
+            c = rigid_container_multibody(large, small, norm)
+        except InputError:
+            return (LAMAN_TOWER_NOT, None, None), "undersized"
+        if c is None:
+            seed_i = seed + 17 * i
+            check = confirm(large.underlying, small.underlying, norm, seed=seed_i)
+            if check.relatively_rigid:
+                raise InconsistencyError("relatively rigid but no container found")
+            return (LAMAN_TOWER_NOT, None, None), "missing"
+        containers.append(c)
+    covered = {frozenset(b) for c in containers for b in c.bodies}
+    ref_bodies = {frozenset(b) for b in host.bodies}
+    if covered != ref_bodies:
+        return (LAMAN_TOWER_NOT, None, tuple(containers)), "short"
+    return (LAMAN_TOWER_RIGID, None, tuple(containers)), "containers"
+
+
+def _random_multibody_tower(idx):
+    """Stages of a random structure by seeded arrival times of bodies and
+    bars; a body or bar arriving at the depth is only in the whole
+    structure, which some towers declare as their target."""
+    rng = random.Random(idx)
+    norm = (EUCLID2, CUBIC2, CUBIC3, EUCLID3)[idx % 4]
+    full = random_multibody(rng.randint(2, 5 if norm.d == 2 else 4), norm, seed=idx)
+    depth = rng.randint(1, 4)
+    late = depth if rng.random() < 0.3 else depth - 1
+    when = {b: rng.randint(0, late) for b in full.bodies}
+    when[full.bodies[0]] = 0
+    owner = full.body_of
+    for e in full.inter_body_edges:
+        ends = full.bodies[owner[e[0]]], full.bodies[owner[e[1]]]
+        when[e] = max(when[ends[0]], when[ends[1]], rng.randint(0, late))
+    stages = []
+    for k in range(depth):
+        bodies = [b for b in full.bodies if when[b] <= k]
+        keep = {v for b in bodies for v in b}
+        bars = [e for e in full.inter_body_edges if when[e] <= k]
+        edges = [
+            e
+            for e in full.underlying.edges
+            if e in bars or (e[0] in keep and owner[e[0]] == owner[e[1]])
+        ]
+        vs = [v for v in full.underlying.vertices if v in keep]
+        stages.append(MultiBodyGraph(SimpleGraph(vs, edges), bodies, bars))
+    target = (None, stages[-1], full)[rng.randrange(3)]
+    return MultiBodyTower(stages, target), norm
+
+
+def _verdict_fields(status, tight, containers):
+    return (
+        status,
+        None if tight is None else [(w.vertices, w.edges) for w in tight],
+        None
+        if containers is None
+        else [
+            (c.underlying.vertices, c.underlying.edges, c.bodies, c.inter_body_edges)
+            for c in containers
+        ],
+    )
+
+
+def test_bodybar_decision_matches_reference_loop(monkeypatch):
+    calls = {"new": [], "ref": []}
+    real = relative_rigidity
+
+    def recorder(log):
+        def confirm(g, h, norm, seed=0):
+            calls[log].append((g.vertices, g.edges, h.vertices, h.edges, seed))
+            return real(g, h, norm, seed=seed)
+
+        return confirm
+
+    monkeypatch.setattr(bodybar, "relative_rigidity", recorder("new"))
+    routes = Counter()
+    for idx in range(240):
+        t, norm = _random_multibody_tower(idx)
+        v = bodybar_tower_decide(t, norm, seed=idx)
+        want, route = _bodybar_reference(t, norm, idx, recorder("ref"))
+        got = (v.status, v.tight_witness, v.container_witness)
+        assert _verdict_fields(*got) == _verdict_fields(*want), idx
+        routes[route, v.status, t.target is None] += 1
+    # both routes with every outcome, undersized anchors, declared targets
+    assert {r for r, *_ in routes} == {
+        "tight", "single", "missing", "undersized", "short", "containers"
+    }
+    assert {s for r, s, _ in routes if r == "tight"} == {
+        LAMAN_TOWER_NOT, LAMAN_TOWER_RIGID, BODYBAR_TOWER_MINIMAL
+    }
+    assert {none for *_, none in routes} == {True, False}
+    assert calls["new"] == calls["ref"]
+    assert calls["new"]

@@ -630,8 +630,8 @@ def test_generate_simplicial_holes_flat_params():
 def test_generate_rejects_unknown_and_extra():
     with pytest.raises(InputError, match="unknown family"):
         generate("moebius")
-    with pytest.raises(InputError, match="does not take"):
-        generate("cycle", n=4, twist=1)
+    with pytest.raises(InputError, match="does not take bend, twist$"):
+        generate("cycle", n=4, twist=1, bend=2)
     with pytest.raises(InputError, match="needs"):
         generate("banana_tower")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import grow_tight_graph, zero_extension_graph
+from rigidkit import frameworks
 from rigidkit.errors import ContinuationError, InputError
 from rigidkit.frameworks import (
     PRIME,
@@ -393,6 +394,39 @@ def test_continuation_cubic_triangle_moves():
     assert got == pytest.approx(ref, abs=1e-8)
     moved = np.abs(path[-1].array_for(TRIANGLE) - TRI_PLACEMENT.array_for(TRIANGLE)).max()
     assert moved > 1e-3
+
+
+def _per_edge_length_map(pts, g, qf):
+    """Edge lengths and their Jacobian edge by edge, the powers of each
+    edge's length taken on numpy scalars."""
+    idx = g.index_of
+    d = pts.shape[1]
+    lengths = np.zeros(g.n_edges)
+    jac = np.zeros((g.n_edges, pts.size))
+    for r, (a, b) in enumerate(g.edges):
+        diff = pts[idx[a]] - pts[idx[b]]
+        norm_q = np.sum(np.abs(diff) ** qf) ** (1.0 / qf)
+        lengths[r] = norm_q
+        row = signed_power(diff, qf - 1.0) / norm_q ** (qf - 1.0)
+        jac[r, d * idx[a] : d * idx[a] + d] = row
+        jac[r, d * idx[b] : d * idx[b] + d] = -row
+    return lengths, jac
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 2.5])
+def test_length_map_matches_per_edge_evaluation(q):
+    # bit for bit: a last-bit change in either would move every tracked path
+    graphs = [cycle_graph(4), TRIANGLE]
+    graphs += [grow_tight_graph("euclidean", 12, seed=s) for s in range(8)]
+    for d in (2, 3):
+        norm = NormSpec(d, q)
+        for seed, g in enumerate(graphs):
+            pts = random_placement(g, norm, seed).array_for(g)
+            lengths, jac = _per_edge_length_map(pts, g, float(q))
+            got = frameworks._lq_lengths(pts, g, float(q))
+            assert got.tobytes() == lengths.tobytes()
+            got = frameworks._length_jacobian(pts, g, float(q))
+            assert got.tobytes() == jac.tobytes()
 
 
 def test_growth_profile_cancels_when_bracing_appears():

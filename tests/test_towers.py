@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -295,7 +296,7 @@ def _random_suite(idx: int):
 def test_planar_container_matches_relative_rigidity(idx):
     g, h, q, norm = _random_suite(idx)
     verdict = relative_rigidity(g, h, norm, seed=idx)
-    container = rigid_container_2d(g, h, q, seed=idx)
+    container = rigid_container_2d(g, h, q)
     assert verdict.relatively_rigid == (container is not None)
     if container is not None:
         assert h.is_subgraph_of(container)
@@ -398,7 +399,7 @@ def test_sequential_witness_for_tight_tower():
         assert h.is_subgraph_of(t.stages[k + 1])
         assert is_rigid_generic(h, EUCLID2).rigid
     # A sequential certificate forces the union itself to be rigid.
-    union = t.union
+    union = t.reference
     assert flex_report(union, random_placement(union, EUCLID2, 5), EUCLID2).flex_dim == 0
 
 
@@ -497,3 +498,162 @@ def test_greedy_subsequence_skips_unpinned_stage():
         [C4, graph_union(C4, pendant), graph_union(complete_graph(4), pendant)]
     )
     assert relatively_rigid_subsequence(t, EUCLID2) == (0, 2)
+
+
+# ---- staged decisions against per-decision reference loops ---------------
+
+# Reference copies of the planar tight-witness and container loops, written
+# out per decision: with no target the reference is the graph_union fold of
+# the stages, the union of the witnesses is gathered edge by edge, and the
+# stage pairs are built here.
+
+
+def _stage_union(stages):
+    g = stages[0]
+    for h in stages[1:]:
+        g = graph_union(g, h)
+    return g
+
+
+def _laman_reference(t, q):
+    count = LAMAN if q == 2 else QNORM_2D
+    witness = []
+    prev = ()
+    for stage in t.stages:
+        tight = extend_to_tight_spanning(stage, count, prev)
+        if tight is None:
+            return LAMAN_TOWER_NOT, None
+        witness.append(tight)
+        prev = tight.edges
+    union = _stage_union(t.stages)
+    ref = t.target if t.target is not None else union
+    if union.vertex_set != ref.vertex_set:
+        return LAMAN_TOWER_NOT, tuple(witness)
+    covered = set()
+    for w in witness:
+        covered.update(w.edge_set)
+    status = LAMAN_TOWER_MINIMAL if covered == ref.edge_set else LAMAN_TOWER_RIGID
+    return status, tuple(witness)
+
+
+def _sequential_reference(t, q, seed, confirm):
+    pairs = list(zip(t.stages, t.stages[1:]))
+    if t.depth == 1 or t.stages[-1] == t.target:
+        pairs.append((t.stages[-1], t.stages[-1]))
+    witness = []
+    for k, (small, large) in enumerate(pairs):
+        container = rigid_container_2d(large, small, q)
+        if container is None:
+            check = confirm(large, small, NormSpec(2, q), seed=seed + 31 * k + 7)
+            if check.relatively_rigid:
+                raise InconsistencyError("relatively rigid but no container found")
+            return None
+        witness.append(container)
+    return tuple(witness)
+
+
+def _random_nested_tower(idx):
+    """A seeded tower on a random graph g, with g, the final stage or
+    nothing as its declared target.
+
+    Half the towers grow nested tight stages, with a few extra edges on
+    some, and g one move past the final stage.  The others take the stages
+    of a complete or a random graph g by arrival times; a vertex or edge
+    arriving at the depth is only in g.  The edges of a complete g arrive
+    with their later endpoint, so its stages are rigid."""
+    rng = random.Random(idx)
+    q = (2, 3, 2.5)[idx % 3]
+    mode = "euclidean" if q == 2 else "qnorm"
+    depth = rng.randint(1, 4)
+    if idx % 2:
+        stages = []
+        g = None
+        for _ in range(depth + 1):
+            size = (g.n_vertices if g else 2) + rng.randint(0, 2)
+            kept = g.edges if g is not None else ()
+            seed = rng.randrange(10**6)
+            g = grow_tight_graph(mode, size, seed=seed, start=g, protected=kept)
+            extra = [e for e in combinations(g.vertices, 2) if not g.has_edge(*e)]
+            if extra and rng.random() < 0.3:
+                g = g.with_edges([rng.choice(extra)])
+            stages.append(g)
+        return Tower(stages[:-1], (None, stages[-2], g)[rng.randrange(3)]), q
+    n = rng.randint(3, 9)
+    complete = rng.random() < 0.4
+    g = complete_graph(n) if complete else random_graph(n, rng.uniform(0.3, 0.9), idx)
+    late = depth if rng.random() < 0.4 else depth - 1
+    when = {v: rng.randint(0, late) for v in g.vertices}
+    when[g.vertices[0]] = 0
+    for e in g.edges:
+        delay = 0 if complete else rng.randint(0, late)
+        when[e] = max(when[e[0]], when[e[1]], delay)
+    stages = [
+        SimpleGraph(
+            [v for v in g.vertices if when[v] <= k],
+            [e for e in g.edges if when[e] <= k],
+        )
+        for k in range(depth)
+    ]
+    return Tower(stages, (None, stages[-1], g)[rng.randrange(3)]), q
+
+
+def _laid_out(graphs):
+    return None if graphs is None else [(h.vertices, h.edges) for h in graphs]
+
+
+def test_laman_decision_matches_reference_loop():
+    seen = set()
+    for idx in range(300):
+        t, q = _random_nested_tower(idx)
+        verdict = laman_tower_decide(t, q)
+        status, witness = _laman_reference(t, q)
+        assert (verdict.status, _laid_out(verdict.witness)) == (
+            status,
+            _laid_out(witness),
+        ), idx
+        seen.add((status, witness is None, t.target is None, t.depth == 1))
+    # every status, a NotCertified both with and without witnesses, and
+    # declared targets and single stages among them
+    assert {s for s, *_ in seen} == {
+        LAMAN_TOWER_NOT,
+        LAMAN_TOWER_RIGID,
+        LAMAN_TOWER_MINIMAL,
+    }
+    assert {(s, none) for s, none, *_ in seen if s == LAMAN_TOWER_NOT} == {
+        (LAMAN_TOWER_NOT, True),
+        (LAMAN_TOWER_NOT, False),
+    }
+    assert {(target, single) for _, _, target, single in seen} == {
+        (True, True), (True, False), (False, True), (False, False)
+    }
+
+
+def test_sequential_decision_matches_reference_loop(monkeypatch):
+    calls = {"new": [], "ref": []}
+    real = relative_rigidity
+
+    def recorder(log):
+        def confirm(g, h, norm, seed=0):
+            calls[log].append((g.vertices, g.edges, h.vertices, h.edges, seed))
+            return real(g, h, norm, seed=seed)
+
+        return confirm
+
+    monkeypatch.setattr("rigidkit.towers.relative_rigidity", recorder("new"))
+    outcomes = set()
+    for idx in range(240):
+        t, q = _random_nested_tower(idx)
+        got = want = None
+        try:
+            got = _laid_out(sequential_rigidity_2d(t, q, seed=idx))
+        except InputError as err:
+            got = str(err)
+        try:
+            want = _laid_out(_sequential_reference(t, q, idx, recorder("ref")))
+        except InputError as err:
+            want = str(err)
+        assert got == want, idx
+        outcomes.add("undersized" if isinstance(want, str) else want is None)
+    assert outcomes == {"undersized", True, False}
+    assert calls["new"] == calls["ref"]
+    assert calls["new"]
