@@ -69,7 +69,6 @@ __all__ = [
     "tay_decide",
     "spanning_tree_layers",
     "nash_williams_trees",
-    "remodel_bodies",
     "special_placement",
     "essentially_independent",
     "rigid_container_multibody",
@@ -82,9 +81,9 @@ _NUMERIC_CHECK_CAP = 36
 
 
 def body_bar_count(norm: NormSpec) -> int:
-    """Sparsity parameter k of the collapsed multigraph for this norm."""
-    d = norm.d
-    return d * (d + 1) // 2 if norm.euclidean else d
+    """Sparsity parameter k of the collapsed multigraph for this norm: the
+    dimension of the rigid motions."""
+    return norm.trivial_dim_generic
 
 
 def _structure_problems(g: SimpleGraph, bodies: Sequence[Sequence[int]]) -> list[str]:
@@ -184,7 +183,7 @@ def validate_multibody(
     The partition and bar rules are checked first; only a structurally sound
     input proceeds to the per-body generic rigidity checks.  One random
     placement of g ranks every body's slice, as essentially_independent
-    does, and a body whose rank reaches d*n_i - trivial_dim_i is certified
+    does, and a body whose rank reaches norm.rigid_rank(n_i) is certified
     rigid (in the plane, its tight-spanning count must agree).  Only a body
     that falls short is redrawn by is_rigid_generic, at up to five
     placements of its own, and reported if it stays short.
@@ -197,7 +196,7 @@ def validate_multibody(
     for i, b in enumerate(bs):
         part = induced_subgraph(g, b)
         rank = placement_rank(part, p, norm)
-        if rank == norm.d * len(b) - norm.trivial_dim_at(len(b)):
+        if rank == norm.rigid_rank(len(b)):
             _plane_cross_check(part, norm, True, rank)
         elif not is_rigid_generic(part, norm).rigid:
             problems.append(
@@ -264,11 +263,11 @@ def tay_decide(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) -> TayVerdict:
     Rigid exactly when the collapsed multigraph has a (k, k)-tight spanning
     subgraph, returned as the witness.  Read as a matroid statement, Tay's
     theorem also gives the generic rank of the structure: the body ranks
-    d*n_i - trivial_dim_i plus the number of bars the pebble game accepts.
+    norm.rigid_rank(n_i) plus the number of bars the pebble game accepts.
     At small sizes in dimension two or three the verdict is cross-checked
     against the numeric rank of the full structure, drawn at the seeded
     placements of is_rigid_generic (at most five) only until one reaches
-    that prediction or d*n - trivial_dim.  A rank above the prediction, a
+    that prediction or norm.rigid_rank(n).  A rank above the prediction, a
     numeric verdict that disagrees with the count, or in the plane with the
     tight-spanning count of the whole graph, would mean a broken invariant
     and raises InconsistencyError.
@@ -287,10 +286,9 @@ def tay_decide(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) -> TayVerdict:
     g = m.underlying
     checked = False
     if norm.d <= 3 and g.n_vertices <= _NUMERIC_CHECK_CAP:
-        predicted = len(accepted) + sum(
-            norm.d * len(b) - norm.trivial_dim_at(len(b)) for b in m.bodies
-        )
-        rank, top, _ = _best_placement(g, norm, 5, seed, target=predicted)
+        predicted = len(accepted) + sum(norm.rigid_rank(len(b)) for b in m.bodies)
+        rank, _ = _best_placement(g, norm, 5, seed, target=predicted)
+        top = norm.rigid_rank(g.n_vertices)
         if rank > predicted:
             raise InconsistencyError(
                 f"rank {rank} at a sampled placement exceeds the generic rank "
@@ -431,41 +429,7 @@ def nash_williams_trees(gb: MultiGraph, d: int) -> tuple[MultiGraph, ...]:
     )
 
 
-# ---- body remodeling and the special placement ---------------------------
-
-
-def remodel_bodies(m: MultiBodyGraph, size: int) -> MultiBodyGraph:
-    """Replace every body by a complete graph on `size` fresh vertices.
-
-    The collapsed multigraph is unchanged up to isomorphism, which leaves the
-    nontrivial freedom of the structure as it was, so numerical work may
-    assume uniform complete bodies.  Labels are canonical: body i occupies
-    size*i .. size*i + size - 1 and bar endpoints take slots in bar order.
-    Choosing a size large enough for the active norm's rigidity threshold is
-    the caller's business; hosting all bars of a body is checked here.
-    """
-    if size < 2:
-        raise InputError("bodies need at least 2 vertices")
-    slots = [0] * m.n_bodies
-    owner = m.body_of
-    bars = []
-    for v, w in m.inter_body_edges:
-        a, b = owner[v], owner[w]
-        if slots[a] >= size or slots[b] >= size:
-            crowded = a if slots[a] >= size else b
-            raise InputError(f"size {size} cannot host the bars at body {crowded}")
-        bars.append((a * size + slots[a], b * size + slots[b]))
-        slots[a] += 1
-        slots[b] += 1
-    edges = [
-        (i * size + s, i * size + t)
-        for i in range(m.n_bodies)
-        for s in range(size)
-        for t in range(s + 1, size)
-    ]
-    g = SimpleGraph(range(m.n_bodies * size), edges + bars)
-    bodies = tuple(tuple(range(i * size, (i + 1) * size)) for i in range(m.n_bodies))
-    return MultiBodyGraph(g, bodies, tuple(bars))
+# ---- the special placement -----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -517,10 +481,10 @@ def special_placement(
         pts[w] = pts[v].copy()
         pts[w][layer] += eps
     p = Placement(d, pts)
-    rank = placement_rank(g, p, norm)
-    if rank != d * g.n_vertices - d:
+    rank, top = placement_rank(g, p, norm), norm.rigid_rank(g.n_vertices)
+    if rank != top:
         raise PlacementError(
-            f"special placement has rank {rank}, short of {d * g.n_vertices - d} "
+            f"special placement has rank {rank}, short of {top} "
             f"at eps={eps}; the bodies must be generically rigid for {norm} "
             "(validate_multibody checks this); reseed or pass a smaller eps"
         )
@@ -531,7 +495,7 @@ def special_placement(
 
 
 def _independence_threshold(norm: NormSpec) -> int:
-    return norm.d * (norm.d + 1) if norm.euclidean else 2 * norm.d
+    return 2 * norm.trivial_dim_generic
 
 
 def essentially_independent(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) -> bool:

@@ -12,11 +12,13 @@ pinned_ranks, which also ranks the matrix with some vertices' columns deleted
 is a polynomial in the coordinates, which are dyadic rationals, so the exact
 matrix reduces mod the prime PRIME = 2^31 - 1, and int64 elimination gives
 its rank over GF(PRIME).  That never exceeds the rank over Q: reaching
-d*n - trivial_dim certifies rigidity, and falling short of a generic rank r
-happens with probability at most r(q-1)/PRIME per placement (Schwartz 1980).
-A non-integer q, and flex_report at a given placement (an intended geometry
-that float rounding perturbs), use the SVD cutoff
-sigma > eps * sigma_max * max(rows, cols) with eps = 1e-9 by default.
+NormSpec.rigid_rank(n) certifies rigidity, and falling short of a generic
+rank r happens with probability at most r(q-1)/PRIME per placement (Schwartz
+1980).  Sampled points are in general position, so the norm counts their
+rigid motions.  A non-integer q, and flex_report at a given placement (an
+intended geometry that float rounding perturbs, maybe degenerate), use the
+SVD cutoff sigma > eps * sigma_max * max(rows, cols) with eps = 1e-9 by
+default.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .graphs import SimpleGraph
 from .norms import RANK_EPS, NormSpec
 from .placements import Placement
 from . import sparsity
-from .sparsity import LAMAN, QNORM_2D
 
 VelocityField = dict[int, np.ndarray]
 
@@ -123,16 +124,9 @@ def kernel_at_rank(m: np.ndarray, rank: int) -> np.ndarray:
     return np.linalg.svd(m, full_matrices=True)[2][rank:]
 
 
-def trivial_motion_basis(
-    g: SimpleGraph, p: Placement, norm: NormSpec, eps: float = RANK_EPS
-) -> np.ndarray:
-    """Orthonormal basis of the evaluated rigid-motion space.
-
-    Generators are the d coordinate translations plus, in the Euclidean case,
-    the d(d-1)/2 infinitesimal rotations.  Their evaluations at p can be
-    dependent (few vertices, degenerate positions), so the dimension is the
-    rank of the evaluated set, never assumed maximal.
-    """
+def _motion_generators(g: SimpleGraph, p: Placement, norm: NormSpec) -> np.ndarray:
+    """The d coordinate translations plus, in the Euclidean case, the d(d-1)/2
+    infinitesimal rotations, evaluated at p: one flattened motion per row."""
     pts = p.array_for(g)
     n, d = g.n_vertices, norm.d
     gens = []
@@ -147,9 +141,21 @@ def trivial_motion_basis(
                 f[:, i] = -pts[:, j]
                 f[:, j] = pts[:, i]
                 gens.append(f.ravel())
-    gmat = np.array(gens)
+    return np.array(gens)
+
+
+def trivial_motion_basis(
+    g: SimpleGraph, p: Placement, norm: NormSpec, eps: float = RANK_EPS
+) -> np.ndarray:
+    """Orthonormal basis of the evaluated rigid-motion space.
+
+    The evaluated generators (_motion_generators) can be dependent (few
+    vertices, degenerate positions), so the dimension is the rank of the
+    evaluated set, never assumed maximal.
+    """
+    gmat = _motion_generators(g, p, norm)
     if gmat.size == 0:
-        return np.zeros((0, n * d))
+        return np.zeros((0, norm.d * g.n_vertices))
     u, s, vt = np.linalg.svd(gmat, full_matrices=False)
     r = _rank_from_singulars(s, gmat.shape, eps)
     return vt[:r]
@@ -183,14 +189,15 @@ def _report(
     g: SimpleGraph,
     norm: NormSpec,
     rank: int,
-    triv: np.ndarray,
+    trivial_dim: int,
     kern: np.ndarray | None = None,
+    triv: np.ndarray | None = None,
 ) -> FlexReport:
-    """The nontrivial flexes are the kernel rows with the trivial motions
-    projected out, so kern is needed only when some are left."""
+    """The nontrivial flexes are the kernel rows kern with the trivial
+    motions triv projected out, so both are needed only when some are left."""
     n, d = g.n_vertices, norm.d
     nullity = d * n - rank
-    flex_dim = nullity - triv.shape[0]
+    flex_dim = nullity - trivial_dim
     basis: tuple[np.ndarray, ...] = ()
     if flex_dim > 0:
         residual = kern - (kern @ triv.T) @ triv
@@ -199,7 +206,7 @@ def _report(
     return FlexReport(
         rank=rank,
         nullity=nullity,
-        trivial_dim=triv.shape[0],
+        trivial_dim=trivial_dim,
         flex_dim=flex_dim,
         vertex_order=g.vertices,
         nontrivial_flex_basis=basis,
@@ -209,20 +216,26 @@ def _report(
 def flex_report(
     g: SimpleGraph, p: Placement, norm: NormSpec, tol: float = RANK_EPS
 ) -> FlexReport:
-    """Flex report at a given placement, ranked by the SVD cutoff tol."""
+    """Flex report at a given placement, ranked by the SVD cutoff tol.  The
+    placement may be degenerate, so its rigid motions are evaluated and
+    ranked by the same cutoff."""
     kern = kernel_basis(rigidity_matrix(g, p, norm).matrix, tol)
     rank = norm.d * g.n_vertices - kern.shape[0]
-    return _report(g, norm, rank, trivial_motion_basis(g, p, norm, tol), kern)
+    triv = trivial_motion_basis(g, p, norm, tol)
+    return _report(g, norm, rank, triv.shape[0], kern, triv)
 
 
 def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> FlexReport:
-    """Flex report at p for a rank from placement_rank: a rigid one needs no
-    SVD, a flexible one takes the singular vectors after the known rank."""
-    triv = trivial_motion_basis(g, p, norm)
-    kern = None
-    if norm.d * g.n_vertices - rank > triv.shape[0]:
-        kern = kernel_at_rank(rigidity_matrix(g, p, norm).matrix, rank)
-    return _report(g, norm, rank, triv, kern)
+    """Flex report at a sampled placement p for a rank from placement_rank.
+    The points are in general position, so the norm gives the rigid-motion
+    count: a rigid report needs no SVD and no motion basis, a flexible one
+    takes the singular vectors after the known rank and projects out the
+    evaluated motions."""
+    trivial_dim = norm.trivial_dim_at(g.n_vertices)
+    if rank >= norm.rigid_rank(g.n_vertices):
+        return _report(g, norm, rank, trivial_dim)
+    kern = kernel_at_rank(rigidity_matrix(g, p, norm).matrix, rank)
+    return _report(g, norm, rank, trivial_dim, kern, trivial_motion_basis(g, p, norm))
 
 
 # ---- placement sampling ------------------------------------------------
@@ -335,23 +348,23 @@ def pinned_ranks(
 
 def _best_placement(
     g: SimpleGraph, norm: NormSpec, trials: int, seed: int, target: int | None = None
-) -> tuple[int, int, Placement]:
-    """Highest rank over the placements of seeds seed, seed + 1, ..., with its
-    top d*n - trivial_dim and the placement, stopping at the first whose rank
-    reaches min(target, top).  The target defaults to |E|, which bounds every
-    rank; a caller that knows the generic rank passes that instead."""
+) -> tuple[int, Placement]:
+    """Highest rank over the placements of seeds seed, seed + 1, ..., with the
+    placement, stopping at the first whose rank reaches
+    min(target, norm.rigid_rank(n)).  The target defaults to |E|, which bounds
+    every rank; a caller that knows the generic rank passes that instead."""
     if trials < 1:
         raise InputError("generic rank sampling needs at least one trial")
     if target is None:
         target = g.n_edges
-    best: tuple[int, int, Placement] | None = None
+    stop = min(target, norm.rigid_rank(g.n_vertices))
+    best: tuple[int, Placement] | None = None
     for t in range(trials):
         p = random_placement(g, norm, seed + t)
         rank = placement_rank(g, p, norm)
-        top = norm.d * g.n_vertices - trivial_motion_basis(g, p, norm).shape[0]
         if best is None or rank > best[0]:
-            best = (rank, top, p)
-        if rank >= min(target, top):
+            best = (rank, p)
+        if rank >= stop:
             break
     assert best is not None
     return best
@@ -359,7 +372,7 @@ def _best_placement(
 
 def generic_rank(g: SimpleGraph, norm: NormSpec, trials: int = 5, seed: int = 0) -> int:
     """Highest rank over seeded random placements, stopping at the first that
-    reaches min(|E|, d*n - trivial_dim).  For an integer q this certifies a
+    reaches min(|E|, norm.rigid_rank(n)).  For an integer q this certifies a
     lower bound on the generic rank r, short of it with probability at most
     r(q-1)/PRIME per placement; a non-integer q ranks by the SVD cutoff."""
     return _best_placement(g, norm, trials, seed)[0]
@@ -372,10 +385,6 @@ class GenericRigidityVerdict:
     placement: Placement = field(compare=False)
     combinatorial: bool | None = field(compare=False, default=None)
 
-    @property
-    def classification(self) -> str:
-        return "Rigid" if self.rigid else "Flexible"
-
 
 def _plane_cross_check(
     g: SimpleGraph, norm: NormSpec, rigid: bool, rank: int
@@ -384,7 +393,7 @@ def _plane_cross_check(
     agree with a numeric one at the given rank; None in other dimensions."""
     if norm.d != 2:
         return None
-    count = LAMAN if norm.euclidean else QNORM_2D
+    count = sparsity.planar_count(norm)
     comb = g.n_vertices <= 1 or sparsity.tight_spanning_subgraph(g, count) is not None
     if comb != rigid:
         raise InconsistencyError(
@@ -405,7 +414,7 @@ def is_rigid_generic(
     cross-checked against the tight-spanning combinatorial characterization;
     disagreement raises InconsistencyError.
     """
-    rank, _, p = _best_placement(g, norm, trials, seed)
+    rank, p = _best_placement(g, norm, trials, seed)
     report = report_at_rank(g, p, norm, rank)
     comb = _plane_cross_check(g, norm, report.rigid, report.rank)
     return GenericRigidityVerdict(

@@ -57,11 +57,20 @@ class NormSpec:
         return self.d
 
     def trivial_dim_at(self, n: int) -> int:
-        """Dimension of the rigid motions evaluated at n >= 1 points in general
-        position: all of them, less in the Euclidean case the rotations that
-        fix the (n-1)-flat through the points when n <= d."""
+        """Dimension of the rigid motions evaluated at n points in general
+        position: none at no point, else all of them, less in the Euclidean
+        case the rotations that fix the (n-1)-flat through the points when
+        n <= d."""
+        if n == 0:
+            return 0
         fixed = max(self.d - n + 1, 0) if self.euclidean else 0
         return self.trivial_dim_generic - fixed * (fixed - 1) // 2
+
+    def rigid_rank(self, n: int) -> int:
+        """Rank of a rigid framework on n points in general position, d*n
+        less the evaluated rigid motions.  No placement of n points ranks
+        higher, so a sampled rank that reaches it certifies rigidity."""
+        return self.d * n - self.trivial_dim_at(n)
 
     @classmethod
     def parse(cls, text: str) -> "NormSpec":

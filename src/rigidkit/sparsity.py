@@ -23,6 +23,7 @@ from typing import Iterable
 
 from .errors import AlgorithmError, InputError, UnsupportedCountError
 from .graphs import GraphLike, MultiGraph, normalize_edge
+from .norms import NormSpec
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,12 @@ class SparsityCount:
 
 LAMAN = SparsityCount(2, 3)
 QNORM_2D = SparsityCount(2, 2)
+
+
+def planar_count(norm: NormSpec) -> SparsityCount:
+    """The count whose tight spanning subgraphs characterize generic rigidity
+    in the plane under norm: Laman's (2,3) for q = 2, (2,2) otherwise."""
+    return LAMAN if norm.euclidean else QNORM_2D
 
 
 @dataclass(frozen=True)

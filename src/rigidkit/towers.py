@@ -27,18 +27,15 @@ from .graphs import (
 )
 from .norms import NormSpec
 from .sparsity import (
-    LAMAN,
-    QNORM_2D,
     PebbleGame,
     SparsityCount,
     extend_to_tight_spanning,
+    planar_count,
 )
 
 # numpy and frameworks load inside the functions that compute ranks, so the
 # pebble-game decisions (laman_tower_decide, rigid_container_2d) never load them.
 if TYPE_CHECKING:
-    import numpy as np
-
     from .frameworks import Placement, VelocityField
 
 __all__ = [
@@ -85,39 +82,45 @@ class RelativeRigidityVerdict:
     nullity_anchored: int
     placement: Placement = field(compare=False)
     witness_flex: VelocityField | None = field(compare=False, default=None)
-    container: SimpleGraph | None = None
 
 
 def _witness_flex(
-    g: SimpleGraph,
-    p: Placement,
-    norm: NormSpec,
-    free: np.ndarray,
-    rank_g: int,
-    rank_pinned: int,
-    nullity_anchored: int,
+    g: SimpleGraph, h: SimpleGraph, p: Placement, norm: NormSpec, rank_g: int
 ) -> VelocityField:
+    """The unit flex of g that moves h farthest from a rigid motion.
+
+    With K the orthonormal kernel rows of g's matrix at p, K_h their columns
+    on h and P the projector onto h's rigid motions, the anchored kernel
+    (the flexes rigid on h) is c K for c in the left null space of
+    K_h (I - P).  The top left singular vector of K_h (I - P), mapped
+    through K, is thus a unit flex orthogonal to it that moves h by the top
+    singular value.  K holds g's rigid motions only to a rounding error that
+    the matrix's conditioning amplifies, so they are projected out of the
+    witness once more; both projections fit the motion generators by least
+    squares.
+    """
     import numpy as np
 
-    from .frameworks import kernel_at_rank, rigidity_matrix, trivial_motion_basis
+    from .frameworks import _motion_generators, kernel_at_rank, rigidity_matrix
 
     m = rigidity_matrix(g, p, norm).matrix
-    kern_g = kernel_at_rank(m, rank_g)
-    # The anchored kernel: the trivial motions plus the flexes that vanish on
-    # h, which are the pinned kernel extended by zero over h's columns.
-    pinned = kernel_at_rank(m[:, free], rank_pinned)
-    spanning = np.zeros((pinned.shape[0], m.shape[1]))
-    spanning[:, free] = pinned
-    spanning = np.vstack([trivial_motion_basis(g, p, norm), spanning])
-    anchored = np.linalg.svd(spanning, full_matrices=False)[2][:nullity_anchored]
-    resid = kern_g - (kern_g @ anchored.T) @ anchored
-    norms = np.linalg.norm(resid, axis=1)
-    best = int(np.argmax(norms))
-    if norms[best] < 1e-8:
+    # Unit rows keep the kernel and even out the spread of q-th power row
+    # sizes, which sharpens its float basis.
+    kern = kernel_at_rank(m / np.linalg.norm(m, axis=1, keepdims=True), rank_g)
+    gens = _motion_generators(g, p, norm).T
+    on_h = np.repeat([v in h.vertex_set for v in g.vertices], norm.d)
+
+    def nontrivial(x, rows):
+        """x less its least-squares fit by the rigid motions on rows."""
+        return x - gens[rows] @ np.linalg.lstsq(gens[rows], x, rcond=None)[0]
+
+    # The SVD of (K_h (I - P))^T: its right singular vectors are the left
+    # ones of K_h (I - P).
+    _, s, vt = np.linalg.svd(nontrivial(kern[:, on_h].T, on_h), full_matrices=False)
+    if s[0] < 1e-8:
         raise AlgorithmError("nullity gap reported but no separating flex found")
-    # The anchored kernel holds the trivial motions, so the residual is
-    # orthogonal to them; normalizing makes the nontriviality scale-free.
-    vec = (resid[best] / norms[best]).reshape(g.n_vertices, norm.d)
+    vec = nontrivial(vt[0] @ kern, slice(None))
+    vec = (vec / np.linalg.norm(vec)).reshape(g.n_vertices, norm.d)
     return {v: vec[i].copy() for i, v in enumerate(g.vertices)}
 
 
@@ -132,7 +135,8 @@ def relative_rigidity(
     trivial motions T plus the flexes of g that vanish on h, and
     nullity_anchored = dim(T restricted to h) + d(n - |h|) - r_pinned,
     where r_pinned is the rank of g's rigidity matrix with h's columns
-    deleted.  Both ranks come from one seeded random placement: exact mod
+    deleted, and the norm gives dim(T restricted to h) at a sampled
+    placement.  Both ranks come from one seeded random placement: exact mod
     PRIME for an integer q, by the SVD cutoff otherwise.  Each falls below
     its generic value with probability at most r(q-1)/PRIME, r that value,
     so for an integer q either verdict is wrong with probability at most
@@ -142,7 +146,7 @@ def relative_rigidity(
     """
     import numpy as np
 
-    from .frameworks import pinned_ranks, random_placement, trivial_motion_basis
+    from .frameworks import pinned_ranks, random_placement
 
     if not h.is_subgraph_of(g):
         raise InputError("h must be a subgraph of g")
@@ -157,7 +161,7 @@ def relative_rigidity(
     rank_g, rank_pinned = pinned_ranks(g, p, norm, free)
     nullity_g = norm.d * g.n_vertices - rank_g
     nullity_a = (
-        trivial_motion_basis(h, p, norm).shape[0]
+        norm.trivial_dim_at(h.n_vertices)
         + norm.d * (g.n_vertices - h.n_vertices)
         - rank_pinned
     )
@@ -168,7 +172,7 @@ def relative_rigidity(
     rigid_rel = nullity_a == nullity_g
     witness = None
     if not rigid_rel:
-        witness = _witness_flex(g, p, norm, free, rank_g, rank_pinned, nullity_a)
+        witness = _witness_flex(g, h, p, norm, rank_g)
     return RelativeRigidityVerdict(
         relatively_rigid=rigid_rel,
         nullity_graph=nullity_g,
@@ -179,10 +183,6 @@ def relative_rigidity(
 
 
 # ---- planar rigid containers --------------------------------------------
-
-
-def _count_for_q(norm: NormSpec) -> SparsityCount:
-    return LAMAN if norm.euclidean else QNORM_2D
 
 
 def rigid_container_2d(g: SimpleGraph, h: SimpleGraph, q) -> SimpleGraph | None:
@@ -203,7 +203,7 @@ def rigid_container_2d(g: SimpleGraph, h: SimpleGraph, q) -> SimpleGraph | None:
             f"rigid container for q={q} needs at least {need} vertices in h, "
             f"got {h.n_vertices}"
         )
-    game = PebbleGame.over(g, _count_for_q(norm))
+    game = PebbleGame.over(g, planar_count(norm))
     thin = SimpleGraph(g.vertices, tuple(g.edges[i] for i in game.accepted))
     # Ordered sets: the container lists h first, then each link as it comes.
     vs, es = dict.fromkeys(h.vertices), dict.fromkeys(h.edges)
@@ -383,7 +383,7 @@ def laman_tower_decide(t: Tower, q) -> LamanTowerVerdict:
     otherwise.  A nested witness spanning every stage certifies Rigid, and
     MinimallyRigid when the witnesses also exhaust the reference edge set."""
     validate_tower(t)
-    count = _count_for_q(NormSpec(2, q))
+    count = planar_count(NormSpec(2, q))
     return LamanTowerVerdict(*_nested_witnesses(t.stages, t.reference, count))
 
 

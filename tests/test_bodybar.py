@@ -20,7 +20,6 @@ from rigidkit.bodybar import (
     essentially_independent,
     labeled_body_bar,
     nash_williams_trees,
-    remodel_bodies,
     rigid_container_multibody,
     spanning_tree_layers,
     special_placement,
@@ -35,12 +34,11 @@ from rigidkit.errors import (
 )
 from rigidkit.frameworks import (
     NormSpec,
-    flex_report,
     is_rigid_generic,
     random_placement,
     rigidity_matrix,
 )
-from rigidkit.graphs import MultiGraph, SimpleGraph
+from rigidkit.graphs import MultiGraph, SimpleGraph, complete_graph
 from rigidkit.sparsity import SparsityCount, extend_to_tight_spanning, is_sparse
 from rigidkit.towers import LAMAN_TOWER_NOT, LAMAN_TOWER_RIGID, relative_rigidity
 
@@ -240,6 +238,25 @@ def test_rigid_bodies_share_one_placement(monkeypatch, norm):
     assert len(draws) == 1
 
 
+def test_sampled_decisions_count_rigid_motions_by_the_norm(monkeypatch):
+    """At a sampled placement the points are in general position, so the
+    norm gives the rigid-motion count and no decision evaluates the motions
+    to count them."""
+    g, bodies = build((6, 6), [(0, 6), (1, 7), (2, 8)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rigid motions evaluated for a count")
+
+    monkeypatch.setattr(frameworks, "trivial_motion_basis", refuse)
+    m = validate_multibody(g, bodies, CUBIC3)
+    assert is_rigid_generic(g, CUBIC3).rigid
+    assert is_rigid_generic(complete_graph(6), EUCLID3).rigid
+    assert relative_rigidity(complete_graph(6), complete_graph(3), EUCLID3).relatively_rigid
+    verdict = tay_decide(m, CUBIC3)
+    assert verdict.rigid and verdict.cross_checked
+    assert special_placement(m, CUBIC3).report.rigid
+
+
 @pytest.mark.parametrize("idx", range(24))
 def test_collapsed_count_matches_numeric_rank(idx):
     norm = (EUCLID2, CUBIC2, EUCLID3, CUBIC3)[idx % 4]
@@ -303,36 +320,6 @@ def test_tree_partition_properties(seed):
     for t in trees:
         assert t.n_edges == n - 1
         assert is_sparse(t, SparsityCount(1, 1)).tight
-
-
-# ---- remodeling ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("norm", [EUCLID2, CUBIC2], ids=["euclid", "cubic"])
-def test_remodel_keeps_freedom(norm):
-    for seed in range(4):
-        m = random_multibody(3, norm, seed=7 * seed + 1)
-        big = remodel_bodies(m, 6)
-        small_rep = flex_report(
-            m.underlying, random_placement(m.underlying, norm, seed=seed), norm
-        )
-        big_rep = flex_report(
-            big.underlying, random_placement(big.underlying, norm, seed=seed), norm
-        )
-        assert small_rep.flex_dim == big_rep.flex_dim
-
-
-def test_remodel_collapse_isomorphic():
-    m = random_multibody(4, CUBIC2, seed=11)
-    big = remodel_bodies(m, 7)
-    assert body_bar_graph(big).graph == body_bar_graph(m).graph
-
-
-def test_remodel_size_must_host_the_bars():
-    g, bodies = build((4, 4), [(0, 4), (1, 5), (2, 6)])
-    m = validate_multibody(g, bodies, EUCLID2)
-    with pytest.raises(InputError, match="cannot host"):
-        remodel_bodies(m, 2)
 
 
 # ---- constructed placements ----------------------------------------------

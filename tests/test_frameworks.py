@@ -145,7 +145,17 @@ def test_trivial_dim_at_matches_the_evaluated_motions(d, q):
     for n in range(1, d + 3):
         g = complete_graph(n)
         p = random_placement(g, norm, seed=n)
-        assert norm.trivial_dim_at(n) == trivial_motion_basis(g, p, norm).shape[0]
+        dim = trivial_motion_basis(g, p, norm).shape[0]
+        assert norm.trivial_dim_at(n) == dim
+        assert norm.rigid_rank(n) == d * n - dim
+
+
+@pytest.mark.parametrize("q", [2, 3, 2.5])
+def test_empty_graph_is_rigid(q):
+    # No point carries a rigid motion, so the norm counts none.
+    verdict = is_rigid_generic(SimpleGraph([], []), NormSpec(2, q))
+    assert verdict.rigid
+    assert (verdict.report.rank, verdict.report.trivial_dim) == (0, 0)
 
 
 def fraction_rank(rows):

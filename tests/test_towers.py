@@ -17,6 +17,7 @@ from rigidkit.frameworks import (
     NormSpec,
     flex_report,
     is_rigid_generic,
+    kernel_basis,
     random_placement,
     rigidity_matrix,
     trivial_motion_basis,
@@ -242,6 +243,53 @@ def test_anchored_nullity_above_graph_nullity_raises(monkeypatch):
     monkeypatch.setattr(rigidkit.frameworks, "pinned_ranks", short_pinned)
     with pytest.raises(InconsistencyError, match="anchored nullity 4 exceeds graph nullity 3"):
         relative_rigidity(complete_graph(4), complete_graph(3), EUCLID2)
+
+
+_K4 = [(a, b) for a, b in combinations(range(4), 2)]
+# Two K4 blocks joined by one bar: rigid blocks under any lq norm in the
+# plane, hinged by the bar.  The anchor lists its vertices out of g's order.
+_HINGED = SimpleGraph(range(8), _K4 + [(a + 4, b + 4) for a, b in _K4] + [(0, 4)])
+
+
+@pytest.mark.parametrize(
+    "g, h, norm",
+    [
+        (C4, DIAGONAL, EUCLID2),
+        (_LOOSE_3D, SimpleGraph([8, 0], []), NormSpec(3, 2)),
+        (_HINGED, SimpleGraph([5, 0, 4, 1], []), CUBIC2),
+        (_HINGED, SimpleGraph([5, 0, 4, 1], []), NormSpec(2, 4)),
+    ],
+    ids=["c4-diagonal", "loose-3d", "hinged-cubic", "hinged-quartic"],
+)
+def test_failing_verdict_takes_its_witness_from_one_svd_of_g(monkeypatch, g, h, norm):
+    """A failing verdict runs one SVD of g's rigidity matrix, and its witness
+    moves h away from the rigid motions by the top singular value of
+    K_h (I - P), K g's kernel rows and P the projector onto the motions on
+    h: no unit flex of g moves h farther."""
+    widths = []
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    verdict = relative_rigidity(g, h, norm, seed=4)
+    monkeypatch.undo()
+    assert not verdict.relatively_rigid
+    assert widths.count(norm.d * g.n_vertices) == 1
+    assert_witness_flex(g, h, norm, verdict)
+    p = verdict.placement
+    m = rigidity_matrix(g, p, norm).matrix
+    kern = kernel_basis(m)
+    assert kern.shape[0] == verdict.nullity_graph
+    cols = [norm.d * g.index_of[v] + i for v in h.vertices for i in range(norm.d)]
+    triv = trivial_motion_basis(h, p, norm)
+    k_h = kern[:, cols]
+    top = np.linalg.svd(k_h - (k_h @ triv.T) @ triv, compute_uv=False)[0]
+    u_h = np.concatenate([verdict.witness_flex[v] for v in h.vertices])
+    moved = np.linalg.norm(u_h - triv.T @ (triv @ u_h))
+    assert moved == pytest.approx(top, rel=1e-9)
 
 
 # ---- rigid containers in the plane ---------------------------------------
