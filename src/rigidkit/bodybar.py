@@ -3,10 +3,11 @@
 A multi-body structure is a simple graph partitioned into generically rigid
 bodies, with every edge between two bodies acting as a bar; bars are pairwise
 vertex-disjoint and no joint carries more than one of them.  Collapsing each
-body to a single node turns the bar set into a loop-free multigraph, and that
+body to a single node turns the bar set into a loop-free multigraph, which
+the structure builds once and keeps as its `collapsed` attribute, and that
 multigraph alone governs rigidity: the structure is rigid exactly when the
-collapsed multigraph contains a (k, k)-tight spanning subgraph, where k is
-the rigid-motion dimension of the ambient space, d(d+1)/2 in the Euclidean
+multigraph contains a (k, k)-tight spanning subgraph (body_bar_count), where
+k is the rigid-motion dimension of the ambient space, d(d+1)/2 in the Euclidean
 case and d otherwise.  Since only the collapsed multigraph matters, bodies
 are freely interchangeable, and for the non-Euclidean exponents a concrete
 rigid placement can be constructed by threading the bars along a spanning
@@ -56,7 +57,6 @@ from .towers import (
 
 __all__ = [
     "MultiBodyGraph",
-    "BodyBarGraph",
     "TayVerdict",
     "SpecialPlacementResult",
     "MultiBodyTower",
@@ -64,7 +64,6 @@ __all__ = [
     "BODYBAR_TOWER_MINIMAL",
     "body_bar_count",
     "validate_multibody",
-    "body_bar_graph",
     "labeled_body_bar",
     "tay_decide",
     "spanning_tree_layers",
@@ -80,10 +79,11 @@ __all__ = [
 _NUMERIC_CHECK_CAP = 36
 
 
-def body_bar_count(norm: NormSpec) -> int:
-    """Sparsity parameter k of the collapsed multigraph for this norm: the
+def body_bar_count(norm: NormSpec) -> SparsityCount:
+    """The (k, k) count of the collapsed multigraph for this norm, k the
     dimension of the rigid motions."""
-    return norm.trivial_dim_generic
+    k = norm.trivial_dim_generic
+    return SparsityCount(k, k)
 
 
 def _structure_problems(g: SimpleGraph, bodies: Sequence[Sequence[int]]) -> list[str]:
@@ -168,6 +168,18 @@ class MultiBodyGraph:
     def body_subgraphs(self) -> tuple[SimpleGraph, ...]:
         return tuple(induced_subgraph(self.underlying, b) for b in self.bodies)
 
+    @cached_property
+    def collapsed(self) -> MultiGraph:
+        """Multigraph on the body indices, one edge per bar: edge i joins the
+        bodies at the two ends of inter_body_edges[i].  Parallel edges are
+        indistinguishable as vertex pairs, so downstream constructions rely
+        on this positional alignment."""
+        owner = self.body_of
+        return MultiGraph(
+            range(self.n_bodies),
+            tuple((owner[v], owner[w]) for v, w in self.inter_body_edges),
+        )
+
     def __repr__(self) -> str:
         return (
             f"MultiBodyGraph({self.n_bodies} bodies, "
@@ -209,39 +221,15 @@ def validate_multibody(
     return MultiBodyGraph(g, bs, bars)
 
 
-@dataclass(frozen=True)
-class BodyBarGraph:
-    """Collapsed multigraph together with the bar it records per edge.
-
-    graph.edges[i] joins the body indices at the two ends of bars[i]; the
-    positional alignment is what downstream constructions rely on, since
-    parallel edges are indistinguishable as vertex pairs.
-    """
-
-    graph: MultiGraph
-    bars: tuple[tuple[int, int], ...]
-
-
-def body_bar_graph(m: MultiBodyGraph) -> BodyBarGraph:
-    """Collapse bodies to single nodes, one multigraph edge per bar."""
-    owner = m.body_of
-    edges = tuple((owner[v], owner[w]) for v, w in m.inter_body_edges)
-    return BodyBarGraph(
-        MultiGraph(range(m.n_bodies), edges), tuple(m.inter_body_edges)
-    )
-
-
 def labeled_body_bar(m: MultiBodyGraph) -> MultiGraph:
     """Collapsed multigraph on stable labels (the least vertex of each body).
 
     Body indices shift as a structure grows, so nested-stage work needs the
     label that survives: bodies keep their least vertex across stages.
     """
-    owner = m.body_of
     names = [b[0] for b in m.bodies]
-    return MultiGraph(
-        names, tuple((names[owner[v]], names[owner[w]]) for v, w in m.inter_body_edges)
-    )
+    edges = m.collapsed.edges
+    return MultiGraph(names, tuple((names[a], names[b]) for a, b in edges))
 
 
 # ---- finite rigidity decision --------------------------------------------
@@ -274,9 +262,8 @@ def tay_decide(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) -> TayVerdict:
     """
     if m.n_bodies < 2:
         raise InputError(f"need at least 2 bodies, got {m.n_bodies}")
-    k = body_bar_count(norm)
-    count = SparsityCount(k, k)
-    collapsed = body_bar_graph(m).graph
+    count = body_bar_count(norm)
+    collapsed = m.collapsed
     accepted = PebbleGame.over(collapsed, count).accepted
     rigid = len(accepted) == count.target(m.n_bodies)
     witness = None
@@ -474,7 +461,7 @@ def special_placement(
         raise InputError("eps must be positive: coincident bar endpoints")
     d = norm.d
     g = m.underlying
-    layers = spanning_tree_layers(body_bar_graph(m).graph, d)
+    layers = spanning_tree_layers(m.collapsed, d)
     rng = np.random.default_rng(seed)
     pts = dict(zip(g.vertices, rng.uniform(-1.0, 1.0, size=(g.n_vertices, d))))
     for (v, w), layer in zip(m.inter_body_edges, layers):
@@ -510,14 +497,13 @@ def essentially_independent(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) ->
     n = m.underlying.n_vertices
     if n < need:
         raise InputError(f"needs at least {need} vertices for {norm}, got {n}")
-    k = body_bar_count(norm)
-    verdict = is_sparse(body_bar_graph(m).graph, SparsityCount(k, k)).sparse
+    verdict = is_sparse(m.collapsed, body_bar_count(norm)).sparse
     if n <= _NUMERIC_CHECK_CAP:
         p = random_placement(m.underlying, norm, seed)
         total = placement_rank(m.underlying, p, norm)
         split = len(m.inter_body_edges)
         for part in m.body_subgraphs:
-            split += placement_rank(part, p.restrict(part.vertices), norm)
+            split += placement_rank(part, p, norm)
         if (total == split) != verdict:
             raise InconsistencyError(
                 "sparsity and direct-sum rank disagree on essential independence"
@@ -555,10 +541,7 @@ def rigid_container_multibody(
     rigidity, in any dimension and for either norm family.
     """
     _check_sub_multibody(g, h, norm)
-    k = body_bar_count(norm)
-    count = SparsityCount(k, k)
-    collapsed = body_bar_graph(g).graph
-    game = PebbleGame.over(collapsed, count)
+    game = PebbleGame.over(g.collapsed, body_bar_count(norm))
     bar_pos = {e: t for t, e in enumerate(g.inter_body_edges)}
     chosen_bodies = {g.body_index[frozenset(b)] for b in h.bodies}
     chosen_bars = {bar_pos[e] for e in h.inter_body_edges}
@@ -571,7 +554,7 @@ def rigid_container_multibody(
             return None
         chosen_bodies |= inside
         chosen_bars.update(
-            t for t in game.accepted if inside.issuperset(collapsed.edges[t])
+            t for t in game.accepted if inside.issuperset(g.collapsed.edges[t])
         )
     bodies = tuple(g.bodies[i] for i in sorted(chosen_bodies))
     bars = set(g.inter_body_edges[t] for t in sorted(chosen_bars))
@@ -645,11 +628,10 @@ def bodybar_tower_decide(
     stage and the containers reach every body.
     """
     validate_multibody_tower(t)
-    k = body_bar_count(norm)
     status, tight = _nested_witnesses(
         (labeled_body_bar(s) for s in t.stages),
         labeled_body_bar(t.reference),
-        SparsityCount(k, k),
+        body_bar_count(norm),
     )
     if tight is not None:
         if status == LAMAN_TOWER_MINIMAL:

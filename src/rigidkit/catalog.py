@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import AlgorithmError, InputError
@@ -536,6 +537,16 @@ def _holes_family(holes, **params) -> GeneratedFamily:
     return simplicial_holes(meta, params.get("size", 1))
 
 
+# Parameters that count something; holes lists hole cycle lengths.
+_COUNTS = frozenset(
+    ("n", "stages", "cells", "layers", "levels", "kappa", "refinement", "size")
+)
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 # name -> (builder, required parameters, optional parameters)
 _FAMILIES = {
     "complete": (complete, ("n",), ()),
@@ -568,6 +579,14 @@ def generate(name: str, **params) -> GeneratedFamily:
     missing = [p for p in required if p not in params]
     if missing:
         raise InputError(f"family {name!r} needs {', '.join(missing)}")
+    for key, value in params.items():
+        if key == "holes":
+            if not isinstance(value, (list, tuple)) or not all(map(_is_count, value)):
+                raise InputError(
+                    f"family {name!r}: holes must be a list of integers, got {value!r}"
+                )
+        elif key in _COUNTS and not _is_count(value):
+            raise InputError(f"family {name!r}: {key} must be an integer, got {value!r}")
     out = builder(**params)
     if isinstance(out, SimpleGraph):
         return GeneratedFamily(out)

@@ -47,17 +47,6 @@ def signed_power(x: np.ndarray, e: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** e
 
 
-@dataclass(frozen=True)
-class RigidityMatrix:
-    matrix: np.ndarray
-    vertex_order: tuple[int, ...]
-    edge_order: tuple[tuple[int, int], ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
 def _endpoints(
     g: SimpleGraph, p: Placement, norm: NormSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,11 +75,12 @@ def _layout(
     return m
 
 
-def rigidity_matrix(g: SimpleGraph, p: Placement, norm: NormSpec) -> RigidityMatrix:
-    """One row per edge in input order, d columns per vertex in graph order."""
+def rigidity_matrix(g: SimpleGraph, p: Placement, norm: NormSpec) -> np.ndarray:
+    """One row per edge in g.edges order, d columns per vertex in g.vertices
+    order."""
     pts, ia, ib = _endpoints(g, p, norm)
     vals = signed_power(pts[ia] - pts[ib], float(norm.q) - 1.0)
-    return RigidityMatrix(_layout(g, norm.d, ia, ib, vals, -vals), g.vertices, g.edges)
+    return _layout(g, norm.d, ia, ib, vals, -vals)
 
 
 def _rank_from_singulars(s: np.ndarray, shape: tuple[int, int], eps: float) -> int:
@@ -219,7 +209,7 @@ def flex_report(
     """Flex report at a given placement, ranked by the SVD cutoff tol.  The
     placement may be degenerate, so its rigid motions are evaluated and
     ranked by the same cutoff."""
-    kern = kernel_basis(rigidity_matrix(g, p, norm).matrix, tol)
+    kern = kernel_basis(rigidity_matrix(g, p, norm), tol)
     rank = norm.d * g.n_vertices - kern.shape[0]
     triv = trivial_motion_basis(g, p, norm, tol)
     return _report(g, norm, rank, triv.shape[0], kern, triv)
@@ -234,7 +224,7 @@ def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> F
     trivial_dim = norm.trivial_dim_at(g.n_vertices)
     if rank >= norm.rigid_rank(g.n_vertices):
         return _report(g, norm, rank, trivial_dim)
-    kern = kernel_at_rank(rigidity_matrix(g, p, norm).matrix, rank)
+    kern = kernel_at_rank(rigidity_matrix(g, p, norm), rank)
     return _report(g, norm, rank, trivial_dim, kern, trivial_motion_basis(g, p, norm))
 
 
@@ -322,7 +312,7 @@ def _ranked_matrix(
     exact mod PRIME for an integer q, the SVD cutoff otherwise."""
     if norm.q_is_integer:
         return rigidity_matrix_mod_p(g, p, norm), rank_mod_p
-    return rigidity_matrix(g, p, norm).matrix, matrix_rank
+    return rigidity_matrix(g, p, norm), matrix_rank
 
 
 def placement_rank(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
@@ -465,8 +455,8 @@ def flex_extends(
     u_small = _field_to_vec(g_small, u, d)
     rm_small = rigidity_matrix(g_small, p.restrict(g_small.vertices), norm)
     scale = max(1.0, float(np.max(np.abs(u_small))) if u_small.size else 1.0)
-    if rm_small.matrix.size:
-        pre = float(np.max(np.abs(rm_small.matrix @ u_small.ravel())))
+    if rm_small.size:
+        pre = float(np.max(np.abs(rm_small @ u_small.ravel())))
         if pre > tol * scale * 10:
             raise InputError(
                 f"input is not a flex of the small framework (residual {pre:.3e})"
@@ -480,11 +470,11 @@ def flex_extends(
         known_cols[d * idx[v] : d * idx[v] + d] = True
         full[idx[v]] = u_small[g_small.index_of[v]]
     if new_vertices:
-        a = rm.matrix[:, ~known_cols]
-        b = -rm.matrix[:, known_cols] @ full.ravel()[known_cols]
+        a = rm[:, ~known_cols]
+        b = -rm[:, known_cols] @ full.ravel()[known_cols]
         w, *_ = np.linalg.lstsq(a, b, rcond=None)
         full.ravel()[~known_cols] = w
-    resid_vec = rm.matrix @ full.ravel() if rm.matrix.size else np.zeros(0)
+    resid_vec = rm @ full.ravel() if rm.size else np.zeros(0)
     residual = float(np.max(np.abs(resid_vec))) if resid_vec.size else 0.0
     ok = residual <= tol * scale
     flex = {v: full[idx[v]].copy() for v in g_large.vertices} if ok else None

@@ -211,11 +211,7 @@ def framework_to_json(g, p: Placement, norm: NormSpec) -> dict:
 
 def framework_from_json(obj) -> tuple[SimpleGraph, Placement, NormSpec]:
     _require(obj, "framework", ("vertices", "edges", "placement", "norm"))
-    g = SimpleGraph(
-        _int_list(obj["vertices"], "vertices"), _pair_list(obj["edges"], "edges")
-    )
-    p = placement_from_json(obj["placement"])
-    return g, p, norm_from_json(obj["norm"])
+    return loose_input_from_json(obj)
 
 
 def loose_input_from_json(

@@ -240,8 +240,7 @@ def tight_spanning_subgraph(g: GraphLike, count: SparsityCount) -> GraphLike | N
     sparsity matroid restricted to g, so the result is independent of which
     maximal set would be needed, only of whether one reaches the tight count.
     """
-    basis = independent_restriction(g, count)
-    return basis if basis.n_edges == count.target(g.n_vertices) else None
+    return extend_to_tight_spanning(g, count)
 
 
 def independent_edge_indices(g: GraphLike, count: SparsityCount) -> tuple[int, ...]:

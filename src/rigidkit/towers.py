@@ -103,7 +103,7 @@ def _witness_flex(
 
     from .frameworks import _motion_generators, kernel_at_rank, rigidity_matrix
 
-    m = rigidity_matrix(g, p, norm).matrix
+    m = rigidity_matrix(g, p, norm)
     # Unit rows keep the kernel and even out the spread of q-th power row
     # sizes, which sharpens its float basis.
     kern = kernel_at_rank(m / np.linalg.norm(m, axis=1, keepdims=True), rank_g)

@@ -117,7 +117,7 @@ def random_multibody(n_bodies, norm, seed, n_bars=None):
     around the tight count, so suites mix rigid, flexible and overbraced
     instances; the realized number can fall short when joints run out."""
     rng = random.Random(seed)
-    k = body_bar_count(norm)
+    k = body_bar_count(norm).k
     base = norm.d + 1 if norm.euclidean else 2 * norm.d
     sizes = [max(base, k) + rng.randrange(2) for _ in range(n_bodies)]
     bodies = []
@@ -200,14 +200,14 @@ def assert_witness_flex(g, h, norm, verdict):
     p = verdict.placement
     u = np.concatenate([verdict.witness_flex[v] for v in g.vertices])
     assert abs(np.linalg.norm(u) - 1.0) < 1e-12
-    rg = rigidity_matrix(g, p, norm).matrix
+    rg = rigidity_matrix(g, p, norm)
     assert np.linalg.norm(rg @ u) <= 1e-9 * max(np.linalg.norm(rg), 1.0)
     triv = trivial_motion_basis(g, p, norm)
     assert np.linalg.norm(triv @ u) < 1e-9
     glued = rigidity_matrix(graph_union(g, complete_graph_on(h.vertices)), p, norm)
     rank = norm.d * g.n_vertices - verdict.nullity_anchored
-    assert np.linalg.norm(kernel_at_rank(glued.matrix, rank) @ u) < 1e-8
-    k_h = rigidity_matrix(complete_graph_on(h.vertices), p, norm).matrix
+    assert np.linalg.norm(kernel_at_rank(glued, rank) @ u) < 1e-8
+    k_h = rigidity_matrix(complete_graph_on(h.vertices), p, norm)
     u_h = np.concatenate([verdict.witness_flex[v] for v in h.vertices])
     assert np.linalg.norm(k_h @ u_h) > 1e-6 * np.linalg.norm(k_h)
 

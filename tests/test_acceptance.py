@@ -88,7 +88,7 @@ def test_01_cubic_norm_triangle_matrix():
         g = complete_graph(3)
         p = Placement(2, {0: (0.0, 0.0), 1: (-SQRT3, 1.0), 2: (SQRT3, 1.0)})
         norm = NormSpec(2, 3)
-        mat = rigidity_matrix(g, p, norm).matrix
+        mat = rigidity_matrix(g, p, norm)
         expected = np.array(
             [
                 [3.0, -1.0, -3.0, 1.0, 0.0, 0.0],

@@ -15,7 +15,6 @@ from rigidkit.bodybar import (
     MultiBodyGraph,
     MultiBodyTower,
     body_bar_count,
-    body_bar_graph,
     bodybar_tower_decide,
     essentially_independent,
     labeled_body_bar,
@@ -128,27 +127,25 @@ def test_body_rigidity_depends_on_norm():
 def test_triple_bar_collapses_to_triple_edge():
     g, bodies = build((4, 4), [(0, 4), (1, 5), (2, 6)])
     m = validate_multibody(g, bodies, EUCLID2)
-    bb = body_bar_graph(m)
-    assert bb.graph.n_vertices == 2
-    assert bb.graph.multiplicity(0, 1) == 3
-    assert bb.bars == m.inter_body_edges
+    collapsed = m.collapsed
+    assert collapsed.n_vertices == 2
+    assert collapsed.multiplicity(0, 1) == 3
+    assert m.collapsed is collapsed
 
 
 def test_bar_triangle_collapses_to_doubled_triangle():
     bars = [(0, 4), (1, 5), (2, 8), (3, 9), (6, 10), (7, 11)]
     g, bodies = build((4, 4, 4), bars)
     m = validate_multibody(g, bodies, EUCLID2)
-    bb = body_bar_graph(m)
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        assert bb.graph.multiplicity(a, b) == 2
+        assert m.collapsed.multiplicity(a, b) == 2
 
 
 def test_collapse_preserves_count_and_alignment():
     m = random_multibody(4, EUCLID2, seed=3)
-    bb = body_bar_graph(m)
-    assert bb.graph.n_edges == len(m.inter_body_edges)
+    assert m.collapsed.n_edges == len(m.inter_body_edges)
     owner = m.body_of
-    for e, (u, w) in zip(bb.graph.edges, bb.bars):
+    for e, (u, w) in zip(m.collapsed.edges, m.inter_body_edges):
         assert e == tuple(sorted((owner[u], owner[w])))
 
 
@@ -426,7 +423,7 @@ def test_special_placement_at_scale(norm, n_bodies, seed):
     assert res.report.nullity == d and res.report.flex_dim == 0
     # The float singular values agree, with a clear gap after the rank.
     g = res.model.underlying
-    s = np.linalg.svd(rigidity_matrix(g, res.placement, norm).matrix, compute_uv=False)
+    s = np.linalg.svd(rigidity_matrix(g, res.placement, norm), compute_uv=False)
     rank = d * g.n_vertices - d
     assert s[rank - 1] > 1e6 * s[rank]
 
@@ -466,8 +463,7 @@ def test_independence_threshold_enforced():
 def test_independence_agrees_with_rank_split(idx):
     norm = (EUCLID2, CUBIC2, EUCLID3, CUBIC3)[idx % 4]
     m = random_multibody(4, norm, seed=400 + idx)
-    k = body_bar_count(norm)
-    expected = is_sparse(body_bar_graph(m).graph, SparsityCount(k, k)).sparse
+    expected = is_sparse(m.collapsed, body_bar_count(norm)).sparse
     assert essentially_independent(m, norm, seed=idx) == expected
 
 
@@ -658,8 +654,7 @@ def test_single_stage_tower_decides_directly():
 
 
 def _bodybar_reference(t, norm, seed, confirm):
-    k = body_bar_count(norm)
-    count = SparsityCount(k, k)
+    count = body_bar_count(norm)
     host = t.target if t.target is not None else t.stages[-1]
     ref = labeled_body_bar(host)
     witness = []

@@ -163,7 +163,7 @@ def test_strip_top_row_drift_is_a_flex(norm):
     u = np.zeros(2 * g.n_vertices)
     for k in range(4):
         u[2 * g.index_of[3 * k]] = 1.0
-    assert np.allclose(rm.matrix @ u, 0.0, atol=1e-14)
+    assert np.allclose(rm @ u, 0.0, atol=1e-14)
 
 
 def test_strip_generically_rigid_but_radially_flexible():

@@ -401,6 +401,25 @@ def test_catalog_errors(invoke):
     assert invoke("catalog", "list", "--params", "n=4")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "family,params,message",
+    [
+        ("strip", ['cells="a"'], "cells must be an integer, got 'a'"),
+        ("strip", ["cells=2.5"], "cells must be an integer, got 2.5"),
+        ("whirlpool", ["layers=[1]"], "layers must be an integer"),
+        ("complete", ["n=true"], "n must be an integer, got True"),
+        ("simplicial_holes", ["holes=3"], "holes must be a list of integers"),
+        ("simplicial_holes", ["holes=[4,true]"], "holes must be a list of integers"),
+        ("simplicial_holes", ["holes=[4]", "size=true"], "size must be an integer"),
+    ],
+)
+def test_catalog_rejects_mistyped_params(invoke, family, params, message):
+    code, out, err = invoke("catalog", family, "--params", *params)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"rigidkit: family {family!r}: {message}")
+    assert err.count("\n") == 1
+
+
 # ---- render ---------------------------------------------------------------
 
 

@@ -170,6 +170,15 @@ def test_framework_roundtrip():
         jsonio.framework_from_json(jsonio.graph_to_json(g))
 
 
+def test_framework_placement_must_cover_vertices():
+    g = complete_graph(3)
+    p = Placement(2, {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.5, 1.0)})
+    obj = roundtrip(jsonio.framework_to_json(g, p, NormSpec(2, 3)))
+    del obj["placement"]["2"]
+    with pytest.raises(InputError, match=r"placement misses vertices \[2\]"):
+        jsonio.framework_from_json(obj)
+
+
 def test_loose_input_variants():
     g = complete_graph(3)
     got, p, norm = jsonio.loose_input_from_json(jsonio.graph_to_json(g))

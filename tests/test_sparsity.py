@@ -7,7 +7,6 @@ from helpers import grow_tight_graph, random_graph
 from rigidkit.bodybar import (
     MultiBodyGraph,
     body_bar_count,
-    body_bar_graph,
     rigid_container_multibody,
 )
 from rigidkit.errors import InputError, UnsupportedCountError
@@ -346,11 +345,9 @@ def container_per_pair(g, h, q):
 
 
 def multibody_container_per_pair(g, h, norm):
-    k = body_bar_count(norm)
-    count = SparsityCount(k, k)
-    bb = body_bar_graph(g)
-    keep = independent_edge_indices(bb.graph, count)
-    thin = MultiGraph(bb.graph.vertices, tuple(bb.graph.edges[i] for i in keep))
+    count = body_bar_count(norm)
+    keep = independent_edge_indices(g.collapsed, count)
+    thin = MultiGraph(g.collapsed.vertices, tuple(g.collapsed.edges[i] for i in keep))
     bar_pos = {e: t for t, e in enumerate(g.inter_body_edges)}
     chosen_bodies = {g.body_index[frozenset(b)] for b in h.bodies}
     chosen_bars = {bar_pos[e] for e in h.inter_body_edges}
@@ -417,7 +414,7 @@ def tree_union_multibody(n_bodies, norm, seed):
     indices, with a few bars dropped or added, so that both rigid and
     flexible hosts come up."""
     rng = random.Random(seed)
-    k = body_bar_count(norm)
+    k = body_bar_count(norm).k
     links = [(rng.randrange(i), i) for i in range(1, n_bodies) for _ in range(k)]
     links = [e for e in links if rng.random() < 0.9]
     links += [tuple(rng.sample(range(n_bodies), 2)) for _ in range(seed % 3)]
