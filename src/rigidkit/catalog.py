@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import AlgorithmError, InputError
@@ -191,6 +191,10 @@ def strip(
             coords[3 * k] = (x + 2 * shear, 2.0)
             coords[3 * k + 1] = (x + shear, 1.0)
             coords[3 * k + 2] = (x, 0.0)
+        if not all(math.isfinite(x) for xy in coords.values() for x in xy):
+            raise InputError(
+                f"strip coordinates overflow with spacing {spacing!r} and shear {shear!r}"
+            )
     else:
         raise InputError(f"unknown strip placement mode {mode!r}")
     return GeneratedFamily(g, Placement(2, coords))
@@ -543,8 +547,21 @@ _COUNTS = frozenset(
 )
 
 
+# Parameters that are real numbers.
+_REALS = frozenset(("spacing", "shear"))
+
+
 def _is_count(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    if not isinstance(x, Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 # name -> (builder, required parameters, optional parameters)
@@ -587,6 +604,12 @@ def generate(name: str, **params) -> GeneratedFamily:
                 )
         elif key in _COUNTS and not _is_count(value):
             raise InputError(f"family {name!r}: {key} must be an integer, got {value!r}")
+        elif key in _REALS and not _is_real(value):
+            raise InputError(
+                f"family {name!r}: {key} must be a finite real number, got {value!r}"
+            )
+        elif key == "mode" and not isinstance(value, str):
+            raise InputError(f"family {name!r}: mode must be a string, got {value!r}")
     out = builder(**params)
     if isinstance(out, SimpleGraph):
         return GeneratedFamily(out)

@@ -15,16 +15,29 @@ its rank over GF(PRIME).  That never exceeds the rank over Q: reaching
 NormSpec.rigid_rank(n) certifies rigidity, and falling short of a generic
 rank r happens with probability at most r(q-1)/PRIME per placement (Schwartz
 1980).  Sampled points are in general position, so the norm counts their
-rigid motions.  A non-integer q, and flex_report at a given placement (an
-intended geometry that float rounding perturbs, maybe degenerate), use the
-SVD cutoff sigma > eps * sigma_max * max(rows, cols) with eps = 1e-9 by
-default.
+rigid motions.
+
+The exact rank peels vertices before it eliminates.  A vertex v whose
+columns are in the matrix has nonzero entries there only in the rows R of
+its edges.  Put R first and v's columns first: the matrix is [[B, X], [0, M']]
+with B the |R| x d block of R on v's columns.  If B has full row rank, a
+combination y^T [B X] + z^T [0 M'] = 0 forces y^T B = 0, so y = 0 and
+z^T M' = 0: the rank is |R| + rank(M').  So a vertex with at most d rows
+whose block has full row rank mod PRIME adds |R| and leaves M', and peeling
+repeats on M'.  A vertex added by a 0-extension (joined to at most d others)
+peels at a generic placement, so a 0-extension graph peels to its base
+whatever the order of its vertices and edges.  rank_mod_p eliminates the
+core that is left, in the input's order.
+
+A non-integer q, and flex_report at a given placement (an intended geometry
+that float rounding perturbs, maybe degenerate), use the SVD cutoff
+sigma > eps * sigma_max * max(rows, cols) with eps = 1e-9 by default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,19 +60,17 @@ def signed_power(x: np.ndarray, e: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** e
 
 
-def _endpoints(
-    g: SimpleGraph, p: Placement, norm: NormSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _endpoints(g: SimpleGraph, p: Placement, norm: NormSpec) -> tuple[np.ndarray, np.ndarray]:
     """Placement rows and the row indices of each edge's two endpoints."""
     if p.dim != norm.d:
         raise PlacementError(f"placement dimension {p.dim} != norm dimension {norm.d}")
-    return p.array_for(g).reshape(-1, norm.d), *_edge_ends(g)
+    return p.array_for(g).reshape(-1, norm.d), _edge_ends(g)
 
 
 def _edge_ends(g: SimpleGraph) -> np.ndarray:
     """Vertex-order indices of each edge's two endpoints, as two rows."""
     idx = g.index_of
-    ends = np.array([(idx[a], idx[b]) for a, b in g.edges], dtype=np.intp)
+    ends = np.array([idx[v] for e in g.edges for v in e], dtype=np.intp)
     return ends.reshape(-1, 2).T
 
 
@@ -78,7 +89,7 @@ def _layout(
 def rigidity_matrix(g: SimpleGraph, p: Placement, norm: NormSpec) -> np.ndarray:
     """One row per edge in g.edges order, d columns per vertex in g.vertices
     order."""
-    pts, ia, ib = _endpoints(g, p, norm)
+    pts, (ia, ib) = _endpoints(g, p, norm)
     vals = signed_power(pts[ia] - pts[ib], float(norm.q) - 1.0)
     return _layout(g, norm.d, ia, ib, vals, -vals)
 
@@ -269,7 +280,15 @@ def residues(x: np.ndarray) -> np.ndarray:
 def rigidity_matrix_mod_p(g: SimpleGraph, p: Placement, norm: NormSpec) -> np.ndarray:
     """The exact rigidity matrix at p mod PRIME, for an integer q.  Signs
     come from comparing the floats, which is exact."""
-    pts, ia, ib = _endpoints(g, p, norm)
+    return _exact_matrix(g, p, norm)[0]
+
+
+def _exact_matrix(
+    g: SimpleGraph, p: Placement, norm: NormSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """rigidity_matrix_mod_p with the edge ends it laid the rows out by."""
+    pts, ends = _endpoints(g, p, norm)
+    ia, ib = ends
     sign = np.sign(pts[ia] - pts[ib]).astype(np.int64)
     res = residues(pts)
     magnitude = (res[ia] - res[ib]) * sign % PRIME
@@ -277,7 +296,7 @@ def rigidity_matrix_mod_p(g: SimpleGraph, p: Placement, norm: NormSpec) -> np.nd
     for _ in range(norm.q_int - 2):
         power = power * magnitude % PRIME
     vals = power * sign % PRIME
-    return _layout(g, norm.d, ia, ib, vals, -vals % PRIME)
+    return _layout(g, norm.d, ia, ib, vals, -vals % PRIME), ends
 
 
 def rank_mod_p(m: np.ndarray) -> int:
@@ -305,32 +324,108 @@ def rank_mod_p(m: np.ndarray) -> int:
     return rank
 
 
-def _ranked_matrix(
-    g: SimpleGraph, p: Placement, norm: NormSpec
-) -> tuple[np.ndarray, Callable[[np.ndarray], int]]:
-    """The rigidity matrix at p that decides ranks, with its rank function:
-    exact mod PRIME for an integer q, the SVD cutoff otherwise."""
-    if norm.q_is_integer:
-        return rigidity_matrix_mod_p(g, p, norm), rank_mod_p
-    return rigidity_matrix(g, p, norm), matrix_rank
+def _independent_mod_p(rows: list[list[int]]) -> bool:
+    """Whether rows of residues mod PRIME are linearly independent, by
+    fraction-free elimination on Python ints."""
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        for c, prow in pivots:
+            f = row[c]
+            if f:
+                pc = prow[c]
+                row = [(x * pc - f * y) % PRIME for x, y in zip(row, prow)]
+        for c, x in enumerate(row):
+            if x:
+                pivots.append((c, row))
+                break
+        else:
+            return False
+    return True
+
+
+def _peeled_rank(m: np.ndarray, ends: np.ndarray, d: int, free: np.ndarray) -> int:
+    """Rank mod PRIME of the exact matrix m (edge rows, d columns per vertex,
+    ends as from _edge_ends) on the columns of the vertices where free is
+    True, over the rows of the edges with a free end.
+
+    A free vertex with at most d such rows R whose block on its own columns
+    has full row rank adds |R| and goes with R (the module docstring gives
+    the block-triangular argument); its neighbours are then tried again.
+    rank_mod_p ranks the core that is left, and the whole matrix when no free
+    vertex has degree d or less."""
+    n = free.size
+    live = free[ends].any(axis=0)
+    # Every edge at a free vertex is live, so its degree counts all edges.
+    deg = np.bincount(ends.ravel(), minlength=n)
+    low = free & (deg <= d)
+    if not low.any():
+        return rank_mod_p(m[live][:, np.repeat(free, d)])
+    queue = np.flatnonzero(low).tolist()
+    ia, ib = ends.tolist()
+    # blocks[0][e] and blocks[1][e]: row e on the columns of its ends ia[e], ib[e].
+    blocks = m.reshape(len(ia), n, d)[np.arange(len(ia)), ends].tolist()
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for e in np.flatnonzero(live).tolist():
+        incident[ia[e]].append(e)
+        incident[ib[e]].append(e)
+    deg, alive, left = deg.tolist(), live.tolist(), free.tolist()
+    rank = 0
+    while queue:
+        v = queue.pop()
+        if not left[v]:
+            continue
+        rows = [e for e in incident[v] if alive[e]]
+        if not _independent_mod_p([blocks[ia[e] != v][e] for e in rows]):
+            continue
+        rank += len(rows)
+        left[v] = False
+        for e in rows:
+            alive[e] = False
+            u = ia[e] + ib[e] - v
+            deg[u] -= 1
+            if left[u] and deg[u] <= d:
+                queue.append(u)
+    core = m[np.array(alive, dtype=bool)][:, np.repeat(np.array(left, dtype=bool), d)]
+    return rank + rank_mod_p(core)
 
 
 def placement_rank(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
     """Rank of the rigidity matrix at p: exact mod PRIME for an integer q,
-    by the SVD cutoff otherwise."""
-    m, rank = _ranked_matrix(g, p, norm)
-    return rank(m)
+    by the SVD cutoff otherwise.
+
+    The exact rank first peels each vertex v with at most d edges R left
+    whose |R| x d block on v's own columns has full row rank mod PRIME.
+    v's columns are zero outside R, so the matrix is block triangular, and
+    rank = |R| + the rank without R and v's columns.  rank_mod_p eliminates
+    what is left.  The result is the full elimination's rank, whatever the
+    order of the peels."""
+    if not norm.q_is_integer:
+        return matrix_rank(rigidity_matrix(g, p, norm))
+    m, ends = _exact_matrix(g, p, norm)
+    return _peeled_rank(m, ends, norm.d, np.ones(g.n_vertices, dtype=bool))
 
 
 def pinned_ranks(
-    g: SimpleGraph, p: Placement, norm: NormSpec, keep: np.ndarray
+    g: SimpleGraph, p: Placement, norm: NormSpec, free: np.ndarray
 ) -> tuple[int, int]:
     """Ranks at p, by placement_rank's route, of the rigidity matrix and of
-    its columns where keep is True.  Rows that the deleted columns leave all
-    zero are dropped before the second rank."""
-    m, rank = _ranked_matrix(g, p, norm)
-    part = m[:, keep]
-    return rank(m), rank(part[part.any(axis=1)])
+    its columns at the vertices where free is True (in g.vertices order).
+    Rows that the deleted columns leave all zero are dropped before the
+    second rank.
+
+    The exact anchored rank peels free vertices only, as placement_rank
+    does: a free vertex v with at most d edges R left (edges to the anchor
+    included) whose block on v's columns has full row rank adds |R|.  v's
+    columns are zero outside R, so the anchored matrix is block triangular
+    and its rank is |R| + the rank without R and v's columns.  Anchored
+    vertices have no columns, so they are never peeled."""
+    if not norm.q_is_integer:
+        m = rigidity_matrix(g, p, norm)
+        part = m[:, np.repeat(free, norm.d)]
+        return matrix_rank(m), matrix_rank(part[part.any(axis=1)])
+    m, ends = _exact_matrix(g, p, norm)
+    every = np.ones(g.n_vertices, dtype=bool)
+    return _peeled_rank(m, ends, norm.d, every), _peeled_rank(m, ends, norm.d, free)
 
 
 # ---- generic-rank decisions --------------------------------------------

@@ -157,7 +157,7 @@ def relative_rigidity(
             f"vertices, got {h.n_vertices}"
         )
     p = random_placement(g, norm, seed)
-    free = np.repeat([v not in h.vertex_set for v in g.vertices], norm.d)
+    free = np.array([v not in h.vertex_set for v in g.vertices], dtype=bool)
     rank_g, rank_pinned = pinned_ranks(g, p, norm, free)
     nullity_g = norm.d * g.n_vertices - rank_g
     nullity_a = (

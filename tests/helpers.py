@@ -109,6 +109,16 @@ def zero_extension_graph(n, d, base, seed):
     return SimpleGraph(range(n), edges)
 
 
+def shuffled_copy(g, rng):
+    """g with new labels and its vertex and edge orders shuffled by rng."""
+    label = dict(zip(g.vertices, rng.sample(range(3 * g.n_vertices), g.n_vertices)))
+    vertices = [label[v] for v in g.vertices]
+    edges = [(label[a], label[b]) for a, b in g.edges]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return SimpleGraph(vertices, edges)
+
+
 def random_multibody(n_bodies, norm, seed, n_bars=None):
     """Random multi-body structure with complete bodies and disjoint bars.
 

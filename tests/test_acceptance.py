@@ -5,6 +5,7 @@ values where the construction admits them.  Budgets are generous; blowing
 one usually means an algorithmic regression, not a slow machine.
 """
 
+import random
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -20,9 +21,11 @@ from helpers import (
     random_multibody,
     random_tight_multigraph,
     realize_bodybar,
+    shuffled_copy,
     solve_exact,
     zero_extension_graph,
 )
+from rigidkit import frameworks
 from rigidkit.bodybar import special_placement, tay_decide
 from rigidkit.catalog import (
     SimplicialMeta,
@@ -40,6 +43,7 @@ from rigidkit.frameworks import (
     flex_growth_profile,
     flex_report,
     is_rigid_generic,
+    rank_mod_p,
     rigidity_matrix,
 )
 from rigidkit.graphs import SimpleGraph, Tower, complete_graph, induced_subgraph
@@ -438,3 +442,22 @@ def test_14_special_placement_at_scale():
         placed = special_placement(m, cubic, seed=0)
     assert placed.model == m
     assert placed.report.nullity == 3 and placed.report.flex_dim == 0
+
+
+def test_15_peeled_rank_ignores_input_order(monkeypatch):
+    # A 1200-vertex rigid 0-extension graph in 3-space with its labels,
+    # vertex order and edge order shuffled.  Each vertex joins at most three
+    # earlier ones, so peeling takes the whole exact matrix and the
+    # elimination receives no columns, whatever the order.
+    g = shuffled_copy(zero_extension_graph(1200, 3, 4, seed=7), random.Random(15))
+    ranked = []
+
+    def recording(m):
+        ranked.append(m.shape[1])
+        return rank_mod_p(m)
+
+    monkeypatch.setattr(frameworks, "rank_mod_p", recording)
+    with budget(1):
+        verdict = is_rigid_generic(g, NormSpec(3, 2))
+    assert verdict.rigid and verdict.report.rank == 3 * 1200 - 6
+    assert ranked == [0]

@@ -197,6 +197,8 @@ def test_strip_rejects_bad_input():
         strip(0)
     with pytest.raises(InputError, match="mode"):
         strip(2, mode="diagonal")
+    with pytest.raises(InputError, match="coordinates overflow"):
+        strip(3, mode="periodic", spacing=1e308)
 
 
 # ---- whirlpools -----------------------------------------------------------

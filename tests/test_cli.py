@@ -411,6 +411,13 @@ def test_catalog_errors(invoke):
         ("simplicial_holes", ["holes=3"], "holes must be a list of integers"),
         ("simplicial_holes", ["holes=[4,true]"], "holes must be a list of integers"),
         ("simplicial_holes", ["holes=[4]", "size=true"], "size must be an integer"),
+        ("strip", ["cells=2", 'spacing="a"'], "spacing must be a finite real number, got 'a'"),
+        ("strip", ["cells=2", "spacing=true"], "spacing must be a finite real number, got True"),
+        ("strip", ["cells=2", "spacing=NaN"], "spacing must be a finite real number, got nan"),
+        ("strip", ["cells=2", "shear=[1]"], "shear must be a finite real number, got (1,)"),
+        ("strip", ["cells=2", "shear=-Infinity"], "shear must be a finite real number, got -inf"),
+        ("strip", ["cells=2", f"shear={10**400}"], "shear must be a finite real number, got 1000"),
+        ("strip", ["cells=2", "mode=3"], "mode must be a string, got 3"),
     ],
 )
 def test_catalog_rejects_mistyped_params(invoke, family, params, message):

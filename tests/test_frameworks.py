@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import grow_tight_graph, zero_extension_graph
+from helpers import grow_tight_graph, shuffled_copy, zero_extension_graph
 from rigidkit import frameworks
 from rigidkit.errors import ContinuationError, InputError
 from rigidkit.frameworks import (
@@ -21,6 +21,8 @@ from rigidkit.frameworks import (
     is_rigid_generic,
     kernel_basis,
     matrix_rank,
+    pinned_ranks,
+    placement_rank,
     random_placement,
     rank_mod_p,
     residues,
@@ -264,6 +266,79 @@ def test_mod_p_matrix_at_dyadic_placement(q):
             row[2 * b + i] = -val.numerator * pow(val.denominator, -1, PRIME) % PRIME
         expected.append(row)
     assert rigidity_matrix_mod_p(g, p, norm).tolist() == expected
+
+
+def anchored_rank(m, free, d):
+    part = m[:, np.repeat(free, d)]
+    return rank_mod_p(part[part.any(axis=1)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_peeled_ranks_equal_elimination_ranks(q, d, seed):
+    # 0-extension graphs peel down to their base; a cut edge leaves a
+    # vertex of degree d - 1 and an added edge one of degree d + 1.
+    rng = random.Random(100 * seed + 10 * q + d)
+    norm = NormSpec(d, q)
+    base = d + 1 if q == 2 else 2 * d
+    full = zero_extension_graph(base + 12, d, base, seed)
+    edges = list(full.edges)
+    edges.pop(rng.randrange(len(edges)))
+    cut = SimpleGraph(full.vertices, edges)
+    extra = next(
+        (a, b) for a in reversed(full.vertices) for b in full.vertices
+        if a != b and not full.has_edge(a, b)
+    )
+    for g in (full, cut, full.with_edges([extra])):
+        g = shuffled_copy(g, rng)
+        p = random_placement(g, norm, seed)
+        m = rigidity_matrix_mod_p(g, p, norm)
+        assert placement_rank(g, p, norm) == rank_mod_p(m)
+        for _ in range(3):
+            anchor = set(rng.sample(g.vertices, rng.randint(0, g.n_vertices)))
+            free = np.array([v not in anchor for v in g.vertices])
+            got = pinned_ranks(g, p, norm, free)
+            assert got == (rank_mod_p(m), anchored_rank(m, free, d))
+
+
+# A triangle 0, 1, 2 and a vertex 3 joined to 0 and 1 on the line through
+# them: 3's two rows are parallel on its own columns, and so are 0's and
+# 1's once 2 is peeled.  In 3-space, vertex 4 is joined to 0, 1 and 2 of a
+# tetrahedron and lies in their plane.
+SINGULAR_BLOCKS = {
+    "collinear-d2": (
+        SimpleGraph(range(4), [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]),
+        Placement(2, {0: (0.0, 0.0), 1: (2.0, 0.0), 2: (0.5, 1.5), 3: (1.0, 0.0)}),
+        4,
+    ),
+    "coplanar-d3": (
+        SimpleGraph(range(5), complete_graph(4).edges + ((0, 4), (1, 4), (2, 4))),
+        Placement(
+            3,
+            {
+                0: (0.0, 0.0, 0.0),
+                1: (2.0, 0.0, 0.0),
+                2: (0.0, 2.0, 0.0),
+                3: (0.5, 0.5, 1.5),
+                4: (1.0, 0.5, 0.0),
+            },
+        ),
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_BLOCKS))
+def test_peel_keeps_a_vertex_whose_block_is_singular(name):
+    g, p, want = SINGULAR_BLOCKS[name]
+    norm = NormSpec(p.dim, 2)
+    m = rigidity_matrix_mod_p(g, p, norm)
+    assert rank_mod_p(m) == want
+    assert placement_rank(g, p, norm) == want
+    for pinned in g.vertices:
+        free = np.array([v != pinned for v in g.vertices])
+        assert pinned_ranks(g, p, norm, free) == (want, anchored_rank(m, free, p.dim))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
