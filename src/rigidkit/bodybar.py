@@ -38,6 +38,7 @@ from .frameworks import (
     NormSpec,
     Placement,
     _best_placement,
+    _certified_rank,
     _plane_cross_check,
     is_rigid_generic,
     placement_rank,
@@ -195,10 +196,16 @@ def validate_multibody(
     The partition and bar rules are checked first; only a structurally sound
     input proceeds to the per-body generic rigidity checks.  One random
     placement of g ranks every body's slice, as essentially_independent
-    does, and a body whose rank reaches norm.rigid_rank(n_i) is certified
-    rigid (in the plane, its tight-spanning count must agree).  Only a body
-    that falls short is redrawn by is_rigid_generic, at up to five
-    placements of its own, and reported if it stays short.
+    does.  Each body first peels with |E_i| - norm.rigid_rank(n_i) rows to
+    drop: the kept rows are rows of the body's matrix, so their rank is a
+    lower bound on its rank, and one that reaches norm.rigid_rank(n_i)
+    certifies the body rigid on the spanning subgraph of the kept edges (a
+    complete body keeps a 0-extension graph on its base).  A body that falls
+    short is ranked whole at the same placement and certified when that
+    rank reaches norm.rigid_rank(n_i).  In the plane the certifying subgraph
+    must also have a tight spanning subgraph.  Only a body that falls short
+    again is redrawn by is_rigid_generic, at up to five placements of its
+    own, and reported if it stays short.
     """
     bs = tuple(tuple(sorted(int(v) for v in b)) for b in bodies)
     problems = _structure_problems(g, bs)
@@ -207,9 +214,9 @@ def validate_multibody(
     p = random_placement(g, norm, 0)
     for i, b in enumerate(bs):
         part = induced_subgraph(g, b)
-        rank = placement_rank(part, p, norm)
-        if rank == norm.rigid_rank(len(b)):
-            _plane_cross_check(part, norm, True, rank)
+        rank, kept = _certified_rank(part, p, norm)
+        if kept is not None:
+            _plane_cross_check(kept, norm, True, rank)
         elif not is_rigid_generic(part, norm).rigid:
             problems.append(
                 f"body {i} on vertices {list(b)} is not generically rigid for {norm}"
@@ -503,7 +510,7 @@ def essentially_independent(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) ->
         total = placement_rank(m.underlying, p, norm)
         split = len(m.inter_body_edges)
         for part in m.body_subgraphs:
-            split += placement_rank(part, p, norm)
+            split += _certified_rank(part, p, norm)[0]
         if (total == split) != verdict:
             raise InconsistencyError(
                 "sparsity and direct-sum rank disagree on essential independence"

@@ -26,8 +26,22 @@ z^T M' = 0: the rank is |R| + rank(M').  So a vertex with at most d rows
 whose block has full row rank mod PRIME adds |R| and leaves M', and peeling
 repeats on M'.  A vertex added by a 0-extension (joined to at most d others)
 peels at a generic placement, so a 0-extension graph peels to its base
-whatever the order of its vertices and edges.  rank_mod_p eliminates the
-core that is left, in the input's order.
+whatever the order of its vertices and edges.  The peel reads each edge's
+d values (the other end holds their negations), and only the core that is
+left is laid out densely for rank_mod_p, which eliminates it in the input's
+order.
+
+Rigidity needs only a spanning subgraph whose rows reach rigid_rank(n), so
+the peel may also drop rows.  When no vertex peels, a vertex of degree
+k > d keeps d of its rows whose block is independent, drops the other k - d
+and peels: its columns then meet only the kept rows, so the step above
+ranks the matrix of kept rows.  Those are rows of the matrix, so the rank
+they give is a lower bound on the rank.  With |E| - rigid_rank(n) drops allowed, a bound
+that reaches rigid_rank(n) is the rank, which never exceeds it.  A complete
+graph, none of whose vertices has degree d or less, keeps a 0-extension
+graph on its K_{d+1} (q = 2) or K_{2d} base (Tay & Whiteley 1985).  Only
+the body certificates of multi-body structures drop rows; every other rank
+peels exactly.
 
 A non-integer q, and flex_report at a given placement (an intended geometry
 that float rounding perturbs, maybe degenerate), use the SVD cutoff
@@ -75,12 +89,12 @@ def _edge_ends(g: SimpleGraph) -> np.ndarray:
 
 
 def _layout(
-    g: SimpleGraph, d: int, ia: np.ndarray, ib: np.ndarray, vals: np.ndarray, neg: np.ndarray
+    n: int, d: int, ia: np.ndarray, ib: np.ndarray, vals: np.ndarray, neg: np.ndarray
 ) -> np.ndarray:
-    """One row per edge: vals in the first endpoint's d columns, neg in the
-    second's."""
-    m = np.zeros((g.n_edges, d * g.n_vertices), dtype=vals.dtype)
-    rows, cols = np.arange(g.n_edges)[:, None], np.arange(d)
+    """One row per entry of vals, with d columns for each of n vertices: vals
+    in the first endpoint's d columns, neg in the second's."""
+    m = np.zeros((len(vals), d * n), dtype=vals.dtype)
+    rows, cols = np.arange(len(vals))[:, None], np.arange(d)
     m[rows, d * ia[:, None] + cols] = vals
     m[rows, d * ib[:, None] + cols] = neg
     return m
@@ -91,7 +105,7 @@ def rigidity_matrix(g: SimpleGraph, p: Placement, norm: NormSpec) -> np.ndarray:
     order."""
     pts, (ia, ib) = _endpoints(g, p, norm)
     vals = signed_power(pts[ia] - pts[ib], float(norm.q) - 1.0)
-    return _layout(g, norm.d, ia, ib, vals, -vals)
+    return _layout(g.n_vertices, norm.d, ia, ib, vals, -vals)
 
 
 def _rank_from_singulars(s: np.ndarray, shape: tuple[int, int], eps: float) -> int:
@@ -280,13 +294,16 @@ def residues(x: np.ndarray) -> np.ndarray:
 def rigidity_matrix_mod_p(g: SimpleGraph, p: Placement, norm: NormSpec) -> np.ndarray:
     """The exact rigidity matrix at p mod PRIME, for an integer q.  Signs
     come from comparing the floats, which is exact."""
-    return _exact_matrix(g, p, norm)[0]
+    vals, (ia, ib) = _exact_values(g, p, norm)
+    return _layout(g.n_vertices, norm.d, ia, ib, vals, -vals % PRIME)
 
 
-def _exact_matrix(
+def _exact_values(
     g: SimpleGraph, p: Placement, norm: NormSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """rigidity_matrix_mod_p with the edge ends it laid the rows out by."""
+    """Each edge's d entries of rigidity_matrix_mod_p on its first end's
+    columns, one row per edge (the second end's are their negations), with
+    the edge ends."""
     pts, ends = _endpoints(g, p, norm)
     ia, ib = ends
     sign = np.sign(pts[ia] - pts[ib]).astype(np.int64)
@@ -295,8 +312,17 @@ def _exact_matrix(
     power = magnitude
     for _ in range(norm.q_int - 2):
         power = power * magnitude % PRIME
-    vals = power * sign % PRIME
-    return _layout(g, norm.d, ia, ib, vals, -vals % PRIME), ends
+    return power * sign % PRIME, ends
+
+
+def _core(
+    vals: np.ndarray, ends: np.ndarray, d: int, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """The exact matrix on the edges where rows is True and the columns of
+    the vertices where cols is True, laid out densely."""
+    ia, ib = ends[:, rows]
+    v = vals[rows]
+    return _layout(cols.size, d, ia, ib, v, -v % PRIME)[:, np.repeat(cols, d)]
 
 
 def rank_mod_p(m: np.ndarray) -> int:
@@ -324,11 +350,13 @@ def rank_mod_p(m: np.ndarray) -> int:
     return rank
 
 
-def _independent_mod_p(rows: list[list[int]]) -> bool:
-    """Whether rows of residues mod PRIME are linearly independent, by
-    fraction-free elimination on Python ints."""
+def _basis_rows(rows: list[list[int]]) -> list[int]:
+    """Positions of the rows of residues mod PRIME that are linearly
+    independent of the rows before them, by fraction-free elimination on
+    Python ints; it stops once it has as many as the rows have entries."""
     pivots: list[tuple[int, list[int]]] = []
-    for row in rows:
+    kept: list[int] = []
+    for i, row in enumerate(rows):
         for c, prow in pivots:
             f = row[c]
             if f:
@@ -337,47 +365,71 @@ def _independent_mod_p(rows: list[list[int]]) -> bool:
         for c, x in enumerate(row):
             if x:
                 pivots.append((c, row))
+                kept.append(i)
                 break
-        else:
-            return False
-    return True
+        if len(kept) == len(row):
+            break
+    return kept
 
 
-def _peeled_rank(m: np.ndarray, ends: np.ndarray, d: int, free: np.ndarray) -> int:
-    """Rank mod PRIME of the exact matrix m (edge rows, d columns per vertex,
-    ends as from _edge_ends) on the columns of the vertices where free is
-    True, over the rows of the edges with a free end.
+def _peeled_rank(
+    vals: np.ndarray, ends: np.ndarray, d: int, free: np.ndarray, budget: int = 0
+) -> tuple[int, list[int]]:
+    """Rank mod PRIME of the exact matrix (edge values and ends as from
+    _exact_values) on the columns of the vertices where free is True, over
+    the rows of the edges with a free end, and the positions of the rows it
+    dropped.  With budget 0 nothing is dropped and the result is the rank;
+    otherwise it is a lower bound.
 
     A free vertex with at most d such rows R whose block on its own columns
     has full row rank adds |R| and goes with R (the module docstring gives
     the block-triangular argument); its neighbours are then tried again.
-    rank_mod_p ranks the core that is left, and the whole matrix when no free
-    vertex has degree d or less."""
+    When none is left, the free vertex of least degree k > d with
+    k - d <= budget (the first on a tie) keeps the first d of its rows whose
+    blocks are independent, drops the rest from the budget and goes the same
+    way.  A vertex with fewer independent rows can overdraw the budget; the
+    bound can then no longer reach the row count less the budget, and it is
+    returned without eliminating.  rank_mod_p ranks the core that is left,
+    and the whole matrix when budget is 0 and no free vertex has degree d or
+    less."""
     n = free.size
     live = free[ends].any(axis=0)
     # Every edge at a free vertex is live, so its degree counts all edges.
     deg = np.bincount(ends.ravel(), minlength=n)
     low = free & (deg <= d)
-    if not low.any():
-        return rank_mod_p(m[live][:, np.repeat(free, d)])
+    if not budget and not low.any():
+        return rank_mod_p(_core(vals, ends, d, live, free)), []
     queue = np.flatnonzero(low).tolist()
     ia, ib = ends.tolist()
-    # blocks[0][e] and blocks[1][e]: row e on the columns of its ends ia[e], ib[e].
-    blocks = m.reshape(len(ia), n, d)[np.arange(len(ia)), ends].tolist()
+    # Negating a row keeps it independent, so vals[e] stands for row e's
+    # block on either end.
+    blocks = vals.tolist()
     incident: list[list[int]] = [[] for _ in range(n)]
     for e in np.flatnonzero(live).tolist():
         incident[ia[e]].append(e)
         incident[ib[e]].append(e)
     deg, alive, left = deg.tolist(), live.tolist(), free.tolist()
-    rank = 0
-    while queue:
-        v = queue.pop()
-        if not left[v]:
-            continue
+    rank, dropped = 0, []
+    while True:
+        if queue:
+            v = queue.pop()
+            if not left[v]:
+                continue
+        else:
+            pick = [(deg[u], u) for u in range(n) if left[u] and d < deg[u] <= d + budget]
+            if not pick:
+                break
+            v = min(pick)[1]
         rows = [e for e in incident[v] if alive[e]]
-        if not _independent_mod_p([blocks[ia[e] != v][e] for e in rows]):
-            continue
-        rank += len(rows)
+        kept = _basis_rows([blocks[e] for e in rows])
+        if len(kept) < len(rows):
+            if len(rows) <= d:  # a singular block: v stays
+                continue
+            budget -= len(rows) - len(kept)
+            if budget < 0:
+                return rank, dropped
+            dropped += [e for i, e in enumerate(rows) if i not in kept]
+        rank += len(kept)
         left[v] = False
         for e in rows:
             alive[e] = False
@@ -385,8 +437,8 @@ def _peeled_rank(m: np.ndarray, ends: np.ndarray, d: int, free: np.ndarray) -> i
             deg[u] -= 1
             if left[u] and deg[u] <= d:
                 queue.append(u)
-    core = m[np.array(alive, dtype=bool)][:, np.repeat(np.array(left, dtype=bool), d)]
-    return rank + rank_mod_p(core)
+    core = _core(vals, ends, d, np.array(alive, dtype=bool), np.array(left, dtype=bool))
+    return rank + rank_mod_p(core), dropped
 
 
 def placement_rank(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
@@ -401,8 +453,8 @@ def placement_rank(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
     order of the peels."""
     if not norm.q_is_integer:
         return matrix_rank(rigidity_matrix(g, p, norm))
-    m, ends = _exact_matrix(g, p, norm)
-    return _peeled_rank(m, ends, norm.d, np.ones(g.n_vertices, dtype=bool))
+    vals, ends = _exact_values(g, p, norm)
+    return _peeled_rank(vals, ends, norm.d, np.ones(g.n_vertices, dtype=bool))[0]
 
 
 def pinned_ranks(
@@ -423,9 +475,39 @@ def pinned_ranks(
         m = rigidity_matrix(g, p, norm)
         part = m[:, np.repeat(free, norm.d)]
         return matrix_rank(m), matrix_rank(part[part.any(axis=1)])
-    m, ends = _exact_matrix(g, p, norm)
+    vals, ends = _exact_values(g, p, norm)
     every = np.ones(g.n_vertices, dtype=bool)
-    return _peeled_rank(m, ends, norm.d, every), _peeled_rank(m, ends, norm.d, free)
+    return (
+        _peeled_rank(vals, ends, norm.d, every)[0],
+        _peeled_rank(vals, ends, norm.d, free)[0],
+    )
+
+
+def _certified_rank(
+    g: SimpleGraph, p: Placement, norm: NormSpec
+) -> tuple[int, SimpleGraph | None]:
+    """placement_rank(g, p, norm), with a spanning subgraph of g whose rows
+    at p reach norm.rigid_rank(n) when the rank does (None otherwise).
+
+    For an integer q the peel first runs with |E| - rigid_rank(n) rows to
+    drop.  Its kept rows are rows of the matrix, so their rank is at most
+    the rank, which is at most rigid_rank(n): a bound that reaches it is the
+    rank, and their edges certify g rigid.  A rigid complete graph keeps a
+    0-extension graph on its K_{d+1} (Euclidean) or K_{2d} base.  Only when
+    the bound falls short does the whole matrix go through placement_rank,
+    and then g itself is the subgraph when its rank reaches rigid_rank(n)."""
+    top = norm.rigid_rank(g.n_vertices)
+    if norm.q_is_integer and g.n_edges >= top:
+        vals, ends = _exact_values(g, p, norm)
+        every = np.ones(g.n_vertices, dtype=bool)
+        bound, dropped = _peeled_rank(vals, ends, norm.d, every, g.n_edges - top)
+        if bound >= top:
+            if dropped:
+                gone = set(dropped)
+                g = SimpleGraph(g.vertices, [e for i, e in enumerate(g.edges) if i not in gone])
+            return bound, g
+    rank = placement_rank(g, p, norm)
+    return rank, g if rank >= top else None
 
 
 # ---- generic-rank decisions --------------------------------------------
@@ -479,7 +561,8 @@ def _plane_cross_check(
     if norm.d != 2:
         return None
     count = sparsity.planar_count(norm)
-    comb = g.n_vertices <= 1 or sparsity.tight_spanning_subgraph(g, count) is not None
+    n = g.n_vertices
+    comb = n <= 1 or len(sparsity.PebbleGame.over(g, count).accepted) == count.target(n)
     if comb != rigid:
         raise InconsistencyError(
             f"combinatorial verdict {comb} disagrees with numeric "
@@ -619,7 +702,7 @@ def _length_jacobian(pts: np.ndarray, g: SimpleGraph, qf: float) -> np.ndarray:
     ia, ib = _edge_ends(g)
     scale = _scalar_power(_lq_lengths(pts, g, qf), qf - 1.0)
     vals = signed_power(pts[ia] - pts[ib], qf - 1.0) / scale[:, None]
-    return _layout(g, pts.shape[1], ia, ib, vals, -vals)
+    return _layout(g.n_vertices, pts.shape[1], ia, ib, vals, -vals)
 
 
 def continuation_track(

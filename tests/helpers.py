@@ -1,6 +1,7 @@
 """Seeded random generators shared across test modules."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 
@@ -152,6 +153,19 @@ def random_multibody(n_bodies, norm, seed, n_bars=None):
         (b[i], b[j]) for b in bodies for i in range(len(b)) for j in range(i + 1, len(b))
     ]
     return validate_multibody(SimpleGraph(range(label), within + bars), bodies, norm)
+
+
+def complete_bodies(n_bodies, size, rng):
+    """Complete bodies of one size, each joined to the next by one bar, with
+    labels, vertex order and edge order shuffled by rng; bars use distinct
+    vertices.  Returns the graph and the bodies."""
+    labels = rng.sample(range(3 * n_bodies * size), n_bodies * size)
+    bodies = [labels[i * size : (i + 1) * size] for i in range(n_bodies)]
+    edges = [e for b in bodies for e in combinations(b, 2)]
+    edges += [(bodies[i][0], bodies[i + 1][1]) for i in range(n_bodies - 1)]
+    rng.shuffle(edges)
+    rng.shuffle(labels)
+    return SimpleGraph(labels, edges), bodies
 
 
 def random_tight_multigraph(n, d, seed):

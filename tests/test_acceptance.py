@@ -16,6 +16,7 @@ import pytest
 
 from helpers import (
     assert_witness_flex,
+    complete_bodies,
     grow_tight_graph,
     random_graph,
     random_multibody,
@@ -26,7 +27,7 @@ from helpers import (
     zero_extension_graph,
 )
 from rigidkit import frameworks
-from rigidkit.bodybar import special_placement, tay_decide
+from rigidkit.bodybar import special_placement, tay_decide, validate_multibody
 from rigidkit.catalog import (
     SimplicialMeta,
     add_shafts,
@@ -461,3 +462,26 @@ def test_15_peeled_rank_ignores_input_order(monkeypatch):
         verdict = is_rigid_generic(g, NormSpec(3, 2))
     assert verdict.rigid and verdict.report.rank == 3 * 1200 - 6
     assert ranked == [0]
+
+
+def test_16_bodies_certified_by_spanning_subgraphs(monkeypatch):
+    # Eight K_60 bodies in the plane and four K_80 bodies in 3-space, labels
+    # and orders shuffled.  Each body certifies on a 0-extension graph on a
+    # triangle or a tetrahedron that the peel keeps, so the elimination
+    # receives no columns, instead of eliminating all 1770 or 3160 rows.
+    rng = random.Random(16)
+    cases = [
+        (complete_bodies(8, 60, rng), NormSpec(2, 2)),
+        (complete_bodies(4, 80, rng), NormSpec(3, 2)),
+    ]
+    ranked = []
+
+    def recording(m):
+        ranked.append(m.shape[1])
+        return rank_mod_p(m)
+
+    monkeypatch.setattr(frameworks, "rank_mod_p", recording)
+    with budget(0.5):
+        for (g, bodies), norm in cases:
+            assert validate_multibody(g, bodies, norm).n_bodies == len(bodies)
+    assert ranked == [0] * 12

@@ -37,7 +37,7 @@ from rigidkit.frameworks import (
     random_placement,
     rigidity_matrix,
 )
-from rigidkit.graphs import MultiGraph, SimpleGraph, complete_graph
+from rigidkit.graphs import MultiGraph, SimpleGraph, complete_graph, induced_subgraph
 from rigidkit.sparsity import SparsityCount, extend_to_tight_spanning, is_sparse
 from rigidkit.towers import LAMAN_TOWER_NOT, LAMAN_TOWER_RIGID, relative_rigidity
 
@@ -252,6 +252,115 @@ def test_sampled_decisions_count_rigid_motions_by_the_norm(monkeypatch):
     verdict = tay_decide(m, CUBIC3)
     assert verdict.rigid and verdict.cross_checked
     assert special_placement(m, CUBIC3).report.rigid
+
+
+def test_body_short_of_its_certificate_takes_the_full_rank():
+    # K_{3,3} and K_5 glued along the K_{3,3} edge 0-4: rigid, rank 15.  The
+    # drops cut 1-5 from the K_{3,3} and 0-7, 0-8 from the K_5, and what is
+    # kept ranks 14, so the body is certified by the rank of all its rows.
+    edges = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
+    edges += [e for e in combinations((0, 4, 6, 7, 8), 2) if e != (0, 4)]
+    g = SimpleGraph(range(9), edges)
+    every = np.ones(9, dtype=bool)
+    for seed in range(5):
+        p = random_placement(g, EUCLID2, seed)
+        vals, ends = frameworks._exact_values(g, p, EUCLID2)
+        assert frameworks._peeled_rank(vals, ends, 2, every, g.n_edges - 15)[0] == 14
+        assert frameworks._certified_rank(g, p, EUCLID2) == (15, g)
+    assert validate_multibody(g, [range(9)], EUCLID2).bodies == (tuple(range(9)),)
+
+
+def reference_validate(g, bodies, norm):
+    """validate_multibody ranking every body whole, as before the peel could
+    drop rows: placement_rank at the shared placement, then is_rigid_generic."""
+    bs = tuple(tuple(sorted(int(v) for v in b)) for b in bodies)
+    problems = bodybar._structure_problems(g, bs)
+    if problems:
+        raise InputError("; ".join(problems))
+    p = random_placement(g, norm, 0)
+    for i, b in enumerate(bs):
+        part = induced_subgraph(g, b)
+        rank = frameworks.placement_rank(part, p, norm)
+        if rank == norm.rigid_rank(len(b)):
+            frameworks._plane_cross_check(part, norm, True, rank)
+        elif not is_rigid_generic(part, norm).rigid:
+            problems.append(
+                f"body {i} on vertices {list(b)} is not generically rigid for {norm}"
+            )
+    if problems:
+        raise InputError("; ".join(problems))
+    owner = {v: i for i, b in enumerate(bs) for v in b}
+    return MultiBodyGraph(g, bs, tuple(e for e in g.edges if owner[e[0]] != owner[e[1]]))
+
+
+def reference_independent(m, norm, seed=0):
+    """essentially_independent with every body ranked whole."""
+    need = bodybar._independence_threshold(norm)
+    n = m.underlying.n_vertices
+    if n < need:
+        raise InputError(f"needs at least {need} vertices for {norm}, got {n}")
+    verdict = is_sparse(m.collapsed, body_bar_count(norm)).sparse
+    if n <= bodybar._NUMERIC_CHECK_CAP:
+        p = random_placement(m.underlying, norm, seed)
+        total = frameworks.placement_rank(m.underlying, p, norm)
+        split = len(m.inter_body_edges)
+        for part in m.body_subgraphs:
+            split += frameworks.placement_rank(part, p, norm)
+        if (total == split) != verdict:
+            raise InconsistencyError(
+                "sparsity and direct-sum rank disagree on essential independence"
+            )
+    return verdict
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (InputError, InconsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def seeded_structure(seed):
+    """Bodies that are complete graphs less up to four edges (so some are
+    flexible), labels, vertex order and edge order shuffled, joined by random
+    disjoint bars."""
+    rng = random.Random(seed)
+    norms = (EUCLID2, CUBIC2, EUCLID3, CUBIC3, NormSpec(2, 4), NormSpec(3, 4), NormSpec(2, 2.5))
+    norm = rng.choice(norms)
+    base = norm.d + 1 if norm.euclidean else 2 * norm.d
+    sizes = [rng.randint(base - 1, base + 3) for _ in range(rng.randint(1, 4))]
+    labels = rng.sample(range(4 * sum(sizes)), sum(sizes))
+    bodies = [labels[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(len(sizes))]
+    edges = []
+    for b in bodies:
+        within = list(combinations(b, 2))
+        for _ in range(min(rng.choice((0, 0, 1, 2, 4)), len(within))):
+            within.pop(rng.randrange(len(within)))
+        edges += within
+    free = [list(b) for b in bodies]
+    for _ in range(rng.randint(0, 6) if len(bodies) > 1 else 0):
+        i, j = rng.sample(range(len(bodies)), 2)
+        if free[i] and free[j]:
+            edges.append((free[i].pop(), free[j].pop()))
+    rng.shuffle(edges)
+    rng.shuffle(labels)
+    return SimpleGraph(labels, edges), bodies, norm
+
+
+def test_validation_matches_whole_body_ranks():
+    # 330 structures; q = 2.5 has no exact rank, so it takes the old route.
+    flexible = 0
+    for seed in range(330):
+        g, bodies, norm = seeded_structure(seed)
+        got = outcome(validate_multibody, g, bodies, norm)
+        assert got == outcome(reference_validate, g, bodies, norm)
+        if isinstance(got, MultiBodyGraph):
+            assert outcome(essentially_independent, got, norm, seed) == outcome(
+                reference_independent, got, norm, seed
+            )
+        else:
+            flexible += 1
+    assert 30 < flexible < 300
 
 
 @pytest.mark.parametrize("idx", range(24))

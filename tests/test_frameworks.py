@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -339,6 +340,90 @@ def test_peel_keeps_a_vertex_whose_block_is_singular(name):
     for pinned in g.vertices:
         free = np.array([v != pinned for v in g.vertices])
         assert pinned_ranks(g, p, norm, free) == (want, anchored_rank(m, free, p.dim))
+
+
+def drop_graphs(d, q, rng):
+    """A 0-extension graph with six extra edges, a complete graph, and a
+    complete graph less one to six edges (flexible or not), all shuffled."""
+    base = d + 1 if q == 2 else 2 * d
+    zero = zero_extension_graph(base + 10, d, base, rng.randrange(100))
+    missing = [
+        (a, b) for a in zero.vertices for b in zero.vertices if a < b and not zero.has_edge(a, b)
+    ]
+    full = complete_graph(base + rng.randrange(2, 6))
+    less = list(full.edges)
+    for _ in range(rng.randint(1, 6)):
+        less.pop(rng.randrange(len(less)))
+    graphs = (zero.with_edges(rng.sample(missing, 6)), full, SimpleGraph(full.vertices, less))
+    return [shuffled_copy(g, rng) for g in graphs]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_peel_with_drops_bounds_the_rank(q, d, seed):
+    # The kept rows are rows of the matrix, so the bound never exceeds their
+    # rank, nor the rank.  Points on a small integer grid are often collinear
+    # or coplanar, so some blocks are singular there.
+    rng = random.Random(1000 * seed + 10 * q + d)
+    norm = NormSpec(d, q)
+    for g in drop_graphs(d, q, rng):
+        n, top = g.n_vertices, norm.rigid_rank(g.n_vertices)
+        grid = np.array([rng.choices(range(3), k=d) for _ in range(n)], dtype=float)
+        grid = Placement.from_array(g, grid)
+        for p in (random_placement(g, norm, seed), grid):
+            vals, ends = frameworks._exact_values(g, p, norm)
+            m = rigidity_matrix_mod_p(g, p, norm)
+            for budget in (max(g.n_edges - top, 0), rng.randrange(g.n_edges)):
+                bound, dropped = frameworks._peeled_rank(
+                    vals, ends, d, np.ones(n, dtype=bool), budget
+                )
+                kept = np.ones(g.n_edges, dtype=bool)
+                kept[dropped] = False
+                assert len(dropped) <= budget
+                assert bound <= rank_mod_p(m[kept]) <= rank_mod_p(m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_complete_graphs_certify_on_a_spanning_subgraph(q, d, monkeypatch):
+    # K_n keeps a 0-extension graph on its K_{d+1} (q = 2) or K_{2d} base.
+    # A Euclidean base peels too, so the elimination receives no columns; a
+    # non-Euclidean one is what the elimination receives.
+    rng = random.Random(10 * q + d)
+    norm = NormSpec(d, q)
+    base = d + 1 if q == 2 else 2 * d
+    core = (0, 0) if q == 2 else (base * (base - 1) // 2, d * base)
+    shapes = []
+
+    def recording(m):
+        shapes.append(m.shape)
+        return rank_mod_p(m)
+
+    monkeypatch.setattr(frameworks, "rank_mod_p", recording)
+    for n in (base + 1, rng.randint(base + 2, 29), 30):
+        g = shuffled_copy(complete_graph(n), rng)
+        shapes.clear()
+        rank, kept = frameworks._certified_rank(g, random_placement(g, norm, n), norm)
+        assert rank == norm.rigid_rank(n) == kept.n_edges
+        assert kept.vertices == g.vertices and kept.edge_set <= g.edge_set
+        assert shapes == [core]
+
+
+def test_exact_rank_lays_out_only_the_core():
+    # The graph of gate test_15 peels whole; its dense matrix would take
+    # 3594 x 3600 int64 entries, 104 MB.
+    g = shuffled_copy(zero_extension_graph(1200, 3, 4, seed=7), random.Random(15))
+    norm = NormSpec(3, 2)
+    p = random_placement(g, norm, 0)
+    tracemalloc.start()
+    try:
+        rank = placement_rank(g, p, norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == 3 * 1200 - 6
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
