@@ -139,10 +139,11 @@ class SimpleGraph:
         return self.vertex_set <= other.vertex_set and self.edge_set <= other.edge_set
 
 
-def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
+def induced_subgraph(g: GraphLike, vertices: Iterable[int]) -> GraphLike:
     """Subgraph on the given labels with every edge of g between them.
 
-    Vertex and edge order follow the presentation order of g.
+    Vertex and edge order follow the presentation order of g, and the
+    result has g's type, so a multigraph keeps its parallel edges.
     """
     keep = set(vertices)
     missing = keep - g.vertex_set
@@ -150,7 +151,7 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
         raise InputError(f"vertices {sorted(missing)} not in the graph")
     vs = tuple(v for v in g.vertices if v in keep)
     es = tuple(e for e in g.edges if e[0] in keep and e[1] in keep)
-    return SimpleGraph(vs, es)
+    return type(g)(vs, es)
 
 
 def graph_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:

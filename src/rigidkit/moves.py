@@ -21,7 +21,7 @@ from typing import ClassVar, Iterator, Sequence, Union
 
 from .errors import AlgorithmError, InputError, MoveError
 from .graphs import SimpleGraph, normalize_edge
-from .sparsity import LAMAN, QNORM_2D, PebbleGame, SparsityCount, is_sparse
+from .sparsity import LAMAN, QNORM_2D, SparsityCount, _sparse_game, is_sparse
 
 EUCLIDEAN_MODE = "euclidean"
 QNORM_MODE = "qnorm"
@@ -247,8 +247,8 @@ def inverse_candidates(g: SimpleGraph, count: SparsityCount, v: int) -> list[Mov
 
     Degree k gives the unique vertex extension.  Degree k+1 gives one edge
     move per nonadjacent neighbor pair whose reinsertion into g minus v is
-    unblocked (no tight subgraph of the reduction contains both).  The caller
-    is responsible for g being (k,l)-sparse.
+    unblocked (no tight subgraph of the reduction contains both).  A
+    reduction that is not (k,l)-sparse raises InputError.
     """
     if v not in g.vertex_set:
         raise InputError(f"vertex {v} not in the graph")
@@ -261,10 +261,7 @@ def inverse_candidates(g: SimpleGraph, count: SparsityCount, v: int) -> list[Mov
             f"vertex {v} has degree {deg}; inverses exist only for degree "
             f"{count.k} or {count.k + 1}"
         )
-    reduced = g.without_vertex(v)
-    game = PebbleGame.over(reduced, count)
-    if len(game.accepted) != reduced.n_edges:
-        raise InputError(f"graph is not {count}-sparse")
+    game = _sparse_game(g.without_vertex(v), count)
     return [
         EdgeMove(removed=(vi, vj), vertex=v, neighbors=nbrs)
         for vi, vj in combinations(nbrs, 2)
@@ -318,8 +315,7 @@ def verify_chain(chain: ConstructionChain, mode: str) -> ChainReport:
     if mode == QNORM_MODE:
         allowed = allowed + (VertexToK4, VertexTo4Cycle)
     stages = [chain.start]
-    rep = is_sparse(chain.start, count)
-    if not rep.tight:
+    if not is_sparse(chain.start, count).tight:
         return ChainReport(False, tuple(stages), 0, "start graph is not tight")
     for i, m in enumerate(chain.moves):
         if not isinstance(m, allowed):
@@ -457,24 +453,20 @@ def _reductions_at(
 ) -> Iterator[tuple[Move, SimpleGraph]]:
     """Valid reductions of the tight graph cur at v, outside g_from.
 
-    The two Henneberg inverses need no check.  Deleting v keeps g_from,
-    which avoids v.  An inverse vertex extension leaves a subgraph of cur
-    with k(n-1)-l edges; an inverse edge move leaves one edge fewer plus a
-    pair the pebble game admits on cur - v.  Either is sparse with k(n-1)-l
-    edges, hence tight.  Only the (2,2) contractions are tested.
+    The Henneberg inverses come from inverse_candidates and need no check.
+    Deleting v keeps g_from, which avoids v.  An inverse vertex extension
+    leaves a subgraph of cur with k(n-1)-l edges; an inverse edge move
+    leaves one edge fewer plus a pair the pebble game admits on cur - v.
+    Either is sparse with k(n-1)-l edges, hence tight.  Only the (2,2)
+    contractions, tried at degree k+1, are tested.
     """
-    deg = cur.degree(v)
-    if deg == count.k:
-        move = VertexExtension(vertex=v, neighbors=cur.neighbors(v))
-        yield move, cur.without_vertex(v)
-        return
-    if deg != count.k + 1:
-        return
     for m in inverse_candidates(cur, count, v):
-        assert isinstance(m, EdgeMove)
-        yield m, cur.without_vertex(v).with_edges([m.removed])
-    if mode == QNORM_MODE and all(
-        cur.has_edge(a, b) for a, b in combinations(cur.neighbors(v), 2)
+        reduced = cur.without_vertex(v)
+        yield m, reduced.with_edges([m.removed]) if isinstance(m, EdgeMove) else reduced
+    if (
+        mode == QNORM_MODE
+        and cur.degree(v) == count.k + 1
+        and all(cur.has_edge(a, b) for a, b in combinations(cur.neighbors(v), 2))
     ):
         for move, reduced in _qnorm_contractions(cur, g_from, v):
             if _valid_reduction(reduced, g_from, count):

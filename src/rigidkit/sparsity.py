@@ -13,6 +13,12 @@ gathered on a pair, the pair holds exactly l, so its reach closure in the
 pebble digraph is tight with no arc leaving it.  A tight subgraph containing
 the pair holds the same l free pebbles and no leaving arc either, so it
 contains the closure, which is thus the unique minimal one.
+
+Queries on one graph go to its game, not to functions that rebuild one:
+the greedy basis positions are `PebbleGame.over(g, count).accepted`, its
+graph is g's edges at those positions, and the tight subgraph blocking a
+pair v, w has the vertices `game.blocker(v, w)` and the accepted edges
+among them.
 """
 
 from __future__ import annotations
@@ -22,8 +28,21 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import AlgorithmError, InputError, UnsupportedCountError
-from .graphs import GraphLike, MultiGraph, normalize_edge
+from .graphs import GraphLike, MultiGraph, induced_subgraph, normalize_edge
 from .norms import NormSpec
+
+__all__ = [
+    "SparsityCount",
+    "LAMAN",
+    "QNORM_2D",
+    "planar_count",
+    "SparsityReport",
+    "PebbleGame",
+    "is_sparse",
+    "brute_force_sparse",
+    "tight_spanning_subgraph",
+    "augment_to_tight",
+]
 
 
 @dataclass(frozen=True)
@@ -193,22 +212,14 @@ def _sparse_game(g: GraphLike, count: SparsityCount) -> PebbleGame:
     return game
 
 
-def _induced(g: GraphLike, keep: Iterable[int]) -> GraphLike:
-    ks = set(keep)
-    vs = tuple(v for v in g.vertices if v in ks)
-    es = tuple(e for e in g.edges if e[0] in ks and e[1] in ks)
-    return type(g)(vs, es)
-
-
 def is_sparse(g: GraphLike, count: SparsityCount) -> SparsityReport:
     """Run the pebble game over the edges of g in input order."""
     game = PebbleGame(g.vertices, count)
     for u, w in g.edges:
         if not game.insert(u, w):
-            witness = _induced(g, game.blocker(u, w))
+            witness = induced_subgraph(g, game.blocker(u, w))
             return SparsityReport(sparse=False, tight=False, witness=witness)
-    tight = g.n_edges == count.target(g.n_vertices)
-    return SparsityReport(sparse=True, tight=tight, witness=None)
+    return SparsityReport(sparse=True, tight=g.n_edges == count.target(g.n_vertices))
 
 
 def brute_force_sparse(g: GraphLike, count: SparsityCount) -> SparsityReport:
@@ -217,7 +228,6 @@ def brute_force_sparse(g: GraphLike, count: SparsityCount) -> SparsityReport:
     if n > 12:
         raise InputError(f"brute force capped at 12 vertices, got {n}")
     vs = g.vertices
-    witness = None
     for mask in range(1, 1 << n):
         size = mask.bit_count()
         if size < 2:
@@ -225,54 +235,21 @@ def brute_force_sparse(g: GraphLike, count: SparsityCount) -> SparsityReport:
         keep = {vs[i] for i in range(n) if mask >> i & 1}
         m = sum(1 for e in g.edges if e[0] in keep and e[1] in keep)
         if m > count.k * size - count.l:
-            witness = _induced(g, tuple(sorted(keep)))
-            break
-    if witness is not None:
-        return SparsityReport(sparse=False, tight=False, witness=witness)
-    tight = g.n_edges == count.target(n)
-    return SparsityReport(sparse=True, tight=tight, witness=None)
+            witness = induced_subgraph(g, keep)
+            return SparsityReport(sparse=False, tight=False, witness=witness)
+    return SparsityReport(sparse=True, tight=g.n_edges == count.target(n))
 
 
-def tight_spanning_subgraph(g: GraphLike, count: SparsityCount) -> GraphLike | None:
-    """Maximal independent edge subset on the full vertex set, if tight.
-
-    Edges are offered in input order; the accepted set is a basis of the
-    sparsity matroid restricted to g, so the result is independent of which
-    maximal set would be needed, only of whether one reaches the tight count.
-    """
-    return extend_to_tight_spanning(g, count)
-
-
-def independent_edge_indices(g: GraphLike, count: SparsityCount) -> tuple[int, ...]:
-    """Positions of the greedy sparsity-matroid basis within g.edges.
-
-    Positional form of independent_restriction for graphs whose parallel
-    edges make the (v, w) pair an ambiguous identity.
-    """
-    return tuple(PebbleGame.over(g, count).accepted)
-
-
-def independent_restriction(g: GraphLike, count: SparsityCount) -> GraphLike:
-    """Greedy basis of the sparsity matroid on the full vertex set.
-
-    Keeps each edge independent of the earlier kept ones, so within every
-    dependency the latest-offered edge is the one dropped.  Dropping only
-    dependent edges preserves the row space of any rigidity matrix built on
-    the surviving graph, hence its kernel.
-    """
-    kept = PebbleGame.over(g, count).accepted
-    return type(g)(g.vertices, tuple(g.edges[i] for i in kept))
-
-
-def extend_to_tight_spanning(
+def tight_spanning_subgraph(
     g: GraphLike, count: SparsityCount, seed_edges: tuple[tuple[int, int], ...] = ()
 ) -> GraphLike | None:
     """Tight spanning subgraph whose edge set contains the given seeds.
 
-    The seeds are inserted first, then the remaining edges greedily, so any
-    independent seed set extends to a basis by the matroid exchange property.
-    Returns None when g has no tight spanning subgraph at all; seeds that are
-    missing from g or mutually dependent raise InputError.
+    The seeds are inserted first, then the remaining edges greedily in input
+    order, so any independent seed set extends to a basis of the sparsity
+    matroid restricted to g by the exchange property.  Returns None when g
+    has no tight spanning subgraph at all; seeds that are missing from g or
+    mutually dependent raise InputError.
     """
     pool = list(g.edges)
     seeds = [normalize_edge(u, w) for u, w in seed_edges]
@@ -282,37 +259,12 @@ def extend_to_tight_spanning(
         except ValueError:
             raise InputError(f"seed edge {e} is not an edge of the graph") from None
     game = PebbleGame(g.vertices, count)
-    accepted = []
-    for e in seeds:
-        if not game.insert(*e):
-            raise InputError("seed edges are not independent for this count")
-        accepted.append(e)
-    accepted.extend(e for e in pool if game.insert(*e))
+    if not all(game.insert(*e) for e in seeds):
+        raise InputError("seed edges are not independent for this count")
+    accepted = seeds + [e for e in pool if game.insert(*e)]
     if len(accepted) != count.target(g.n_vertices):
         return None
     return type(g)(g.vertices, tuple(accepted))
-
-
-def blocking_tight_subgraph(
-    g: GraphLike, count: SparsityCount, v: int, w: int
-) -> GraphLike | None:
-    """Decide whether adding vw keeps g sparse.
-
-    Returns None when the addition stays sparse, otherwise the tight subgraph
-    containing both endpoints that blocks it.  Precondition: g sparse.
-    """
-    if v == w:
-        raise InputError("blocking query needs two distinct vertices")
-    if v not in g.vertex_set or w not in g.vertex_set:
-        raise InputError(f"vertices ({v}, {w}) not both in the graph")
-    closure = _sparse_game(g, count).blocker(v, w)
-    return None if closure is None else _induced(g, closure)
-
-
-_MIN_AUGMENT_VERTICES = {
-    # Below these sizes no tight completion exists for the listed counts.
-    (2, 3): 2,
-}
 
 
 def augment_to_tight(g: GraphLike, count: SparsityCount) -> GraphLike:
@@ -321,30 +273,25 @@ def augment_to_tight(g: GraphLike, count: SparsityCount) -> GraphLike:
     Offers vertex pairs in lexicographic label order, in one pass over a
     single game: adding edges only ever blocks more pairs, so a pair refused
     once stays refused.  Simple graphs only gain fresh edges; multigraphs may
-    gain parallel ones, so there a pair is offered again until refused.
+    gain parallel ones, so there a pair is offered again until refused.  The
+    pass thus keeps a greedy basis of the count's matroid on g plus every
+    offered pair, and when that basis falls short of the count no tight
+    graph on these vertices contains g.
     """
     game = _sparse_game(g, count)
     allow_parallel = isinstance(g, MultiGraph)
-    minimum = _MIN_AUGMENT_VERTICES.get((count.k, count.l))
-    if minimum is None and count.k == count.l and not allow_parallel:
-        # k*n - k edges never fit in a simple graph below 2k vertices
-        minimum = 2 * count.k
-    if minimum is not None and g.n_vertices < minimum:
-        raise InputError(
-            f"augmenting under {count} needs at least {minimum} vertices, "
-            f"got {g.n_vertices}"
-        )
-    missing = count.target(g.n_vertices) - g.n_edges
+    target = count.target(g.n_vertices)
     added: list[tuple[int, int]] = []
     for v, w in combinations(sorted(g.vertices), 2):
         if not allow_parallel and g.has_edge(v, w):
             continue
-        while len(added) < missing and game.insert(v, w):
+        while g.n_edges + len(added) < target and game.insert(v, w):
             added.append((v, w))
             if not allow_parallel:
                 break
-    if len(added) < missing:
-        raise AlgorithmError(
-            f"no admissible edge although {missing - len(added)} are missing"
+    if g.n_edges + len(added) != target:
+        raise InputError(
+            f"no {count}-tight graph on {g.n_vertices} vertices contains this one: "
+            f"the count needs {target} edges, {g.n_edges + len(added)} fit"
         )
     return type(g)(g.vertices, g.edges + tuple(added))

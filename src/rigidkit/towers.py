@@ -29,8 +29,8 @@ from .norms import NormSpec
 from .sparsity import (
     PebbleGame,
     SparsityCount,
-    extend_to_tight_spanning,
     planar_count,
+    tight_spanning_subgraph,
 )
 
 # numpy and frameworks load inside the functions that compute ranks, so the
@@ -360,7 +360,7 @@ def _nested_witnesses(
     witness = []
     prev: tuple[tuple[int, int], ...] = ()
     for stage in stages:
-        tight = extend_to_tight_spanning(stage, count, prev)
+        tight = tight_spanning_subgraph(stage, count, prev)
         if tight is None:
             return LAMAN_TOWER_NOT, None
         witness.append(tight)

@@ -38,7 +38,7 @@ from rigidkit.frameworks import (
     rigidity_matrix,
 )
 from rigidkit.graphs import MultiGraph, SimpleGraph, complete_graph, induced_subgraph
-from rigidkit.sparsity import SparsityCount, extend_to_tight_spanning, is_sparse
+from rigidkit.sparsity import SparsityCount, is_sparse, tight_spanning_subgraph
 from rigidkit.towers import LAMAN_TOWER_NOT, LAMAN_TOWER_RIGID, relative_rigidity
 
 EUCLID2 = NormSpec(2, 2)
@@ -769,7 +769,7 @@ def _bodybar_reference(t, norm, seed, confirm):
     witness = []
     prev = ()
     for stage in t.stages:
-        tight = extend_to_tight_spanning(labeled_body_bar(stage), count, prev)
+        tight = tight_spanning_subgraph(labeled_body_bar(stage), count, prev)
         if tight is None:
             break
         witness.append(tight)

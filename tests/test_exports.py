@@ -18,3 +18,25 @@ def test_public_names_resolve(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
 
+
+
+def test_sparsity_lists_exactly_its_public_names():
+    from rigidkit import sparsity
+
+    defined = {
+        n
+        for n, v in vars(sparsity).items()
+        if not n.startswith("_") and getattr(v, "__module__", None) == sparsity.__name__
+    }
+    assert sorted(sparsity.__all__) == sorted(defined) == [
+        "LAMAN",
+        "PebbleGame",
+        "QNORM_2D",
+        "SparsityCount",
+        "SparsityReport",
+        "augment_to_tight",
+        "brute_force_sparse",
+        "is_sparse",
+        "planar_count",
+        "tight_spanning_subgraph",
+    ]

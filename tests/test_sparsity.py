@@ -27,11 +27,7 @@ from rigidkit.sparsity import (
     SparsityCount,
     SparsityReport,
     augment_to_tight,
-    blocking_tight_subgraph,
     brute_force_sparse,
-    extend_to_tight_spanning,
-    independent_edge_indices,
-    independent_restriction,
     is_sparse,
     tight_spanning_subgraph,
 )
@@ -39,6 +35,11 @@ from rigidkit.towers import rigid_container_2d
 
 K4 = complete_graph(4)
 TREE = SimpleGraph(range(5), [(0, 1), (1, 2), (1, 3), (3, 4)])
+
+
+def basis_graph(g, count):
+    """g on its own vertices with the edges of its greedy basis."""
+    return type(g)(g.vertices, tuple(g.edges[i] for i in PebbleGame.over(g, count).accepted))
 
 
 def count_holds(g, count):
@@ -130,6 +131,14 @@ def test_multigraph_counts():
     assert not is_sparse(doubled, SparsityCount(2, 2)).sparse
 
 
+def test_multigraph_witness_keeps_parallel_edges():
+    g = MultiGraph(range(4), ((0, 1), (2, 3), (0, 1), (1, 2), (0, 1)))
+    for rep in (is_sparse(g, QNORM_2D), brute_force_sparse(g, QNORM_2D)):
+        assert isinstance(rep.witness, MultiGraph)
+        assert rep.witness.vertices == (0, 1)
+        assert rep.witness.edges == ((0, 1),) * 3
+
+
 # ---- brute force cross-check ----------------------------------------------
 
 
@@ -153,8 +162,8 @@ def test_brute_force_size_cap():
 
 
 def test_rank_of_k4():
-    assert len(independent_edge_indices(K4, LAMAN)) == 5
-    assert len(independent_edge_indices(K4, QNORM_2D)) == 6
+    assert len(PebbleGame.over(K4, LAMAN).accepted) == 5
+    assert len(PebbleGame.over(K4, QNORM_2D).accepted) == 6
 
 
 def test_tight_spanning_subgraph():
@@ -167,24 +176,35 @@ def test_tight_spanning_subgraph():
 
 
 def test_greedy_basis_positions():
-    assert independent_edge_indices(K4, LAMAN) == (0, 1, 2, 3, 4)
-    kept = independent_restriction(K4, LAMAN)
+    assert PebbleGame.over(K4, LAMAN).accepted == [0, 1, 2, 3, 4]
+    kept = basis_graph(K4, LAMAN)
     assert kept.n_edges == 5
     assert is_sparse(kept, LAMAN).sparse
 
 
 def test_extend_honours_seed_edges():
     seeds = ((2, 3), (1, 3))
-    t = extend_to_tight_spanning(K4, LAMAN, seeds)
+    t = tight_spanning_subgraph(K4, LAMAN, seeds)
     assert t.n_edges == 5
-    assert {(2, 3), (1, 3)} <= set(t.edges)
+    assert t.edges[:2] == ((2, 3), (1, 3))
+    assert is_sparse(t, LAMAN).tight
 
 
 def test_extend_rejects_bad_seeds():
     with pytest.raises(InputError, match="not an edge"):
-        extend_to_tight_spanning(K4, LAMAN, ((0, 5),))
+        tight_spanning_subgraph(K4, LAMAN, ((0, 5),))
     with pytest.raises(InputError, match="not independent"):
-        extend_to_tight_spanning(K4, LAMAN, tuple(K4.edges))
+        tight_spanning_subgraph(K4, LAMAN, tuple(K4.edges))
+    # membership is checked for every seed before any is inserted
+    with pytest.raises(InputError, match="not an edge"):
+        tight_spanning_subgraph(K4, LAMAN, tuple(K4.edges) + ((0, 5),))
+
+
+def test_extend_multigraph_seed_takes_one_copy():
+    g = MultiGraph((0, 1), ((0, 1), (0, 1), (0, 1)))
+    t = tight_spanning_subgraph(g, SparsityCount(2, 2), ((0, 1),))
+    assert isinstance(t, MultiGraph)
+    assert t.edges == ((0, 1), (0, 1))
 
 
 # ---- edge admissibility ---------------------------------------------------
@@ -192,20 +212,12 @@ def test_extend_rejects_bad_seeds():
 
 def test_blocking_subgraph_detection():
     g = SimpleGraph(range(5), [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-    blocker = blocking_tight_subgraph(g, LAMAN, 0, 1)
-    assert blocker is not None
+    game = PebbleGame.over(g, LAMAN)
+    closure = game.blocker(0, 1)
+    assert closure == {0, 1}
+    blocker = induced_subgraph(g, closure)
     assert blocker.n_edges == LAMAN.target(blocker.n_vertices)
-    assert {0, 1} <= blocker.vertex_set
-    assert blocking_tight_subgraph(g, LAMAN, 0, 3) is None
-
-
-def test_blocking_preconditions():
-    with pytest.raises(InputError, match="distinct"):
-        blocking_tight_subgraph(K4, QNORM_2D, 1, 1)
-    with pytest.raises(InputError, match="not both"):
-        blocking_tight_subgraph(K4, QNORM_2D, 0, 9)
-    with pytest.raises(InputError, match="sparse"):
-        blocking_tight_subgraph(K4, LAMAN, 0, 1)
+    assert game.blocker(0, 3) is None
 
 
 def test_augment_reaches_tightness():
@@ -223,10 +235,25 @@ def test_augment_fixed_point():
 def test_augment_preconditions():
     with pytest.raises(InputError, match="sparse"):
         augment_to_tight(K4, LAMAN)
-    with pytest.raises(InputError, match="at least"):
+    with pytest.raises(InputError, match=r"no \(2,3\)-tight graph on 1 vertices"):
         augment_to_tight(SimpleGraph((0,), ()), LAMAN)
-    with pytest.raises(InputError, match="at least"):
+    with pytest.raises(InputError, match=r"no \(2,2\)-tight graph on 3 vertices"):
         augment_to_tight(complete_graph(3), QNORM_2D)
+
+
+@pytest.mark.parametrize(
+    "count, n, target",
+    [((3, 4), 5, 11), ((2, 1), 2, 3), ((3, 2), 3, 7), ((3, 5), 1, -2)],
+    ids=str,
+)
+def test_augment_rejects_inputs_without_tight_completion(count, n, target):
+    # The pass admits every pair and ends at K_n, which is sparse for these
+    # counts but short of the target, so no simple tight graph exists on n
+    # vertices.  (3,5) on one vertex has a negative target no edge set meets.
+    count = SparsityCount(*count)
+    assert count.target(n) == target
+    with pytest.raises(InputError, match=f"needs {target} edges"):
+        augment_to_tight(SimpleGraph(range(n)), count)
 
 
 def test_augment_multigraph_adds_parallels():
@@ -251,8 +278,8 @@ def sparse_samples(count, seeds):
     """Greedy bases of seeded simple graphs and multigraphs on <= 10 vertices."""
     for seed in seeds:
         n = 4 + seed % 7
-        yield independent_restriction(random_graph(n, 0.6, seed), count)
-        yield independent_restriction(random_multigraph(n, 3 * n, seed), count)
+        yield basis_graph(random_graph(n, 0.6, seed), count)
+        yield basis_graph(random_multigraph(n, 3 * n, seed), count)
 
 
 def minimal_tight_sets(g, count):
@@ -287,9 +314,7 @@ def minimal_tight_sets(g, count):
 def test_blocker_is_the_minimal_tight_set(count):
     for g in sparse_samples(count, range(10)):
         for (v, w), expected in minimal_tight_sets(g, count).items():
-            blocker = blocking_tight_subgraph(g, count, v, w)
-            got = None if blocker is None else blocker.vertex_set
-            assert got == expected, (g, v, w)
+            assert PebbleGame.over(g, count).blocker(v, w) == expected, (g, v, w)
 
 
 @pytest.mark.parametrize("count", ENGINE_COUNTS, ids=str)
@@ -308,7 +333,7 @@ def test_engine_answers_ignore_query_history(count):
         assert game.accepted == list(range(g.n_edges))
 
 
-# Reference copies of the algorithms that rebuilt a game for every query.
+# Reference copies of the algorithms that build a fresh game for every query.
 
 
 def augment_by_restarts(g, count):
@@ -320,7 +345,7 @@ def augment_by_restarts(g, count):
             for w in labels[i + 1 :]:
                 if not allow_parallel and (v, w) in cur.edge_set:
                     continue
-                if blocking_tight_subgraph(cur, count, v, w) is None:
+                if PebbleGame.over(cur, count).admits(v, w):
                     cur = type(cur)(cur.vertices, cur.edges + ((v, w),))
                     break
             else:
@@ -331,31 +356,30 @@ def augment_by_restarts(g, count):
 
 def container_per_pair(g, h, q):
     count = LAMAN if q == 2 else QNORM_2D
-    thin = independent_restriction(g, count)
+    thin = basis_graph(g, count)
     container = h
     for v, w in combinations(sorted(h.vertex_set), 2):
         if thin.has_edge(v, w):
             container = graph_union(container, SimpleGraph((v, w), ((v, w),)))
             continue
-        blocker = blocking_tight_subgraph(thin, count, v, w)
-        if blocker is None:
+        closure = PebbleGame.over(thin, count).blocker(v, w)
+        if closure is None:
             return None
-        container = graph_union(container, blocker)
+        container = graph_union(container, induced_subgraph(thin, closure))
     return container
 
 
 def multibody_container_per_pair(g, h, norm):
     count = body_bar_count(norm)
-    keep = independent_edge_indices(g.collapsed, count)
+    keep = PebbleGame.over(g.collapsed, count).accepted
     thin = MultiGraph(g.collapsed.vertices, tuple(g.collapsed.edges[i] for i in keep))
     bar_pos = {e: t for t, e in enumerate(g.inter_body_edges)}
     chosen_bodies = {g.body_index[frozenset(b)] for b in h.bodies}
     chosen_bars = {bar_pos[e] for e in h.inter_body_edges}
     for a, b in combinations(sorted(chosen_bodies), 2):
-        blocker = blocking_tight_subgraph(thin, count, a, b)
-        if blocker is None:
+        inside = PebbleGame.over(thin, count).blocker(a, b)
+        if inside is None:
             return None
-        inside = set(blocker.vertices)
         chosen_bodies |= inside
         chosen_bars.update(
             keep[pos] for pos, e in enumerate(thin.edges) if e[0] in inside and e[1] in inside
@@ -386,7 +410,7 @@ def test_augment_matches_restart_scan(count):
         for g in (random_graph(n, 0.4, seed), random_multigraph(n, 2 * n, seed)):
             if isinstance(g, SimpleGraph) and 2 * count.k > n:
                 continue
-            basis = independent_restriction(g, count)
+            basis = basis_graph(g, count)
             sparse = type(g)(g.vertices, [e for e in basis.edges if rng.random() < 0.6])
             got = augment_to_tight(sparse, count)
             assert laid_out(got) == laid_out(augment_by_restarts(sparse, count))

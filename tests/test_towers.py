@@ -33,9 +33,9 @@ from rigidkit.graphs import (
 from rigidkit.sparsity import (
     LAMAN,
     QNORM_2D,
-    extend_to_tight_spanning,
-    independent_restriction,
+    PebbleGame,
     is_sparse,
+    tight_spanning_subgraph,
 )
 from rigidkit.towers import (
     LAMAN_TOWER_MINIMAL,
@@ -65,25 +65,26 @@ DIAGONAL = SimpleGraph([0, 2], [])
 # ---- sparsity additions --------------------------------------------------
 
 
-def test_independent_restriction_drops_latest_dependent_edge():
+def test_accepted_edges_drop_latest_dependent_edge():
     k4 = complete_graph(4)
-    thin = independent_restriction(k4, LAMAN)
+    accepted = PebbleGame.over(k4, LAMAN).accepted
+    thin = SimpleGraph(k4.vertices, [k4.edges[i] for i in accepted])
     assert thin.edges == k4.edges[:5]
     assert is_sparse(thin, LAMAN).tight
 
 
-def test_extend_to_tight_spanning_honors_seeds():
+def test_tight_spanning_subgraph_honors_seeds():
     k4 = complete_graph(4)
-    tight = extend_to_tight_spanning(k4, LAMAN, ((2, 3),))
+    tight = tight_spanning_subgraph(k4, LAMAN, ((2, 3),))
     assert tight is not None
     assert tight.has_edge(2, 3)
     assert is_sparse(tight, LAMAN).tight
     with pytest.raises(InputError):
-        extend_to_tight_spanning(k4, LAMAN, ((0, 4),))
+        tight_spanning_subgraph(k4, LAMAN, ((0, 4),))
 
 
-def test_extend_to_tight_spanning_none_when_underbraced():
-    assert extend_to_tight_spanning(C4, LAMAN) is None
+def test_tight_spanning_subgraph_none_when_underbraced():
+    assert tight_spanning_subgraph(C4, LAMAN) is None
 
 
 # ---- relative rigidity ---------------------------------------------------
@@ -568,7 +569,7 @@ def _laman_reference(t, q):
     witness = []
     prev = ()
     for stage in t.stages:
-        tight = extend_to_tight_spanning(stage, count, prev)
+        tight = tight_spanning_subgraph(stage, count, prev)
         if tight is None:
             return LAMAN_TOWER_NOT, None
         witness.append(tight)
