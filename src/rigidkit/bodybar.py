@@ -45,7 +45,7 @@ from .frameworks import (
     random_placement,
     report_at_rank,
 )
-from .graphs import MultiGraph, SimpleGraph, Tower, induced_subgraph, normalize_edge
+from .graphs import MultiGraph, SimpleGraph, Tower, normalize_edge
 from .sparsity import PebbleGame, SparsityCount, is_sparse
 from .towers import (
     LAMAN_TOWER_MINIMAL,
@@ -115,6 +115,21 @@ def _structure_problems(g: SimpleGraph, bodies: Sequence[Sequence[int]]) -> list
     return problems
 
 
+def _body_subgraphs(
+    g: SimpleGraph, bodies: Sequence[Sequence[int]]
+) -> tuple[SimpleGraph, ...]:
+    """The subgraph of g each body induces, in g's vertex and edge order as
+    induced_subgraph gives it, from one pass over g."""
+    owner = {v: i for i, b in enumerate(bodies) for v in b}
+    parts: list[tuple[list, list]] = [([], []) for _ in bodies]
+    for v in g.vertices:
+        parts[owner[v]][0].append(v)
+    for v, w in g.edges:
+        if owner[v] == owner[w]:
+            parts[owner[v]][1].append((v, w))
+    return tuple(SimpleGraph(*part) for part in parts)
+
+
 @dataclass(frozen=True)
 class MultiBodyGraph:
     """Simple graph partitioned into bodies joined by vertex-disjoint bars.
@@ -167,7 +182,7 @@ class MultiBodyGraph:
 
     @cached_property
     def body_subgraphs(self) -> tuple[SimpleGraph, ...]:
-        return tuple(induced_subgraph(self.underlying, b) for b in self.bodies)
+        return _body_subgraphs(self.underlying, self.bodies)
 
     @cached_property
     def collapsed(self) -> MultiGraph:
@@ -212,8 +227,7 @@ def validate_multibody(
     if problems:
         raise InputError("; ".join(problems))
     p = random_placement(g, norm, 0)
-    for i, b in enumerate(bs):
-        part = induced_subgraph(g, b)
+    for i, (b, part) in enumerate(zip(bs, _body_subgraphs(g, bs))):
         rank, kept = _certified_rank(part, p, norm)
         if kept is not None:
             _plane_cross_check(kept, norm, True, rank)

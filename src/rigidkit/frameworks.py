@@ -256,22 +256,19 @@ def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> F
 # ---- placement sampling ------------------------------------------------
 
 
-def random_placement(
-    g: SimpleGraph,
-    norm: NormSpec,
-    seed: int,
-    scale: float = 1.0,
-    max_attempts: int = 100,
-) -> Placement:
-    """Uniform in [-scale, scale]^d, resampled while any edge has an equal
+_PLACEMENT_ATTEMPTS = 100
+
+
+def random_placement(g: SimpleGraph, norm: NormSpec, seed: int) -> Placement:
+    """Uniform in [-1, 1]^d, resampled while any edge has an equal
     coordinate pair (keeps the placement off the degenerate variety)."""
     rng = np.random.default_rng(seed)
     ia, ib = _edge_ends(g)
-    for _ in range(max_attempts):
-        pts = rng.uniform(-scale, scale, size=(g.n_vertices, norm.d))
+    for _ in range(_PLACEMENT_ATTEMPTS):
+        pts = rng.uniform(-1.0, 1.0, size=(g.n_vertices, norm.d))
         if not np.any(pts[ia] == pts[ib]):
             return Placement.from_array(g, pts)
-    raise SamplingError(f"no admissible placement in {max_attempts} attempts")
+    raise SamplingError(f"no admissible placement in {_PLACEMENT_ATTEMPTS} attempts")
 
 
 # ---- exact rank mod a prime ----------------------------------------------
@@ -612,20 +609,22 @@ def _field_to_vec(g: SimpleGraph, u: Mapping[int, Sequence[float]], d: int) -> n
     return out
 
 
+_EXTENSION_TOL = 1e-8
+
+
 def flex_extends(
     g_small: SimpleGraph,
     g_large: SimpleGraph,
     p: Placement,
     u: Mapping[int, Sequence[float]],
     norm: NormSpec,
-    tol: float = 1e-8,
 ) -> ExtensionResult:
     """Least-squares extension of a flex of the small framework to the large.
 
     The input must be a flex of (g_small, p) already; velocities for the new
     vertices are solved for, and the extension succeeds when the combined
-    residual over all edges of g_large drops below tol (relative to the input
-    speed scale).
+    residual over all edges of g_large drops below _EXTENSION_TOL (relative
+    to the input speed scale).
     """
     if not g_small.is_subgraph_of(g_large):
         raise InputError("first graph is not a subgraph of the second")
@@ -635,7 +634,7 @@ def flex_extends(
     scale = max(1.0, float(np.max(np.abs(u_small))) if u_small.size else 1.0)
     if rm_small.size:
         pre = float(np.max(np.abs(rm_small @ u_small.ravel())))
-        if pre > tol * scale * 10:
+        if pre > _EXTENSION_TOL * scale * 10:
             raise InputError(
                 f"input is not a flex of the small framework (residual {pre:.3e})"
             )
@@ -654,7 +653,7 @@ def flex_extends(
         full.ravel()[~known_cols] = w
     resid_vec = rm @ full.ravel() if rm.size else np.zeros(0)
     residual = float(np.max(np.abs(resid_vec))) if resid_vec.size else 0.0
-    ok = residual <= tol * scale
+    ok = residual <= _EXTENSION_TOL * scale
     flex = {v: full[idx[v]].copy() for v in g_large.vertices} if ok else None
     return ExtensionResult(extends=ok, residual=residual, flex=flex)
 
@@ -705,6 +704,11 @@ def _length_jacobian(pts: np.ndarray, g: SimpleGraph, qf: float) -> np.ndarray:
     return _layout(g.n_vertices, pts.shape[1], ia, ib, vals, -vals)
 
 
+_NEWTON_TOL = 1e-12
+_MAX_NEWTON = 25
+_LENGTH_TOL = 1e-8
+
+
 def continuation_track(
     g: SimpleGraph,
     p0: Placement,
@@ -712,9 +716,6 @@ def continuation_track(
     direction: Mapping[int, Sequence[float]],
     steps: int,
     step_length: float,
-    newton_tol: float = 1e-12,
-    max_newton: int = 25,
-    length_tol: float = 1e-8,
 ) -> list[Placement]:
     """Euler predictor / Newton corrector path through the configuration set.
 
@@ -722,7 +723,7 @@ def continuation_track(
     leading coordinates of later vertices in the Euclidean case).  The input
     direction is projected onto the pinned kernel at the start; a zero
     projection yields a constant path.  Returns the `steps` placements after
-    the start; every edge keeps its lq length to within length_tol.
+    the start; every edge keeps its lq length to within _LENGTH_TOL.
     """
     if steps < 1:
         raise InputError("need at least one step")
@@ -753,20 +754,18 @@ def continuation_track(
         x_new = x.copy()
         x_new[free] += step_length * tangent
         # Newton corrections on the edge-length equations.
-        converged = False
-        for _ in range(max_newton):
+        for _ in range(_MAX_NEWTON):
             resid = _lq_lengths(x_new.reshape(-1, norm.d), g, qf) - lengths0
             worst = float(np.max(np.abs(resid))) if resid.size else 0.0
-            if worst < newton_tol:
-                converged = True
+            if worst < _NEWTON_TOL:
                 break
             jac_c = _length_jacobian(x_new.reshape(-1, norm.d), g, qf)[:, free]
             delta, *_ = np.linalg.lstsq(jac_c, -resid, rcond=None)
             x_new[free] += delta
-        if not converged:
+        else:
             raise ContinuationError(step, f"corrector stalled at step {step}")
         drift = _lq_lengths(x_new.reshape(-1, norm.d), g, qf) - lengths0
-        if drift.size and float(np.max(np.abs(drift))) > length_tol:
+        if drift.size and float(np.max(np.abs(drift))) > _LENGTH_TOL:
             raise ContinuationError(step, f"length drift exceeded tolerance at step {step}")
         x = x_new
         prev_dir = tangent if nrm >= 1e-12 else None
@@ -793,7 +792,6 @@ def flex_growth_profile(
     placements: Sequence[Placement],
     norm: NormSpec,
     base_flex: Mapping[int, Sequence[float]] | None = None,
-    tol: float = 1e-8,
 ) -> FlexGrowthProfile:
     """Extend a stage-1 nontrivial flex up a nested sequence of frameworks.
 
@@ -826,7 +824,7 @@ def flex_growth_profile(
         raise InputError("base flex is identically zero on stage 1")
     cancellation = None
     for k in range(1, len(stages)):
-        ext = flex_extends(stages[k - 1], stages[k], placements[k], u, norm, tol=tol)
+        ext = flex_extends(stages[k - 1], stages[k], placements[k], u, norm)
         if not ext.extends:
             cancellation = k
             break
@@ -836,9 +834,7 @@ def flex_growth_profile(
     base = speeds[0]
     rel = tuple(s / base for s in speeds)
     diffs = [rel[i + 1] - rel[i] for i in range(len(rel) - 1)]
-    if not diffs:
-        trend = "constant"
-    elif all(abs(x) <= 1e-9 for x in diffs):
+    if all(abs(x) <= 1e-9 for x in diffs):
         trend = "constant"
     elif all(x > 0 for x in diffs):
         trend = "increasing"

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import InputError
 from .graphs import SimpleGraph, Tower
-from .norms import NormSpec
+from .norms import NormSpec, parse_number
 from .placements import Placement
 
 # numpy, the numeric modules and the moves load only when a document needs
@@ -66,25 +66,6 @@ def format_number(x) -> int | str:
             return int(x)
         return f"{x.numerator}/{x.denominator}"
     return "%.17g" % float(x)
-
-
-def parse_number(v) -> int | float | Fraction:
-    if isinstance(v, bool):
-        raise InputError(f"expected a number, got {v!r}")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return v
-    if isinstance(v, str):
-        try:
-            if "/" in v:
-                return Fraction(v)
-            if v.lstrip("+-").isdigit():
-                return int(v)
-            return float(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"unreadable number {v!r}") from exc
-    raise InputError(f"expected a number, got {type(v).__name__}")
 
 
 def _is_ndarray(x) -> bool:

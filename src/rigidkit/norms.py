@@ -10,11 +10,30 @@ from fractions import Fraction
 
 from .errors import InputError
 
-__all__ = ["NormSpec", "QValue", "RANK_EPS"]
+__all__ = ["NormSpec", "QValue", "RANK_EPS", "parse_number"]
 
 RANK_EPS = 1e-9
 
 QValue = int | float | Fraction
+
+
+def parse_number(v) -> QValue:
+    """A JSON or command-line number: an int, a float, or a "p/q" string
+    read as a Fraction.  Anything else raises InputError."""
+    if isinstance(v, bool):
+        raise InputError(f"expected a number, got {v!r}")
+    if isinstance(v, (int, float)):
+        return v
+    if isinstance(v, str):
+        try:
+            if "/" in v:
+                return Fraction(v)
+            if v.lstrip("+-").isdigit():
+                return int(v)
+            return float(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"unreadable number {v!r}") from exc
+    raise InputError(f"expected a number, got {type(v).__name__}")
 
 
 @dataclass(frozen=True)
@@ -74,24 +93,18 @@ class NormSpec:
 
     @classmethod
     def parse(cls, text: str) -> "NormSpec":
-        d = None
-        q: QValue | None = None
+        fields: dict[str, str] = {}
         for part in text.split(","):
             key, _, value = part.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key == "d":
-                d = int(value)
-            elif key == "q":
-                if "/" in value:
-                    q = Fraction(value)
-                else:
-                    q = int(value) if value.lstrip("+-").isdigit() else float(value)
-            else:
+            if key not in ("d", "q"):
                 raise InputError(f"unknown norm field {key!r}")
-        if d is None or q is None:
+            if key in fields:
+                raise InputError(f"norm field {key!r} given twice in {text!r}")
+            fields[key] = value.strip()
+        if len(fields) != 2:
             raise InputError(f"norm spec {text!r} must give both d and q")
-        return cls(d, q)
+        return cls(int(fields["d"]), parse_number(fields["q"]))
 
     def __str__(self) -> str:
         return f"d={self.d},q={self.q}"

@@ -19,6 +19,10 @@ the greedy basis positions are `PebbleGame.over(g, count).accepted`, its
 graph is g's edges at those positions, and the tight subgraph blocking a
 pair v, w has the vertices `game.blocker(v, w)` and the accepted edges
 among them.
+
+A tower of nested graphs runs on one game too, each stage offering only
+the edges it adds: a refused edge depends on the basis so far, so a fresh
+game seeded with the previous basis would refuse it again.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import AlgorithmError, InputError, UnsupportedCountError
-from .graphs import GraphLike, MultiGraph, induced_subgraph, normalize_edge
+from .graphs import GraphLike, MultiGraph, induced_subgraph
 from .norms import NormSpec
 
 __all__ = [
@@ -240,31 +244,13 @@ def brute_force_sparse(g: GraphLike, count: SparsityCount) -> SparsityReport:
     return SparsityReport(sparse=True, tight=g.n_edges == count.target(n))
 
 
-def tight_spanning_subgraph(
-    g: GraphLike, count: SparsityCount, seed_edges: tuple[tuple[int, int], ...] = ()
-) -> GraphLike | None:
-    """Tight spanning subgraph whose edge set contains the given seeds.
-
-    The seeds are inserted first, then the remaining edges greedily in input
-    order, so any independent seed set extends to a basis of the sparsity
-    matroid restricted to g by the exchange property.  Returns None when g
-    has no tight spanning subgraph at all; seeds that are missing from g or
-    mutually dependent raise InputError.
-    """
-    pool = list(g.edges)
-    seeds = [normalize_edge(u, w) for u, w in seed_edges]
-    for e in seeds:
-        try:
-            pool.remove(e)
-        except ValueError:
-            raise InputError(f"seed edge {e} is not an edge of the graph") from None
-    game = PebbleGame(g.vertices, count)
-    if not all(game.insert(*e) for e in seeds):
-        raise InputError("seed edges are not independent for this count")
-    accepted = seeds + [e for e in pool if game.insert(*e)]
-    if len(accepted) != count.target(g.n_vertices):
+def tight_spanning_subgraph(g: GraphLike, count: SparsityCount) -> GraphLike | None:
+    """Greedy basis of g in input order, or None when it is not tight (all
+    bases of the count's matroid on g have the same size)."""
+    game = PebbleGame.over(g, count)
+    if len(game.accepted) != count.target(g.n_vertices):
         return None
-    return type(g)(g.vertices, tuple(accepted))
+    return type(g)(g.vertices, tuple(g.edges[i] for i in game.accepted))
 
 
 def augment_to_tight(g: GraphLike, count: SparsityCount) -> GraphLike:

@@ -14,6 +14,7 @@ a capped exhaustive search is provided instead to exhibit such failures.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -26,12 +27,7 @@ from .graphs import (
     validate_tower,
 )
 from .norms import NormSpec
-from .sparsity import (
-    PebbleGame,
-    SparsityCount,
-    planar_count,
-    tight_spanning_subgraph,
-)
+from .sparsity import PebbleGame, SparsityCount, planar_count
 
 # numpy and frameworks load inside the functions that compute ranks, so the
 # pebble-game decisions (laman_tower_decide, rigid_container_2d) never load them.
@@ -350,21 +346,29 @@ def _nested_witnesses(
 ) -> tuple[str, tuple | None]:
     """Status and nested tight spanning witnesses of a staged presentation.
 
-    The stages are simple graphs or multigraphs.  Each stage must admit a
-    tight spanning subgraph extending the previous stage's witness; when
-    one has none the status is NotCertified with no witness.  Nesting makes
-    the last witness the union of them all: it must reach every vertex of
-    the reference (else NotCertified, with the witnesses), and it is
+    The stages are simple graphs or multigraphs.  One pebble game over the
+    reference's vertices runs the tower: each stage offers, in its own
+    order, the multiset of edges it adds, and its witness is the edges
+    accepted so far.  A refused edge depends on the previous witness, so a
+    fresh game seeded with that witness would refuse it again.  A stage
+    short of tight gives NotCertified with no witness; the last witness
+    must reach every vertex of the reference (else NotCertified), and is
     MinimallyRigid when it equals the reference, Rigid otherwise.
     """
+    game = PebbleGame(reference.vertices, count)
+    kept: list[tuple[int, int]] = []
     witness = []
-    prev: tuple[tuple[int, int], ...] = ()
+    earlier: Counter = Counter()
     for stage in stages:
-        tight = tight_spanning_subgraph(stage, count, prev)
-        if tight is None:
+        for e in stage.edges:
+            if earlier[e]:
+                earlier[e] -= 1
+            elif game.insert(*e):
+                kept.append(e)
+        if len(kept) != count.target(stage.n_vertices):
             return LAMAN_TOWER_NOT, None
-        witness.append(tight)
-        prev = tight.edges
+        witness.append(type(stage)(stage.vertices, tuple(kept)))
+        earlier = Counter(stage.edges)
     last = witness[-1]
     if last.vertex_set != reference.vertex_set:
         status = LAMAN_TOWER_NOT
@@ -379,9 +383,10 @@ def laman_tower_decide(t: Tower, q) -> LamanTowerVerdict:
     """Planar tower decision through nested tight spanning subgraphs.
 
     Each stage must admit a tight spanning subgraph extending the previous
-    stage's witness; the count is (2,3) for the Euclidean exponent and (2,2)
-    otherwise.  A nested witness spanning every stage certifies Rigid, and
-    MinimallyRigid when the witnesses also exhaust the reference edge set."""
+    stage's witness, all on one pebble game; the count is (2,3) for the
+    Euclidean exponent and (2,2) otherwise.  A nested witness spanning every
+    stage certifies Rigid, and MinimallyRigid when the witnesses also
+    exhaust the reference edge set."""
     validate_tower(t)
     count = planar_count(NormSpec(2, q))
     return LamanTowerVerdict(*_nested_witnesses(t.stages, t.reference, count))
@@ -390,8 +395,11 @@ def laman_tower_decide(t: Tower, q) -> LamanTowerVerdict:
 # ---- exhaustive container search ----------------------------------------
 
 
+_EXHAUSTIVE_CAP = 12
+
+
 def exhaustive_rigid_container(
-    g: SimpleGraph, h: SimpleGraph, norm: NormSpec, seed: int = 0, cap: int = 12
+    g: SimpleGraph, h: SimpleGraph, norm: NormSpec, seed: int = 0
 ) -> SimpleGraph | None:
     """Search every vertex superset of h for a rigid induced container.
 
@@ -400,9 +408,9 @@ def exhaustive_rigid_container(
     vertices outside h, hence the hard cap."""
     from .frameworks import is_rigid_generic
 
-    if g.n_vertices > cap:
+    if g.n_vertices > _EXHAUSTIVE_CAP:
         raise InputError(
-            f"exhaustive container search capped at {cap} vertices, "
+            f"exhaustive container search capped at {_EXHAUSTIVE_CAP} vertices, "
             f"got {g.n_vertices}"
         )
     if not h.is_subgraph_of(g):

@@ -27,6 +27,7 @@ from rigidkit.moves import (
     VertexToK4,
     apply_move,
 )
+from rigidkit.sparsity import PebbleGame
 
 
 def random_graph(n: int, p: float, seed: int) -> SimpleGraph:
@@ -205,6 +206,27 @@ def realize_bodybar(gb, norm):
         (b[i], b[j]) for b in bodies for i in range(len(b)) for j in range(i + 1, len(b))
     ]
     return validate_multibody(SimpleGraph(range(label), within + bars), bodies, norm)
+
+
+def seeded_tight_witnesses(stages, count):
+    """Reference for the nested tight witnesses of a tower: a fresh pebble
+    game per stage takes the previous witness first, then the stage's other
+    edges in order (one copy of a parallel edge per seed).  The witnesses,
+    or None at the first stage whose game falls short of tight."""
+    witness = []
+    prev = ()
+    for stage in stages:
+        pool = list(stage.edges)
+        for e in prev:
+            pool.remove(e)
+        game = PebbleGame(stage.vertices, count)
+        assert all(game.insert(*e) for e in prev)
+        kept = list(prev) + [e for e in pool if game.insert(*e)]
+        if len(kept) != count.target(stage.n_vertices):
+            return None
+        witness.append(type(stage)(stage.vertices, kept))
+        prev = tuple(kept)
+    return witness
 
 
 def glued_relative_nullities(g, h, norm, seed):

@@ -8,7 +8,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from helpers import random_multibody, random_tight_multigraph, realize_bodybar
+from helpers import (
+    complete_bodies,
+    random_multibody,
+    random_tight_multigraph,
+    realize_bodybar,
+    seeded_tight_witnesses,
+)
 from rigidkit import bodybar, frameworks
 from rigidkit.bodybar import (
     BODYBAR_TOWER_MINIMAL,
@@ -38,7 +44,7 @@ from rigidkit.frameworks import (
     rigidity_matrix,
 )
 from rigidkit.graphs import MultiGraph, SimpleGraph, complete_graph, induced_subgraph
-from rigidkit.sparsity import SparsityCount, is_sparse, tight_spanning_subgraph
+from rigidkit.sparsity import SparsityCount, is_sparse
 from rigidkit.towers import LAMAN_TOWER_NOT, LAMAN_TOWER_RIGID, relative_rigidity
 
 EUCLID2 = NormSpec(2, 2)
@@ -222,6 +228,22 @@ def test_rank_above_the_prediction_is_inconsistent(monkeypatch):
     monkeypatch.setattr(frameworks, "placement_rank", lambda g, p, norm: 30)
     with pytest.raises(InconsistencyError, match="rank 30 .* generic rank 29"):
         tay_decide(m, EUCLID3)
+
+
+def test_bodies_keep_the_graph_order(monkeypatch):
+    """Each body is ranked, and listed, in the vertex and edge order that
+    induced_subgraph gives on a graph with shuffled orders."""
+    rng = random.Random(5)
+    for n_bodies in range(1, 6):
+        g, bodies = complete_bodies(n_bodies, 4, rng)
+        ranked = counting(monkeypatch, bodybar, "_certified_rank")
+        m = validate_multibody(g, bodies, CUBIC2)
+        assert [(h.vertices, h.edges) for h, *_ in ranked] == [
+            (h.vertices, h.edges) for h in (induced_subgraph(g, b) for b in bodies)
+        ]
+        assert [(h.vertices, h.edges) for h in m.body_subgraphs] == [
+            (h.vertices, h.edges) for h in (induced_subgraph(g, b) for b in m.bodies)
+        ]
 
 
 @pytest.mark.parametrize("norm", [EUCLID2, CUBIC2, EUCLID3, CUBIC3, MID3])
@@ -766,15 +788,8 @@ def _bodybar_reference(t, norm, seed, confirm):
     count = body_bar_count(norm)
     host = t.target if t.target is not None else t.stages[-1]
     ref = labeled_body_bar(host)
-    witness = []
-    prev = ()
-    for stage in t.stages:
-        tight = tight_spanning_subgraph(labeled_body_bar(stage), count, prev)
-        if tight is None:
-            break
-        witness.append(tight)
-        prev = tight.edges
-    else:
+    witness = seeded_tight_witnesses([labeled_body_bar(s) for s in t.stages], count)
+    if witness is not None:
         if set(witness[-1].vertices) != set(ref.vertices):
             return (LAMAN_TOWER_NOT, tuple(witness), None), "tight"
         minimal = sorted(witness[-1].edges) == sorted(ref.edges)
@@ -877,3 +892,59 @@ def test_bodybar_decision_matches_reference_loop(monkeypatch):
     assert {none for *_, none in routes} == {True, False}
     assert calls["new"] == calls["ref"]
     assert calls["new"]
+
+
+def _parallel_bar_tower(idx):
+    """Nested stages of complete bodies in which later stages add bars
+    parallel to bars already present.
+
+    Body i arrives with body_bar_count(norm).k bars to earlier bodies, so
+    every stage has a tight collapsed subgraph; some stages also add one
+    more bar between a pair of bodies that a bar already joins.  Each stage
+    lists its edges in its own shuffled order."""
+    rng = random.Random(idx)
+    norm = (CUBIC2, EUCLID2, CUBIC3)[idx % 3]
+    k = body_bar_count(norm).k
+    depth = rng.randint(2, 4)
+    arrive = [0]
+    for _ in range(rng.randint(1, 3)):
+        arrive.append(min(depth - 1, arrive[-1] + rng.randrange(2)))
+    plan = []  # (body pair, stage of arrival)
+    for i in range(1, len(arrive)):
+        plan += [((rng.randrange(i), i), arrive[i]) for _ in range(k)]
+    for s in range(1, depth):
+        if rng.random() < 0.7:
+            pair, _ = rng.choice([p for p in plan if p[1] < s] or plan)
+            plan.append((pair, max(s, arrive[pair[1]])))
+    degree = Counter(b for pair, _ in plan for b in pair)
+    base = norm.d + 1 if norm.euclidean else 2 * norm.d
+    sizes = [max(base, degree[i]) for i in range(len(arrive))]
+    g, bodies = build(sizes, ())
+    free = [list(b) for b in bodies]
+    bars = [((free[a].pop(), free[b].pop()), s) for (a, b), s in plan]
+    stages = []
+    for s in range(depth):
+        here = [b for b, at in zip(bodies, arrive) if at <= s]
+        keep = {v for b in here for v in b}
+        es = [e for e in g.edges if e[0] in keep] + [e for e, at in bars if at <= s]
+        rng.shuffle(es)
+        stages.append(
+            MultiBodyGraph(SimpleGraph(sorted(keep), es), here, [e for e, at in bars if at <= s])
+        )
+    return MultiBodyTower(stages, (None, stages[-1])[rng.randrange(2)]), norm
+
+
+def test_bodybar_stages_adding_parallel_bars_match_reference_loop():
+    parallel_later = 0
+    for idx in range(90):
+        t, norm = _parallel_bar_tower(idx)
+        v = bodybar_tower_decide(t, norm, seed=idx)
+        want, route = _bodybar_reference(t, norm, idx, relative_rigidity)
+        got = (v.status, v.tight_witness, v.container_witness)
+        assert _verdict_fields(*got) == _verdict_fields(*want), idx
+        assert route == "tight"
+        collapsed = [labeled_body_bar(s) for s in t.stages]
+        for small, large in zip(collapsed, collapsed[1:]):
+            added = Counter(large.edges) - Counter(small.edges)
+            parallel_later += any(e in small.edges for e in added)
+    assert parallel_later > 30

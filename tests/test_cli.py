@@ -153,6 +153,16 @@ def test_analyze_needs_a_norm(invoke):
     assert "norm" in err
 
 
+@pytest.mark.parametrize("spec", ["d=2,q=1/0", "d=2,q=2,q=3"])
+def test_unreadable_norm_is_one_error_line(invoke, spec):
+    text = json.dumps(jsonio.graph_to_json(complete_graph(3)))
+    code, out, err = invoke("analyze", "--generic", "--norm", spec, stdin=text)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("rigidkit: ")
+
+
 # ---- sparsity -------------------------------------------------------------
 
 K4_TEXT = json.dumps({"vertices": [0, 1, 2, 3], "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]})

@@ -173,6 +173,11 @@ def test_tight_spanning_subgraph():
     assert set(t.edges) < set(K4.edges)
     # a path on 3 vertices has no Laman completion inside itself
     assert tight_spanning_subgraph(SimpleGraph(range(3), [(0, 1), (1, 2)]), LAMAN) is None
+    # parallel edges count: two of the three copies make the pair (2,2)-tight
+    g = MultiGraph((0, 1), ((0, 1), (0, 1), (0, 1)))
+    t = tight_spanning_subgraph(g, SparsityCount(2, 2))
+    assert isinstance(t, MultiGraph)
+    assert t.edges == ((0, 1), (0, 1))
 
 
 def test_greedy_basis_positions():
@@ -180,31 +185,6 @@ def test_greedy_basis_positions():
     kept = basis_graph(K4, LAMAN)
     assert kept.n_edges == 5
     assert is_sparse(kept, LAMAN).sparse
-
-
-def test_extend_honours_seed_edges():
-    seeds = ((2, 3), (1, 3))
-    t = tight_spanning_subgraph(K4, LAMAN, seeds)
-    assert t.n_edges == 5
-    assert t.edges[:2] == ((2, 3), (1, 3))
-    assert is_sparse(t, LAMAN).tight
-
-
-def test_extend_rejects_bad_seeds():
-    with pytest.raises(InputError, match="not an edge"):
-        tight_spanning_subgraph(K4, LAMAN, ((0, 5),))
-    with pytest.raises(InputError, match="not independent"):
-        tight_spanning_subgraph(K4, LAMAN, tuple(K4.edges))
-    # membership is checked for every seed before any is inserted
-    with pytest.raises(InputError, match="not an edge"):
-        tight_spanning_subgraph(K4, LAMAN, tuple(K4.edges) + ((0, 5),))
-
-
-def test_extend_multigraph_seed_takes_one_copy():
-    g = MultiGraph((0, 1), ((0, 1), (0, 1), (0, 1)))
-    t = tight_spanning_subgraph(g, SparsityCount(2, 2), ((0, 1),))
-    assert isinstance(t, MultiGraph)
-    assert t.edges == ((0, 1), (0, 1))
 
 
 # ---- edge admissibility ---------------------------------------------------

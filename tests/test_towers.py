@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from helpers import (
     glued_relative_nullities,
     grow_tight_graph,
     random_graph,
+    seeded_tight_witnesses,
     zero_extension_graph,
 )
 import rigidkit.frameworks
@@ -23,6 +25,7 @@ from rigidkit.frameworks import (
     trivial_motion_basis,
 )
 from rigidkit.graphs import (
+    MultiGraph,
     SimpleGraph,
     Tower,
     complete_graph,
@@ -34,6 +37,7 @@ from rigidkit.sparsity import (
     LAMAN,
     QNORM_2D,
     PebbleGame,
+    SparsityCount,
     is_sparse,
     tight_spanning_subgraph,
 )
@@ -71,16 +75,6 @@ def test_accepted_edges_drop_latest_dependent_edge():
     thin = SimpleGraph(k4.vertices, [k4.edges[i] for i in accepted])
     assert thin.edges == k4.edges[:5]
     assert is_sparse(thin, LAMAN).tight
-
-
-def test_tight_spanning_subgraph_honors_seeds():
-    k4 = complete_graph(4)
-    tight = tight_spanning_subgraph(k4, LAMAN, ((2, 3),))
-    assert tight is not None
-    assert tight.has_edge(2, 3)
-    assert is_sparse(tight, LAMAN).tight
-    with pytest.raises(InputError):
-        tight_spanning_subgraph(k4, LAMAN, ((0, 4),))
 
 
 def test_tight_spanning_subgraph_none_when_underbraced():
@@ -565,15 +559,9 @@ def _stage_union(stages):
 
 
 def _laman_reference(t, q):
-    count = LAMAN if q == 2 else QNORM_2D
-    witness = []
-    prev = ()
-    for stage in t.stages:
-        tight = tight_spanning_subgraph(stage, count, prev)
-        if tight is None:
-            return LAMAN_TOWER_NOT, None
-        witness.append(tight)
-        prev = tight.edges
+    witness = seeded_tight_witnesses(t.stages, LAMAN if q == 2 else QNORM_2D)
+    if witness is None:
+        return LAMAN_TOWER_NOT, None
     union = _stage_union(t.stages)
     ref = t.target if t.target is not None else union
     if union.vertex_set != ref.vertex_set:
@@ -675,6 +663,117 @@ def test_laman_decision_matches_reference_loop():
     assert {(target, single) for _, _, target, single in seen} == {
         (True, True), (True, False), (False, True), (False, False)
     }
+
+
+def _shuffled_stage(g, rng):
+    vs, es = list(g.vertices), list(g.edges)
+    rng.shuffle(vs)
+    rng.shuffle(es)
+    return type(g)(vs, es)
+
+
+def _reorders(stages):
+    """Whether some stage lists two edges of its predecessor the other way."""
+    for small, large in zip(stages, stages[1:]):
+        pos = {e: i for i, e in enumerate(large.edges)}
+        old = [pos[e] for e in small.edges]
+        if old != sorted(old):
+            return True
+    return False
+
+
+def _rejects_early(stages, witness):
+    """Whether a stage before the last leaves an edge out of its witness."""
+    return any(s.n_edges > w.n_edges for s, w in zip(stages[:-1], witness))
+
+
+def test_laman_decision_on_shuffled_stages_matches_reference_loop():
+    """The seeded towers above with every stage's vertex and edge order
+    shuffled on its own."""
+    seen = set()
+    for idx in range(300):
+        t, q = _random_nested_tower(idx)
+        rng = random.Random(idx)
+        stages = [_shuffled_stage(s, rng) for s in t.stages]
+        t = Tower(stages, t.target)
+        verdict = laman_tower_decide(t, q)
+        status, witness = _laman_reference(t, q)
+        assert (verdict.status, _laid_out(verdict.witness)) == (
+            status,
+            _laid_out(witness),
+        ), idx
+        seen.add((status, witness is None))
+        if witness is not None:
+            seen.add(("reordered", _reorders(stages)))
+            seen.add(("rejected early", _rejects_early(stages, witness)))
+            seen.add(("target", t.target is not None))
+    assert seen >= {
+        ("reordered", True),
+        ("rejected early", True),
+        ("target", True),
+        (LAMAN_TOWER_NOT, True),
+        (LAMAN_TOWER_NOT, False),
+        (LAMAN_TOWER_RIGID, False),
+        (LAMAN_TOWER_MINIMAL, False),
+    }
+
+
+def _growing_multigraph_tower(rng, k, depth):
+    """Nested multigraph stages, each with its own shuffled edge order.
+
+    Each new vertex is joined by k edges to earlier vertices, parallel
+    copies allowed, which keeps a stage (k, k)-tight; some stages add a
+    copy of an existing edge, and a rare vertex gets only k - 1 edges, so
+    that stage and every later one fall short."""
+    vs, es = [0], []
+    stages = []
+    for _ in range(depth):
+        for _ in range(rng.randint(0, 2)):
+            v = len(vs)
+            degree = k - (rng.random() < 0.05)
+            es += [(rng.choice(vs), v) for _ in range(degree)]
+            vs.append(v)
+        if es and rng.random() < 0.5:
+            es.append(rng.choice(es))
+        stages.append(MultiGraph(vs, rng.sample(es, len(es))))
+    return stages
+
+
+def test_multigraph_witnesses_match_reference_loop():
+    from rigidkit.towers import _nested_witnesses
+
+    seen = Counter()
+    for idx in range(300):
+        rng = random.Random(idx)
+        k = (2, 3, 6)[idx % 3]
+        count = SparsityCount(k, k)
+        stages = _growing_multigraph_tower(rng, k, rng.randint(1, 4))
+        _, witness = _nested_witnesses(stages, stages[-1], count)
+        want = seeded_tight_witnesses(stages, count)
+        assert _laid_out(witness) == _laid_out(want), idx
+        seen["no witness"] += want is None
+        if want is not None:
+            seen["rejected early"] += _rejects_early(stages, want)
+            for small, large in zip(stages, stages[1:]):
+                added = Counter(large.edges) - Counter(small.edges)
+                seen["parallel later"] += any(e in small.edges for e in added)
+    assert min(seen[case] for case in ("no witness", "rejected early", "parallel later")) > 0
+
+
+def test_laman_tower_inserts_each_edge_once(monkeypatch):
+    g = zero_extension_graph(1200, 2, 3, 1)
+    t = Tower([induced_subgraph(g, range(120 * k)) for k in range(1, 11)])
+    inserts = []
+    real = PebbleGame.insert
+
+    def insert(game, u, w):
+        inserts.append((u, w))
+        return real(game, u, w)
+
+    monkeypatch.setattr(PebbleGame, "insert", insert)
+    verdict = laman_tower_decide(t, 2)
+    assert verdict.status == LAMAN_TOWER_MINIMAL
+    assert len(inserts) == g.n_edges == 2397
 
 
 def test_sequential_decision_matches_reference_loop(monkeypatch):
