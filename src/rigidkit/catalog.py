@@ -1,9 +1,11 @@
 """Named graph families with their stock placements.
 
 Each generator returns either a bare graph or a GeneratedFamily carrying a
-placement and, for the surfaces, hole metadata.  Counts are re-derived from
-closed forms after construction, so a broken generator fails loudly instead
-of leaking a malformed family into an analysis.  Only whirlpool_blocks,
+placement and, for the surfaces, hole metadata.  Each works out its edge
+count from its parameters in closed form first, refuses a family of more
+than MAX_FAMILY_EDGES edges before building anything, and re-checks the
+count after construction, so a broken generator fails loudly instead of
+leaking a malformed family into an analysis.  Only whirlpool_blocks,
 which returns arrays, loads numpy.
 """
 
@@ -25,6 +27,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "GeneratedFamily",
+    "MAX_FAMILY_EDGES",
     "SimplicialMeta",
     "add_shafts",
     "available_families",
@@ -89,6 +92,21 @@ class SimplicialMeta:
             raise InputError("; ".join(problems))
 
 
+# The most edges a generator builds; every family grows without bound in
+# its parameters, and a graph this size already takes seconds to build.
+MAX_FAMILY_EDGES = 1_000_000
+
+
+def _bounded(edges: int, family: str) -> int:
+    """A family's edge count, refused above MAX_FAMILY_EDGES."""
+    if edges > MAX_FAMILY_EDGES:
+        raise InputError(
+            f"{family} would have more than {MAX_FAMILY_EDGES} edges, "
+            "the most the catalog builds"
+        )
+    return edges
+
+
 def _check_edges(g: SimpleGraph, expected: int, family: str) -> None:
     if g.n_edges != expected:
         raise AlgorithmError(
@@ -100,12 +118,14 @@ def _check_edges(g: SimpleGraph, expected: int, family: str) -> None:
 def complete(n: int) -> SimpleGraph:
     if n < 1:
         raise InputError(f"complete graph needs a positive order, got {n}")
+    _bounded(n * (n - 1) // 2, "complete")
     return complete_graph(n)
 
 
 def cycle(n: int) -> SimpleGraph:
     if n < 3:
         raise InputError(f"cycle needs at least 3 vertices, got {n}")
+    _bounded(n, "cycle")
     return cycle_graph(n)
 
 
@@ -135,6 +155,7 @@ def banana_tower(stages: int) -> SimpleGraph:
     """
     if stages < 1:
         raise InputError(f"banana tower needs at least one stage, got {stages}")
+    expected = _bounded(9 * stages + 9, "banana_tower")
     edges = _banana((6, 7), 0) + _banana((6, 7), 3)
     for n in range(2, stages + 1):
         fresh = 3 * (n - 1) + 5
@@ -145,7 +166,7 @@ def banana_tower(stages: int) -> SimpleGraph:
             attach = (hub, fresh - 1)
         edges += _banana(attach, fresh)
     g = SimpleGraph(range(3 * stages + 5), edges)
-    _check_edges(g, 9 * stages + 9, "banana_tower")
+    _check_edges(g, expected, "banana_tower")
     return g
 
 
@@ -170,6 +191,7 @@ def strip(
     """
     if cells < 1:
         raise InputError(f"strip needs at least one cell, got {cells}")
+    expected = _bounded(7 * cells - 4, "strip")
     edges = []
     for k in range(cells):
         t, m, c = 3 * k, 3 * k + 1, 3 * k + 2
@@ -177,7 +199,7 @@ def strip(
         if k + 1 < cells:
             edges += [(t, t + 3), (m, m + 3), (c, c + 3), (m, c + 3)]
     g = SimpleGraph(range(3 * cells), edges)
-    _check_edges(g, 7 * cells - 4, "strip")
+    _check_edges(g, expected, "strip")
     coords: dict[int, tuple[float, float]] = {}
     if mode == "radial":
         for k in range(cells):
@@ -242,6 +264,7 @@ def whirlpool(layers: int) -> GeneratedFamily:
     """
     if layers < 0:
         raise InputError(f"layers must be non-negative, got {layers}")
+    expected = _bounded(8 * layers + 4, "whirlpool")
     edges = []
     for k in range(layers + 1):
         base = 4 * k
@@ -249,7 +272,7 @@ def whirlpool(layers: int) -> GeneratedFamily:
         if k:
             edges += [(base - 4 + i, base + i) for i in range(4)]
     g = SimpleGraph(range(4 * (layers + 1)), edges)
-    _check_edges(g, 8 * layers + 4, "whirlpool")
+    _check_edges(g, expected, "whirlpool")
     exact = whirlpool_exact_points(layers)
     if len(set(exact.values())) != len(exact):
         raise AlgorithmError("whirlpool placement has coincident points")
@@ -310,6 +333,7 @@ def tetra_refined(levels: int) -> GeneratedFamily:
     """
     if levels < 0:
         raise InputError(f"levels must be non-negative, got {levels}")
+    expected = _bounded(9 * levels + 6, "tetra_refined")
     apex = 3 * levels + 3
     edges = []
     for k in range(levels + 1):
@@ -320,7 +344,7 @@ def tetra_refined(levels: int) -> GeneratedFamily:
             edges += [(base - 3 + i, base + (i + 1) % 3) for i in range(3)]
     edges += [(3 * levels + i, apex) for i in range(3)]
     g = SimpleGraph(range(3 * levels + 4), edges)
-    _check_edges(g, 9 * levels + 6, "tetra_refined")
+    _check_edges(g, expected, "tetra_refined")
     top = (0.0, 0.0, 1.0)
     corners = [
         (math.cos(2 * math.pi * i / 3), math.sin(2 * math.pi * i / 3), 0.0)
@@ -342,6 +366,7 @@ def octa_pointed(levels: int) -> GeneratedFamily:
     is convex with collinear runs rather than strictly convex."""
     if levels < 0:
         raise InputError(f"levels must be non-negative, got {levels}")
+    expected = _bounded(12 * levels + 12, "octa_pointed")
     south = 0
     north = 4 * levels + 5
     edges = [(south, 1 + i) for i in range(4)]
@@ -353,7 +378,7 @@ def octa_pointed(levels: int) -> GeneratedFamily:
             edges += [(base - 4 + i, base + (i + 1) % 4) for i in range(4)]
     edges += [(4 * levels + 1 + i, north) for i in range(4)]
     g = SimpleGraph(range(4 * levels + 6), edges)
-    _check_edges(g, 12 * levels + 12, "octa_pointed")
+    _check_edges(g, expected, "octa_pointed")
     top = (0.0, 0.0, 1.0)
     equator = [
         (math.cos(math.pi * i / 2), math.sin(math.pi * i / 2), 0.0) for i in range(4)
@@ -377,6 +402,9 @@ def diamond(levels: int) -> GeneratedFamily:
     """
     if levels < 1:
         raise InputError(f"diamond needs at least one level, got {levels}")
+    # Capping the power refuses a huge level count without computing
+    # 2**levels; past 64 levels the count is far beyond the bound anyway.
+    expected = _bounded(10 * 2 ** min(levels, 64) - 12, "diamond")
     starts = {k: 1 + 4 * (2 ** (k - 1) - 1) for k in range(1, levels + 2)}
     size = lambda k: 2 ** (k + 1)  # noqa: E731
     edges = [(0, 1 + i) for i in range(4)]
@@ -392,7 +420,7 @@ def diamond(levels: int) -> GeneratedFamily:
                     (s + i, s2 + (2 * i + 2) % m2),
                 ]
     g = SimpleGraph(range(1 + 4 * (2**levels - 1)), edges)
-    _check_edges(g, 10 * 2**levels - 12, "diamond")
+    _check_edges(g, expected, "diamond")
     coords = {0: (0.0, 0.0, -1.0)}
     for k in range(1, levels + 1):
         z = 1.0 - 2.0 ** (1 - k)
@@ -418,11 +446,7 @@ def _band(start_a: int, n: int, start_b: int, m: int) -> list[tuple[int, int]]:
         else:
             j += 1
         edges.append((start_a + i % n, start_b + j % m))
-    seen = []
-    for e in edges:
-        if e not in seen:
-            seen.append(e)
-    return seen
+    return list(dict.fromkeys(edges))
 
 
 def simplicial_holes(meta: SimplicialMeta, size: int) -> GeneratedFamily:
@@ -441,17 +465,16 @@ def simplicial_holes(meta: SimplicialMeta, size: int) -> GeneratedFamily:
         raise InputError("the drum construction supports at most two holes")
     if kappa == 2 and size < 2:
         raise InputError("two holes need at least two rings")
-    if kappa == 0:
-        ring_sizes = [4] * size
-    elif kappa == 1:
-        ring_sizes = [meta.hole_cycles[0]] * size
-    else:
-        half = (size + 1) // 2
-        ring_sizes = [meta.hole_cycles[0]] * half + [meta.hole_cycles[1]] * (
-            size - half
-        )
+    # The lower half of the rings takes the first hole's cycle, the upper
+    # half the last one's; with no hole every ring is a square.
+    first, last = (4, 4) if kappa == 0 else (meta.hole_cycles[0], meta.hole_cycles[-1])
+    half = (size + 1) // 2
     bottom_capped = kappa < 2
     top_capped = kappa == 0
+    n_vertices = bottom_capped + first * half + last * (size - half) + top_capped
+    deficiency = sum(meta.hole_cycles) - 3 * kappa
+    expected = _bounded(3 * n_vertices - 6 - deficiency, "simplicial_holes")
+    ring_sizes = [first] * half + [last] * (size - half)
     label = 0
     bottom = None
     if bottom_capped:
@@ -475,8 +498,7 @@ def simplicial_holes(meta: SimplicialMeta, size: int) -> GeneratedFamily:
     if top is not None:
         edges += [(starts[-1] + i, top) for i in range(ring_sizes[-1])]
     g = SimpleGraph(range(label), edges)
-    deficiency = sum(meta.hole_cycles) - 3 * kappa
-    _check_edges(g, 3 * g.n_vertices - 6 - deficiency, "simplicial_holes")
+    _check_edges(g, expected, "simplicial_holes")
     return GeneratedFamily(g, None, meta)
 
 

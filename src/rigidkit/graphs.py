@@ -122,11 +122,6 @@ class SimpleGraph:
             raise InputError(f"edge {e} not present")
         return SimpleGraph(self.vertices, tuple(f for f in self.edges if f != e))
 
-    def with_vertex(self, v: int) -> "SimpleGraph":
-        if v in self.vertex_set:
-            return self
-        return SimpleGraph(self.vertices + (v,), self.edges)
-
     def without_vertex(self, v: int) -> "SimpleGraph":
         if v not in self.vertex_set:
             raise InputError(f"vertex {v} not present")

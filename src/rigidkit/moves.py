@@ -5,11 +5,18 @@ Five move kinds are supported: vertex extension and edge move (both
 parameterized by degree), the vertex-to-K4 and vertex-to-4-cycle expansions
 used for (2,2)-tight graphs, and 3D vertex splitting.  Each move only ever
 adds vertices, so a chain of moves is replayable forward from its start
-graph.  The chain search runs backward, contracting the target one
-reducible vertex at a time; candidate reductions are scanned in a fixed
-deterministic order (smallest labels first).  Inverse vertex extensions and
-edge moves are tight and nested by construction; each (2,2) contraction is
-validated for tightness and nesting before being committed.
+graph.
+
+A move is its edge edit: `edit()` gives the edges it drops and the edges it
+adds, and every added edge meets a vertex the move adds.  `apply_move`
+builds the next stage from the edit and `_reduce` the previous one, and the
+chain search and `verify_chain` play the same edit on one pebble game.
+
+The chain search runs backward, contracting the target one reducible vertex
+at a time; candidate reductions are scanned in a fixed deterministic order
+(smallest labels first).  Every candidate is checked for tightness on one
+game over the target, and none adds a vertex of the start graph, so every
+reduction still contains it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import ClassVar, Iterator, Sequence, Union
 
 from .errors import AlgorithmError, InputError, MoveError
 from .graphs import SimpleGraph, normalize_edge
-from .sparsity import LAMAN, QNORM_2D, SparsityCount, _sparse_game, is_sparse
+from .sparsity import LAMAN, QNORM_2D, PebbleGame, SparsityCount, _sparse_game, is_sparse
 
 EUCLIDEAN_MODE = "euclidean"
 QNORM_MODE = "qnorm"
@@ -34,6 +41,11 @@ def count_for_mode(mode: str) -> SparsityCount:
     if mode == QNORM_MODE:
         return QNORM_2D
     raise InputError(f"unknown chain mode {mode!r}; expected one of {CHAIN_MODES}")
+
+
+# The edges a move drops from the graph it is applied to, and the edges it
+# adds, each meeting a vertex the move adds.
+Edit = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
 def _require_distinct(items: Sequence[int], what: str) -> None:
@@ -53,6 +65,10 @@ def _require_present(g: SimpleGraph, labels: Sequence[int]) -> None:
         raise MoveError(f"referenced vertices {missing} not in the graph")
 
 
+def _star(v: int, ws: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple(normalize_edge(v, w) for w in ws)
+
+
 @dataclass(frozen=True)
 class VertexExtension:
     """Adjoin a fresh vertex joined to `neighbors` (degree = their count)."""
@@ -69,15 +85,15 @@ class VertexExtension:
     def vertices_added(self) -> tuple[int, ...]:
         return (self.vertex,)
 
-    def apply(self, g: SimpleGraph) -> SimpleGraph:
+    def _check(self, g: SimpleGraph) -> None:
         if not self.neighbors:
             raise MoveError("vertex extension needs at least one neighbor")
         _require_distinct(self.neighbors, "extension neighbors")
         _require_fresh(g, [self.vertex])
         _require_present(g, self.neighbors)
-        return g.with_vertex(self.vertex).with_edges(
-            [(self.vertex, w) for w in self.neighbors]
-        )
+
+    def edit(self) -> Edit:
+        return (), _star(self.vertex, self.neighbors)
 
 
 @dataclass(frozen=True)
@@ -98,7 +114,7 @@ class EdgeMove:
     def vertices_added(self) -> tuple[int, ...]:
         return (self.vertex,)
 
-    def apply(self, g: SimpleGraph) -> SimpleGraph:
+    def _check(self, g: SimpleGraph) -> None:
         a, b = normalize_edge(*self.removed)
         if (a, b) not in g.edge_set:
             raise MoveError(f"edge {self.removed} to remove is not present")
@@ -107,11 +123,9 @@ class EdgeMove:
             raise MoveError("removed endpoints must be among the new neighbors")
         _require_fresh(g, [self.vertex])
         _require_present(g, self.neighbors)
-        return (
-            g.without_edge(a, b)
-            .with_vertex(self.vertex)
-            .with_edges([(self.vertex, w) for w in self.neighbors])
-        )
+
+    def edit(self) -> Edit:
+        return (normalize_edge(*self.removed),), _star(self.vertex, self.neighbors)
 
 
 @dataclass(frozen=True)
@@ -132,7 +146,7 @@ class VertexToK4:
     def vertices_added(self) -> tuple[int, ...]:
         return self.added
 
-    def apply(self, g: SimpleGraph) -> SimpleGraph:
+    def _check(self, g: SimpleGraph) -> None:
         _require_present(g, [self.base])
         _require_distinct(self.added, "vertex-to-K4 additions")
         _require_fresh(g, self.added)
@@ -145,12 +159,12 @@ class VertexToK4:
                 raise MoveError(f"no edge {self.base}-{x} to reassign")
             if target not in self.added:
                 raise MoveError(f"reassignment target {target} is not a new vertex")
-        dropped = {normalize_edge(self.base, x) for x, _ in self.reassigned}
-        edges = [e for e in g.edges if e not in dropped]
+
+    def edit(self) -> Edit:
         corner = (self.base, *self.added)
-        edges.extend(normalize_edge(u, w) for u, w in combinations(corner, 2))
-        edges.extend(normalize_edge(target, x) for x, target in self.reassigned)
-        return SimpleGraph(g.vertices + self.added, edges)
+        added = tuple(normalize_edge(u, w) for u, w in combinations(corner, 2))
+        added += tuple(normalize_edge(target, x) for x, target in self.reassigned)
+        return _star(self.base, [x for x, _ in self.reassigned]), added
 
 
 @dataclass(frozen=True)
@@ -169,7 +183,7 @@ class VertexTo4Cycle:
     def vertices_added(self) -> tuple[int, ...]:
         return (self.vertex,)
 
-    def apply(self, g: SimpleGraph) -> SimpleGraph:
+    def _check(self, g: SimpleGraph) -> None:
         na, nb = self.pair
         if na == nb:
             raise MoveError("4-cycle pair must be two distinct neighbors")
@@ -181,12 +195,9 @@ class VertexTo4Cycle:
         bad = [w for w in self.moved if w in self.pair or not g.has_edge(self.base, w)]
         if bad:
             raise MoveError(f"cannot migrate edges to {bad}")
-        dropped = {normalize_edge(self.base, w) for w in self.moved}
-        edges = [e for e in g.edges if e not in dropped]
-        edges.append(normalize_edge(self.vertex, na))
-        edges.append(normalize_edge(self.vertex, nb))
-        edges.extend(normalize_edge(self.vertex, w) for w in self.moved)
-        return SimpleGraph(g.vertices + (self.vertex,), edges)
+
+    def edit(self) -> Edit:
+        return _star(self.base, self.moved), _star(self.vertex, (*self.pair, *self.moved))
 
 
 @dataclass(frozen=True)
@@ -205,7 +216,7 @@ class VertexSplit3D:
     def vertices_added(self) -> tuple[int, ...]:
         return (self.vertex,)
 
-    def apply(self, g: SimpleGraph) -> SimpleGraph:
+    def _check(self, g: SimpleGraph) -> None:
         a2, a3 = self.anchors
         if a2 == a3:
             raise MoveError("anchors must be distinct")
@@ -217,13 +228,10 @@ class VertexSplit3D:
         bad = [w for w in self.moved if w in self.anchors or not g.has_edge(self.split, w)]
         if bad:
             raise MoveError(f"cannot migrate edges to {bad}")
-        dropped = {normalize_edge(self.split, w) for w in self.moved}
-        edges = [e for e in g.edges if e not in dropped]
-        edges.append(normalize_edge(self.vertex, self.split))
-        edges.append(normalize_edge(self.vertex, a2))
-        edges.append(normalize_edge(self.vertex, a3))
-        edges.extend(normalize_edge(self.vertex, w) for w in self.moved)
-        return SimpleGraph(g.vertices + (self.vertex,), edges)
+
+    def edit(self) -> Edit:
+        joined = (self.split, *self.anchors, *self.moved)
+        return _star(self.split, self.moved), _star(self.vertex, joined)
 
 
 Move = Union[VertexExtension, EdgeMove, VertexToK4, VertexTo4Cycle, VertexSplit3D]
@@ -234,12 +242,60 @@ MOVE_CLASSES: dict[str, type] = {
 
 
 def apply_move(g: SimpleGraph, m: Move) -> SimpleGraph:
+    """The graph m makes from g: g's edges less the dropped ones, then the
+    added ones, on g's vertices followed by the new ones."""
     if not isinstance(m, tuple(MOVE_CLASSES.values())):
         raise MoveError(f"unknown move {m!r}")
-    return m.apply(g)
+    m._check(g)
+    dropped, added = m.edit()
+    gone = set(dropped)
+    edges = [e for e in g.edges if e not in gone]
+    return SimpleGraph(g.vertices + m.vertices_added, edges + list(added))
+
+
+def _reduce(g: SimpleGraph, m: Move) -> SimpleGraph:
+    """The graph that m turned into g.  Every edge m added meets a vertex it
+    added, so deleting those vertices deletes those edges; the dropped edges
+    go back at the end."""
+    new = set(m.vertices_added)
+    dropped, _ = m.edit()
+    edges = [e for e in g.edges if new.isdisjoint(e)]
+    return SimpleGraph([v for v in g.vertices if v not in new], edges + list(dropped))
+
+
+def _exchange(game: PebbleGame, out: Edit, into: Edit) -> bool:
+    """Delete the edges `out` from the game, then insert the edges `into`;
+    True when the game accepts every insert.
+
+    The chain search and verify_chain exchange only edges that keep the
+    count's edge total for the vertices left, so on a game holding a tight
+    graph the new graph is tight exactly when this returns True.  When an
+    insert is refused the game is restored: the edges taken out were held,
+    hence independent, so each is accepted again.
+    """
+    for e in out:
+        game.delete(*e)
+    for i, e in enumerate(into):
+        if not game.insert(*e):
+            for f in into[:i]:
+                game.delete(*f)
+            for f in out:
+                game.insert(*f)
+            return False
+    return True
 
 
 # ---- inverses ----------------------------------------------------------
+
+
+def _edge_moves(g: SimpleGraph, v: int) -> list[EdgeMove]:
+    """Inverse edge moves at v, one per nonadjacent neighbor pair."""
+    nbrs = g.neighbors(v)
+    return [
+        EdgeMove(removed=(vi, vj), vertex=v, neighbors=nbrs)
+        for vi, vj in combinations(nbrs, 2)
+        if not g.has_edge(vi, vj)
+    ]
 
 
 def inverse_candidates(g: SimpleGraph, count: SparsityCount, v: int) -> list[Move]:
@@ -262,11 +318,7 @@ def inverse_candidates(g: SimpleGraph, count: SparsityCount, v: int) -> list[Mov
             f"{count.k} or {count.k + 1}"
         )
     game = _sparse_game(g.without_vertex(v), count)
-    return [
-        EdgeMove(removed=(vi, vj), vertex=v, neighbors=nbrs)
-        for vi, vj in combinations(nbrs, 2)
-        if not g.has_edge(vi, vj) and game.admits(vi, vj)
-    ]
+    return [m for m in _edge_moves(g, v) if game.admits(*m.removed)]
 
 
 # ---- chains ------------------------------------------------------------
@@ -309,13 +361,24 @@ class ChainReport:
 
 def verify_chain(chain: ConstructionChain, mode: str) -> ChainReport:
     """Replay a chain, checking every move is legal for the mode and every
-    intermediate graph is tight for the mode's count."""
+    intermediate graph is tight for the mode's count.
+
+    One pebble game follows the whole chain: each move deletes its dropped
+    edges and inserts its added ones.  An allowed move adds k more edges
+    than it drops per new vertex, so a stage after a tight one is tight
+    exactly when the game accepts all of them (`_exchange`).  The game
+    holds every label the moves add from the start; a vertex no edge has
+    reached yet keeps its k pebbles and takes part in no query.
+    """
     count = count_for_mode(mode)
     allowed: tuple[type, ...] = (VertexExtension, EdgeMove)
     if mode == QNORM_MODE:
         allowed = allowed + (VertexToK4, VertexTo4Cycle)
     stages = [chain.start]
-    if not is_sparse(chain.start, count).tight:
+    labels = chain.start.vertices + tuple(v for m in chain.moves for v in m.vertices_added)
+    game = PebbleGame(labels, count)
+    held = sum(game.insert(*e) for e in chain.start.edges)
+    if not (held == chain.start.n_edges == count.target(chain.start.n_vertices)):
         return ChainReport(False, tuple(stages), 0, "start graph is not tight")
     for i, m in enumerate(chain.moves):
         if not isinstance(m, allowed):
@@ -331,7 +394,7 @@ def verify_chain(chain: ConstructionChain, mode: str) -> ChainReport:
         except MoveError as exc:
             return ChainReport(False, tuple(stages), i + 1, str(exc))
         stages.append(nxt)
-        if not is_sparse(nxt, count).tight:
+        if not _exchange(game, *m.edit()):
             return ChainReport(False, tuple(stages), i + 1, "stage is not tight")
     return ChainReport(True, tuple(stages))
 
@@ -341,64 +404,35 @@ def _require_tight(g: SimpleGraph, count: SparsityCount, name: str) -> None:
         raise InputError(f"{name} graph is not ({count.k},{count.l})-tight")
 
 
-def _valid_reduction(
-    reduced: SimpleGraph, g_from: SimpleGraph, count: SparsityCount
-) -> bool:
-    return g_from.is_subgraph_of(reduced) and is_sparse(reduced, count).tight
-
-
-def _k4_block(g: SimpleGraph, v: int) -> frozenset[int]:
-    return frozenset((v,) + g.neighbors(v))
-
-
-def _contract_k4(g: SimpleGraph, block: frozenset[int], target: int):
-    """Contract a complete 4-block to `target`.
-
-    Returns (reduced graph, reassignment records) or None when some outside
-    vertex sees the block more than once, which a forward vertex-to-K4 move
-    could not reproduce.
+def _contract_k4(g: SimpleGraph, block: frozenset[int], target: int) -> VertexToK4 | None:
+    """The vertex-to-K4 move that recreates g from `block` contracted to
+    `target`, or None when some outside vertex sees the block more than
+    once, which a forward vertex-to-K4 move could not reproduce.
     """
-    reassigned = []
-    edges = []
-    for a, b in g.edges:
-        ina, inb = a in block, b in block
-        if ina and inb:
-            continue
-        if ina or inb:
-            inside, outside = (a, b) if ina else (b, a)
-            if inside != target:
-                reassigned.append((outside, inside))
-            edges.append(normalize_edge(target, outside))
-        else:
-            edges.append((a, b))
-    if len(set(edges)) != len(edges):
+    # (outside, inside) ends of the edges that leave the block
+    crossing = [(y, x) for x in block for y in g.neighbors(x) if y not in block]
+    if len({y for y, _ in crossing}) != len(crossing):
         return None
-    vertices = tuple(u for u in g.vertices if u == target or u not in block)
-    reduced = SimpleGraph(vertices, edges)
-    move = VertexToK4(
+    return VertexToK4(
         base=target,
         added=tuple(sorted(block - {target})),
-        reassigned=tuple(sorted(reassigned)),
+        reassigned=tuple(sorted((y, x) for y, x in crossing if x != target)),
     )
-    return reduced, move
 
 
 def _k4_candidates(
     cur: SimpleGraph, g_from: SimpleGraph, block: frozenset[int]
-) -> Iterator[tuple[Move, SimpleGraph]]:
+) -> Iterator[Move]:
     overlap = sorted(block & g_from.vertex_set)
     if len(overlap) > 1:
         return
-    targets = overlap if overlap else sorted(block)
-    for target in targets:
-        got = _contract_k4(cur, block, target)
-        if got is not None:
-            yield got[1], got[0]
+    for target in overlap or sorted(block):
+        move = _contract_k4(cur, block, target)
+        if move is not None:
+            yield move
 
 
-def _general_4cycle_contractions(
-    cur: SimpleGraph, v: int
-) -> Iterator[tuple[Move, SimpleGraph]]:
+def _general_4cycle_contractions(cur: SimpleGraph, v: int) -> Iterator[Move]:
     """Inverse 4-cycle moves that delete v itself: some non-neighbor base
     adjacent to two of v's neighbors absorbs v's remaining edges."""
     nbrs = cur.neighbors(v)
@@ -410,13 +444,10 @@ def _general_4cycle_contractions(
                 continue
             if any(cur.has_edge(base, w) for w in others):
                 continue
-            reduced = cur.without_vertex(v).with_edges([(base, w) for w in others])
-            yield VertexTo4Cycle(base=base, pair=(vi, vj), vertex=v, moved=others), reduced
+            yield VertexTo4Cycle(base=base, pair=(vi, vj), vertex=v, moved=others)
 
 
-def _qnorm_contractions(
-    cur: SimpleGraph, g_from: SimpleGraph, v: int
-) -> Iterator[tuple[Move, SimpleGraph]]:
+def _qnorm_contractions(cur: SimpleGraph, g_from: SimpleGraph, v: int) -> Iterator[Move]:
     """Contraction candidates at a degree-3 vertex whose neighborhood is
     complete.
 
@@ -428,7 +459,7 @@ def _qnorm_contractions(
     itself as the adjoined 4-cycle vertex are offered as a fallback.
     """
     nbr_set = set(cur.neighbors(v))
-    block = _k4_block(cur, v)
+    block = frozenset(nbr_set | {v})
     hinges = [
         w
         for w in sorted(cur.vertex_set - g_from.vertex_set - block)
@@ -437,10 +468,8 @@ def _qnorm_contractions(
     for w0 in hinges:
         vi, vj = sorted(nbr_set & set(cur.neighbors(w0)))
         others = tuple(u for u in cur.neighbors(w0) if u not in (vi, vj))
-        if any(cur.has_edge(v, u) for u in others):
-            continue
-        reduced = cur.without_vertex(w0).with_edges([(v, u) for u in others])
-        yield VertexTo4Cycle(base=v, pair=(vi, vj), vertex=w0, moved=others), reduced
+        if not any(cur.has_edge(v, u) for u in others):
+            yield VertexTo4Cycle(base=v, pair=(vi, vj), vertex=w0, moved=others)
     if not hinges:
         yield from _k4_candidates(cur, g_from, block)
     yield from _general_4cycle_contractions(cur, v)
@@ -450,27 +479,17 @@ def _qnorm_contractions(
 
 def _reductions_at(
     cur: SimpleGraph, g_from: SimpleGraph, count: SparsityCount, mode: str, v: int
-) -> Iterator[tuple[Move, SimpleGraph]]:
-    """Valid reductions of the tight graph cur at v, outside g_from.
-
-    The Henneberg inverses come from inverse_candidates and need no check.
-    Deleting v keeps g_from, which avoids v.  An inverse vertex extension
-    leaves a subgraph of cur with k(n-1)-l edges; an inverse edge move
-    leaves one edge fewer plus a pair the pebble game admits on cur - v.
-    Either is sparse with k(n-1)-l edges, hence tight.  Only the (2,2)
-    contractions, tried at degree k+1, are tested.
-    """
-    for m in inverse_candidates(cur, count, v):
-        reduced = cur.without_vertex(v)
-        yield m, reduced.with_edges([m.removed]) if isinstance(m, EdgeMove) else reduced
-    if (
-        mode == QNORM_MODE
-        and cur.degree(v) == count.k + 1
-        and all(cur.has_edge(a, b) for a, b in combinations(cur.neighbors(v), 2))
-    ):
-        for move, reduced in _qnorm_contractions(cur, g_from, v):
-            if _valid_reduction(reduced, g_from, count):
-                yield move, reduced
+) -> Iterator[Move]:
+    """Candidate inverse moves at v, in search order, each keeping the
+    count's edge total.  None adds a vertex of g_from, so each reduction
+    still contains g_from; the caller tests tightness on its game."""
+    nbrs = cur.neighbors(v)
+    if len(nbrs) == count.k:
+        yield VertexExtension(vertex=v, neighbors=nbrs)
+        return
+    yield from _edge_moves(cur, v)
+    if mode == QNORM_MODE and all(cur.has_edge(a, b) for a, b in combinations(nbrs, 2)):
+        yield from _qnorm_contractions(cur, g_from, v)
 
 
 def find_chain(g_from: SimpleGraph, g_to: SimpleGraph, mode: str) -> ConstructionChain:
@@ -479,21 +498,27 @@ def find_chain(g_from: SimpleGraph, g_to: SimpleGraph, mode: str) -> Constructio
     Runs backward from the target: pick the smallest-label reducible vertex
     outside g_from (degree k or k+1; every tight graph has one outside a
     non-spanning subgraph), apply the first inverse whose reduction is tight
-    and still contains g_from, repeat.  The recorded chain replays forward
-    to g_to exactly.
+    and still contains g_from, repeat.  One pebble game over g_to follows
+    the search: each candidate is undone on it (`_exchange`) and put back
+    when its reduction is not tight.  The recorded chain replays forward to
+    g_to exactly.
     """
     count = count_for_mode(mode)
     _require_tight(g_from, count, "start")
     _require_tight(g_to, count, "target")
     if not g_from.is_subgraph_of(g_to):
         raise InputError("start graph is not a subgraph of the target")
+    game = PebbleGame.over(g_to, count)
     rev: list[Move] = []
     cur = g_to
     while cur != g_from:
         for v in sorted(cur.vertex_set - g_from.vertex_set):
-            if not (count.k <= cur.degree(v) <= 2 * count.k - 1):
+            if cur.degree(v) not in (count.k, count.k + 1):
                 continue
-            found = next(_reductions_at(cur, g_from, count, mode, v), None)
+            # Undo each candidate on the game: its added edges go out and its
+            # dropped ones back in.
+            candidates = _reductions_at(cur, g_from, count, mode, v)
+            found = next((m for m in candidates if _exchange(game, *m.edit()[::-1])), None)
             if found is not None:
                 break
         else:
@@ -501,8 +526,8 @@ def find_chain(g_from: SimpleGraph, g_to: SimpleGraph, mode: str) -> Constructio
                 "no reducible vertex admits a valid inverse move; "
                 f"stuck at {cur.n_vertices} vertices"
             )
-        move, cur = found
-        rev.append(move)
+        rev.append(found)
+        cur = _reduce(cur, found)
     chain = ConstructionChain(g_from, tuple(reversed(rev)))
     if chain.final != g_to:
         raise AlgorithmError("replayed chain does not reproduce the target")

@@ -22,7 +22,9 @@ among them.
 
 A tower of nested graphs runs on one game too, each stage offering only
 the edges it adds: a refused edge depends on the basis so far, so a fresh
-game seeded with the previous basis would refuse it again.
+game seeded with the previous basis would refuse it again.  `delete` drops
+a held edge, so one game also follows a chain of construction moves, which
+remove edges as well as add them.
 """
 
 from __future__ import annotations
@@ -109,9 +111,11 @@ class SparsityReport:
 class PebbleGame:
     """Pebble digraph for one (k, l) count, built once per graph.
 
-    `accepted` lists the offering positions of the edges insert kept.  admits
-    and blocker query a pair against the accepted edges without adding one,
-    and may be mixed freely with insertions.
+    The game holds the edges insert kept and delete has not dropped since.
+    `accepted` still lists only the offering positions of the edges insert
+    kept; delete leaves it as it is.  admits and blocker query a pair
+    against the held edges without adding one, and may be mixed freely with
+    insertions and deletions.
     """
 
     def __init__(self, vertices: Iterable[int], count: SparsityCount):
@@ -163,7 +167,7 @@ class PebbleGame:
         return True
 
     def admits(self, u: int, w: int) -> bool:
-        """Whether edge uw is independent of the accepted edges.
+        """Whether edge uw is independent of the held edges.
 
         Gathers l + 1 pebbles on the pair {u, w}, which is possible exactly
         when no tight subgraph contains both endpoints.
@@ -187,10 +191,25 @@ class PebbleGame:
         self.accepted.append(pos)
         return True
 
+    def delete(self, u: int, w: int) -> None:
+        """Drop a held edge uw: remove its arc and return the pebble to the
+        arc's tail.
+
+        Every vertex keeps pebbles + out-degree = k and the held edges stay
+        sparse, which is all admits and blocker rely on (Lee and Streinu,
+        Pebble game algorithms and sparse graphs, 2008).
+        """
+        for tail, head in ((u, w), (w, u)):
+            if head in self.out.get(tail, ()):
+                self.out[tail].remove(head)
+                self.pebbles[tail] += 1
+                return
+        raise InputError(f"edge ({u}, {w}) is not held by the game")
+
     def blocker(self, u: int, w: int) -> frozenset[int] | None:
         """Vertices of the minimal tight subgraph containing u and w.
 
-        None when edge uw is admitted.  The accepted edges induced on the
+        None when edge uw is admitted.  The held edges induced on the
         returned vertices form that subgraph.
         """
         if self.admits(u, w):
@@ -202,7 +221,7 @@ class PebbleGame:
                 if x not in seen:
                     seen.add(x)
                     stack.append(x)
-        # No arc leaves the closure, so its accepted edges number k|V| minus
+        # No arc leaves the closure, so its held edges number k|V| minus
         # the pebbles left on it.
         if sum(self.pebbles[x] for x in seen) != self.l:
             raise AlgorithmError("pebble closure failed to produce a tight subgraph")

@@ -20,14 +20,113 @@ from rigidkit.graphs import (
     graph_union,
     normalize_edge,
 )
+from rigidkit.errors import MoveError
 from rigidkit.moves import (
     EdgeMove,
     VertexExtension,
+    VertexSplit3D,
     VertexTo4Cycle,
     VertexToK4,
     apply_move,
 )
 from rigidkit.sparsity import PebbleGame
+
+
+def reference_apply(g, m):
+    """Reference for moves.apply_move: one graph builder per move kind,
+    fixing the vertex order, the edge order and the MoveError texts."""
+
+    def require_distinct(items, what):
+        if len(set(items)) != len(items):
+            raise MoveError(f"{what} must be distinct, got {items}")
+
+    def require_fresh(labels):
+        clash = [v for v in labels if v in g.vertex_set]
+        if clash:
+            raise MoveError(f"new vertex labels {clash} already present")
+
+    def require_present(labels):
+        missing = [v for v in labels if v not in g.vertex_set]
+        if missing:
+            raise MoveError(f"referenced vertices {missing} not in the graph")
+
+    if isinstance(m, VertexExtension):
+        if not m.neighbors:
+            raise MoveError("vertex extension needs at least one neighbor")
+        require_distinct(m.neighbors, "extension neighbors")
+        require_fresh([m.vertex])
+        require_present(m.neighbors)
+        grown = SimpleGraph(g.vertices + (m.vertex,), g.edges)
+        return grown.with_edges([(m.vertex, w) for w in m.neighbors])
+    if isinstance(m, EdgeMove):
+        a, b = normalize_edge(*m.removed)
+        if (a, b) not in g.edge_set:
+            raise MoveError(f"edge {m.removed} to remove is not present")
+        require_distinct(m.neighbors, "edge-move neighbors")
+        if not {a, b} <= set(m.neighbors):
+            raise MoveError("removed endpoints must be among the new neighbors")
+        require_fresh([m.vertex])
+        require_present(m.neighbors)
+        cut = g.without_edge(a, b)
+        grown = SimpleGraph(cut.vertices + (m.vertex,), cut.edges)
+        return grown.with_edges([(m.vertex, w) for w in m.neighbors])
+    if isinstance(m, VertexToK4):
+        require_present([m.base])
+        require_distinct(m.added, "vertex-to-K4 additions")
+        require_fresh(m.added)
+        seen = set()
+        for x, target in m.reassigned:
+            if x in seen:
+                raise MoveError(f"endpoint {x} reassigned twice")
+            seen.add(x)
+            if not g.has_edge(m.base, x):
+                raise MoveError(f"no edge {m.base}-{x} to reassign")
+            if target not in m.added:
+                raise MoveError(f"reassignment target {target} is not a new vertex")
+        dropped = {normalize_edge(m.base, x) for x, _ in m.reassigned}
+        edges = [e for e in g.edges if e not in dropped]
+        corner = (m.base, *m.added)
+        edges.extend(normalize_edge(u, w) for u, w in combinations(corner, 2))
+        edges.extend(normalize_edge(target, x) for x, target in m.reassigned)
+        return SimpleGraph(g.vertices + m.added, edges)
+    if isinstance(m, VertexTo4Cycle):
+        na, nb = m.pair
+        if na == nb:
+            raise MoveError("4-cycle pair must be two distinct neighbors")
+        for w in m.pair:
+            if not g.has_edge(m.base, w):
+                raise MoveError(f"no edge {m.base}-{w} at the 4-cycle base")
+        require_distinct(m.moved, "migrated endpoints")
+        require_fresh([m.vertex])
+        bad = [w for w in m.moved if w in m.pair or not g.has_edge(m.base, w)]
+        if bad:
+            raise MoveError(f"cannot migrate edges to {bad}")
+        dropped = {normalize_edge(m.base, w) for w in m.moved}
+        edges = [e for e in g.edges if e not in dropped]
+        edges.append(normalize_edge(m.vertex, na))
+        edges.append(normalize_edge(m.vertex, nb))
+        edges.extend(normalize_edge(m.vertex, w) for w in m.moved)
+        return SimpleGraph(g.vertices + (m.vertex,), edges)
+    if isinstance(m, VertexSplit3D):
+        a2, a3 = m.anchors
+        if a2 == a3:
+            raise MoveError("anchors must be distinct")
+        for w in m.anchors:
+            if not g.has_edge(m.split, w):
+                raise MoveError(f"anchor {w} is not a neighbor of {m.split}")
+        require_distinct(m.moved, "migrated endpoints")
+        require_fresh([m.vertex])
+        bad = [w for w in m.moved if w in m.anchors or not g.has_edge(m.split, w)]
+        if bad:
+            raise MoveError(f"cannot migrate edges to {bad}")
+        dropped = {normalize_edge(m.split, w) for w in m.moved}
+        edges = [e for e in g.edges if e not in dropped]
+        edges.append(normalize_edge(m.vertex, m.split))
+        edges.append(normalize_edge(m.vertex, a2))
+        edges.append(normalize_edge(m.vertex, a3))
+        edges.extend(normalize_edge(m.vertex, w) for w in m.moved)
+        return SimpleGraph(g.vertices + (m.vertex,), edges)
+    raise MoveError(f"unknown move {m!r}")
 
 
 def random_graph(n: int, p: float, seed: int) -> SimpleGraph:

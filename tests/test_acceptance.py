@@ -52,6 +52,7 @@ from rigidkit.moves import EUCLIDEAN_MODE, QNORM_MODE, find_chain, verify_chain
 from rigidkit.sparsity import (
     LAMAN,
     QNORM_2D,
+    PebbleGame,
     SparsityCount,
     augment_to_tight,
     brute_force_sparse,
@@ -485,3 +486,28 @@ def test_16_bodies_certified_by_spanning_subgraphs(monkeypatch):
         for (g, bodies), norm in cases:
             assert validate_multibody(g, bodies, norm).n_bodies == len(bodies)
     assert ranked == [0] * 12
+
+
+def test_17_chains_on_one_game(monkeypatch):
+    # The chain search undoes each candidate move on one pebble game over
+    # the target, and verification plays each move forward on one game from
+    # the start, instead of a fresh game per backward step and per stage.
+    target = grow_tight_graph("euclidean", 800, 3, protected=[(0, 1)])
+    start = SimpleGraph([0, 1], [(0, 1)])
+    built = []
+    init = PebbleGame.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(PebbleGame, "__init__", counting_init)
+    with budget(6):
+        chain = find_chain(start, target, EUCLIDEAN_MODE)
+        searched = len(built)
+        report = verify_chain(chain, EUCLIDEAN_MODE)
+    # find_chain: the two input tightness checks and the search's game
+    assert searched == 3
+    assert len(built) == searched + 1
+    assert report.ok and report.final == target
+    assert len(chain.moves) == 798

@@ -437,6 +437,28 @@ def test_catalog_rejects_mistyped_params(invoke, family, params, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("complete", ["n=100000000000"]),
+        ("diamond", ["levels=200"]),
+        ("simplicial_holes", ["holes=[1000000000000]"]),
+    ],
+)
+def test_catalog_refuses_oversized_families(invoke, monkeypatch, family, params):
+    def never(*args, **kwargs):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setattr(catalog, "SimpleGraph", never)
+    monkeypatch.setattr(catalog, "complete_graph", never)
+    code, out, err = invoke("catalog", family, "--params", *params)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"rigidkit: {family} would have more than {catalog.MAX_FAMILY_EDGES} edges, "
+        "the most the catalog builds\n"
+    )
+
+
 # ---- render ---------------------------------------------------------------
 
 

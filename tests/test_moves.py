@@ -1,10 +1,14 @@
+import random
+from itertools import combinations
+
 import pytest
 
-from helpers import grow_tight_graph
+from helpers import grow_tight_graph, reference_apply
 from rigidkit.errors import InputError, MoveError
 from rigidkit.frameworks import NormSpec, flex_report, random_placement
 from rigidkit.graphs import SimpleGraph, complete_graph, path_graph
 from rigidkit.moves import (
+    MOVE_CLASSES,
     ChainReport,
     ConstructionChain,
     EdgeMove,
@@ -12,6 +16,7 @@ from rigidkit.moves import (
     VertexSplit3D,
     VertexTo4Cycle,
     VertexToK4,
+    _exchange,
     apply_move,
     concatenate_chains,
     count_for_mode,
@@ -19,7 +24,7 @@ from rigidkit.moves import (
     inverse_candidates,
     verify_chain,
 )
-from rigidkit.sparsity import LAMAN, QNORM_2D, is_sparse
+from rigidkit.sparsity import LAMAN, QNORM_2D, PebbleGame, is_sparse
 
 K1 = SimpleGraph([0], [])
 K2 = SimpleGraph([0, 1], [(0, 1)])
@@ -52,24 +57,101 @@ def test_vertex_to_4cycle_moves_edges():
     assert is_sparse(out, QNORM_2D).tight
 
 
+MALFORMED = [
+    (K2, VertexExtension(2, (0, 0))),
+    (K2, VertexExtension(1, (0,))),
+    (K2, VertexExtension(2, (0, 5))),
+    (complete_graph(3), EdgeMove((0, 3), 4, (0, 1, 2))),
+    (complete_graph(3), EdgeMove((0, 1), 3, (0, 2))),
+    (complete_graph(4), VertexTo4Cycle(0, (1, 1), 4)),
+    (complete_graph(4), VertexTo4Cycle(0, (1, 2), 4, moved=(1,))),
+    (complete_graph(4), VertexToK4(0, (4, 5, 6), ((3, 9),))),
+    (complete_graph(4), VertexToK4(0, (1, 4, 5))),
+    (complete_graph(4), VertexSplit3D(0, (1, 1), 4)),
+]
+
+
+@pytest.mark.parametrize("graph,move", MALFORMED)
+def test_malformed_moves_rejected(graph, move):
+    with pytest.raises(MoveError) as got:
+        apply_move(graph, move)
+    with pytest.raises(MoveError) as want:
+        reference_apply(graph, move)
+    assert str(got.value) == str(want.value)
+
+
+def random_valid_move(g, rng):
+    """A seeded move of any kind that applies to g, with a fresh label that
+    may sort below the labels it joins."""
+    unused = [v for v in range(max(g.vertices) + 4) if v not in g.vertex_set]
+    fresh = rng.choice(unused)
+    verts = list(g.vertices)
+    kind = rng.randrange(5)
+    if kind == 0:
+        nbrs = rng.sample(verts, rng.randint(1, 3))
+        return VertexExtension(fresh, tuple(nbrs))
+    if kind == 1:
+        a, b = rng.choice(g.edges)
+        others = [v for v in verts if v not in (a, b)]
+        nbrs = [a, b] + rng.sample(others, rng.randint(0, min(2, len(others))))
+        rng.shuffle(nbrs)
+        return EdgeMove((b, a), fresh, tuple(nbrs))
+    if kind == 2:
+        base = rng.choice(verts)
+        added = tuple(rng.sample(unused, 3))
+        reassigned = tuple(
+            (x, rng.choice(added)) for x in g.neighbors(base) if rng.random() < 0.5
+        )
+        return VertexToK4(base, added, reassigned)
+    base = rng.choice([v for v in verts if g.degree(v) >= 2])
+    pair = tuple(rng.sample(g.neighbors(base), 2))
+    moved = tuple(w for w in g.neighbors(base) if w not in pair and rng.random() < 0.5)
+    return (VertexTo4Cycle if kind == 3 else VertexSplit3D)(base, pair, fresh, moved)
+
+
+def test_apply_move_matches_reference():
+    kinds = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = SimpleGraph([5, 2, 9], [(9, 2), (2, 5), (5, 9)])
+        for _ in range(25):
+            m = random_valid_move(g, rng)
+            got, want = apply_move(g, m), reference_apply(g, m)
+            assert (got.vertices, got.edges) == (want.vertices, want.edges), m
+            kinds.add(m.kind)
+            g = got
+    assert kinds == set(MOVE_CLASSES)
+
+
+# A (2,2)-tight graph on which undoing vertex-to-4-cycle moves that delete
+# vertex 0 re-inserts 6-1, accepted, then 6-3 or 7-3, refused.
+_REFUSING = SimpleGraph(
+    range(8),
+    [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (2, 5), (2, 6),
+     (2, 7), (5, 6), (5, 7), (6, 7), (0, 5), (4, 6)],
+)
+
+
 @pytest.mark.parametrize(
-    "graph,move",
+    "graph,count,move",
     [
-        (K2, VertexExtension(2, (0, 0))),
-        (K2, VertexExtension(1, (0,))),
-        (K2, VertexExtension(2, (0, 5))),
-        (complete_graph(3), EdgeMove((0, 3), 4, (0, 1, 2))),
-        (complete_graph(3), EdgeMove((0, 1), 3, (0, 2))),
-        (complete_graph(4), VertexTo4Cycle(0, (1, 1), 4)),
-        (complete_graph(4), VertexTo4Cycle(0, (1, 2), 4, moved=(1,))),
-        (complete_graph(4), VertexToK4(0, (4, 5, 6), ((3, 9),))),
-        (complete_graph(4), VertexToK4(0, (1, 4, 5))),
-        (complete_graph(4), VertexSplit3D(0, (1, 1), 4)),
+        # Re-inserts a second copy of 0-1 into the tight triangle 0, 1, 2.
+        (
+            SimpleGraph(range(5), [(0, 1), (0, 2), (1, 2), (2, 3), (0, 4), (3, 4), (1, 4)]),
+            LAMAN,
+            EdgeMove((0, 1), 4, (0, 1, 3)),
+        ),
+        (_REFUSING, QNORM_2D, VertexTo4Cycle(6, (4, 5), 0, (1, 3))),
+        (_REFUSING, QNORM_2D, VertexTo4Cycle(7, (4, 5), 0, (1, 3))),
     ],
 )
-def test_malformed_moves_rejected(graph, move):
-    with pytest.raises(MoveError):
-        apply_move(graph, move)
+def test_refused_reduction_restores_the_game(graph, count, move):
+    game = PebbleGame.over(graph, count)
+    dropped, added = move.edit()
+    assert not _exchange(game, added, dropped)
+    fresh = PebbleGame.over(graph, count)
+    for pair in combinations(graph.vertices, 2):
+        assert game.blocker(*pair) == fresh.blocker(*pair), pair
 
 
 def test_inverse_of_degree_two_vertex_is_deletion():
@@ -146,8 +228,8 @@ def test_find_chain_euclidean_random_targets(seed):
 
 
 def test_laman_chain_checks_only_its_inputs(monkeypatch):
-    # Henneberg inverses are tight and nested by construction, so the
-    # search runs no sparsity check of its own beyond the two inputs.
+    # Every reduction is checked on the search's own pebble game, so the
+    # search runs no sparsity check beyond the two inputs, in either mode.
     checked = []
 
     def counting(g, count):
@@ -155,11 +237,16 @@ def test_laman_chain_checks_only_its_inputs(monkeypatch):
         return is_sparse(g, count)
 
     monkeypatch.setattr("rigidkit.moves.is_sparse", counting)
-    target = grow_tight_graph("euclidean", 40, 7, protected=[(0, 1)])
-    chain = find_chain(K2, target, "euclidean")
-    assert checked == [K2, target]
-    assert {type(m) for m in chain.moves} == {VertexExtension, EdgeMove}
-    assert chain.final == target
+    kinds = {}
+    for mode, start, protected in (("euclidean", K2, [(0, 1)]), ("qnorm", K1, [])):
+        checked.clear()
+        target = grow_tight_graph(mode, 40, 7, protected=protected)
+        chain = find_chain(start, target, mode)
+        assert checked == [start, target]
+        assert chain.final == target
+        kinds[mode] = {type(m) for m in chain.moves}
+    assert kinds["euclidean"] == {VertexExtension, EdgeMove}
+    assert kinds["qnorm"] & {VertexToK4, VertexTo4Cycle}
 
 
 @pytest.mark.parametrize("seed", range(6))

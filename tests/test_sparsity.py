@@ -313,6 +313,53 @@ def test_engine_answers_ignore_query_history(count):
         assert game.accepted == list(range(g.n_edges))
 
 
+@pytest.mark.parametrize("count", ENGINE_COUNTS + [SparsityCount(6, 6)], ids=str)
+def test_deletions_answer_as_a_fresh_game(count):
+    # Random interleavings of insert and delete on simple graphs and on
+    # multigraphs; after every few steps the game answers each pair as a
+    # fresh game over the edges it holds.
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = 3 + seed % 6
+        multi = seed % 2 == 1
+        pairs = list(combinations(range(n), 2))
+        game = PebbleGame(range(n), count)
+        held, kept, offered = [], [], 0
+        for step in range(6 * count.k * n):
+            if held and rng.random() < 0.35:
+                u, w = held.pop(rng.randrange(len(held)))
+                game.delete(*((u, w) if rng.random() < 0.5 else (w, u)))
+            else:
+                e = rng.choice(pairs)
+                if not multi and e in held:
+                    continue
+                if game.insert(*e):
+                    held.append(e)
+                    kept.append(offered)
+                offered += 1
+            if step % 5 == 0:
+                fresh = PebbleGame.over(MultiGraph(range(n), held), count)
+                for p in pairs:
+                    assert game.admits(*p) == fresh.admits(*p), (seed, step, p)
+                    assert game.blocker(*p) == fresh.blocker(*p), (seed, step, p)
+        assert game.accepted == kept
+
+
+def test_delete_refuses_an_edge_not_held():
+    game = PebbleGame(range(4), LAMAN)
+    for e in ((0, 1), (0, 2), (1, 2)):
+        assert game.insert(*e)
+    assert not game.insert(0, 1)
+    with pytest.raises(InputError):
+        game.delete(0, 3)
+    with pytest.raises(InputError):
+        game.delete(0, 9)
+    game.delete(1, 0)
+    with pytest.raises(InputError):
+        game.delete(0, 1)
+    assert game.admits(0, 1)
+
+
 # Reference copies of the algorithms that build a fresh game for every query.
 
 
