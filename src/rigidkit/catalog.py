@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Real
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import AlgorithmError, InputError
 from .graphs import SimpleGraph, complete_graph, cycle_graph
@@ -233,6 +233,15 @@ def _whirl_step(pt: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
     return (Fraction(x + 2 * y, 3), Fraction(2 * x + y, 3))
 
 
+def _whirl_rings(layers: int) -> Iterator[list[tuple[Fraction, Fraction]]]:
+    """The exact corners of square 0, 1, ..., layers, one square at a time."""
+    yield [(Fraction(x), Fraction(y)) for x, y in _WHIRL_OUTER]
+    ring = [(Fraction(x), Fraction(y)) for x, y in _WHIRL_INNER]
+    for _ in range(layers):
+        yield ring
+        ring = [_whirl_step(pt) for pt in ring]
+
+
 def whirlpool_exact_points(layers: int) -> dict[int, tuple[Fraction, Fraction]]:
     """Rational coordinates of the nested-squares placement.
 
@@ -242,16 +251,8 @@ def whirlpool_exact_points(layers: int) -> dict[int, tuple[Fraction, Fraction]]:
     """
     if layers < 0:
         raise InputError(f"layers must be non-negative, got {layers}")
-    pts: dict[int, tuple[Fraction, Fraction]] = {}
-    for i, (x, y) in enumerate(_WHIRL_OUTER):
-        pts[i] = (Fraction(x), Fraction(y))
-    ring = [(Fraction(x), Fraction(y)) for x, y in _WHIRL_INNER]
-    for k in range(1, layers + 1):
-        if k > 1:
-            ring = [_whirl_step(pt) for pt in ring]
-        for i, pt in enumerate(ring):
-            pts[4 * k + i] = pt
-    return pts
+    rings = enumerate(_whirl_rings(layers))
+    return {4 * k + i: pt for k, ring in rings for i, pt in enumerate(ring)}
 
 
 def whirlpool(layers: int) -> GeneratedFamily:
@@ -260,11 +261,19 @@ def whirlpool(layers: int) -> GeneratedFamily:
     Vertices 4k..4k+3 form square k; edges come ring-first (outermost ring,
     then each deeper ring followed by its spokes), so the first twelve edges
     of the two-square instance are the reference ordering used by
-    whirlpool_blocks.
+    whirlpool_blocks.  The squares close in on the line x = y at rate 3^-k,
+    so from square 35 on two corners round to one double-precision point:
+    such a layer count is refused as soon as that square is placed, before
+    the exact denominators grow further.
     """
     if layers < 0:
         raise InputError(f"layers must be non-negative, got {layers}")
     expected = _bounded(8 * layers + 4, "whirlpool")
+    coords: dict[int, tuple[float, float]] = {}
+    for k, ring in enumerate(_whirl_rings(layers)):
+        coords.update((4 * k + i, (float(x), float(y))) for i, (x, y) in enumerate(ring))
+        if len(set(coords.values())) < len(coords):
+            raise InputError(f"whirlpool layer {k} rounds two vertices to one point")
     edges = []
     for k in range(layers + 1):
         base = 4 * k
@@ -273,10 +282,6 @@ def whirlpool(layers: int) -> GeneratedFamily:
             edges += [(base - 4 + i, base + i) for i in range(4)]
     g = SimpleGraph(range(4 * (layers + 1)), edges)
     _check_edges(g, expected, "whirlpool")
-    exact = whirlpool_exact_points(layers)
-    if len(set(exact.values())) != len(exact):
-        raise AlgorithmError("whirlpool placement has coincident points")
-    coords = {v: (float(x), float(y)) for v, (x, y) in exact.items()}
     return GeneratedFamily(g, Placement(2, coords))
 
 

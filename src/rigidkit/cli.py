@@ -203,7 +203,7 @@ def _cmd_chain(args) -> None:
     payload = {
         "mode": args.mode,
         "count": {"k": count.k, "l": count.l},
-        "stageCount": len(chain.stages),
+        "stageCount": len(chain.moves) + 1,
         "verified": True,
         **jsonio.chain_to_json(chain),
     }

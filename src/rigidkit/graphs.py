@@ -111,17 +111,6 @@ class SimpleGraph:
 
     # ---- derived graphs ------------------------------------------------
 
-    def with_edges(self, new_edges: Iterable[Sequence[int]]) -> "SimpleGraph":
-        extra = [normalize_edge(int(v), int(w)) for v, w in new_edges]
-        fresh = [e for e in extra if e not in self.edge_set]
-        return SimpleGraph(self.vertices, self.edges + tuple(fresh))
-
-    def without_edge(self, v: int, w: int) -> "SimpleGraph":
-        e = normalize_edge(v, w)
-        if e not in self.edge_set:
-            raise InputError(f"edge {e} not present")
-        return SimpleGraph(self.vertices, tuple(f for f in self.edges if f != e))
-
     def without_vertex(self, v: int) -> "SimpleGraph":
         if v not in self.vertex_set:
             raise InputError(f"vertex {v} not present")

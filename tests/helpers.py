@@ -1,6 +1,8 @@
 """Seeded random generators shared across test modules."""
 
 import random
+import time
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +34,14 @@ from rigidkit.moves import (
 from rigidkit.sparsity import PebbleGame
 
 
+@contextmanager
+def budget(seconds):
+    start = time.monotonic()
+    yield
+    elapsed = time.monotonic() - start
+    assert elapsed < seconds, f"runtime budget exceeded: {elapsed:.1f}s >= {seconds}s"
+
+
 def reference_apply(g, m):
     """Reference for moves.apply_move: one graph builder per move kind,
     fixing the vertex order, the edge order and the MoveError texts."""
@@ -56,8 +66,8 @@ def reference_apply(g, m):
         require_distinct(m.neighbors, "extension neighbors")
         require_fresh([m.vertex])
         require_present(m.neighbors)
-        grown = SimpleGraph(g.vertices + (m.vertex,), g.edges)
-        return grown.with_edges([(m.vertex, w) for w in m.neighbors])
+        star = [(m.vertex, w) for w in m.neighbors]
+        return SimpleGraph(g.vertices + (m.vertex,), list(g.edges) + star)
     if isinstance(m, EdgeMove):
         a, b = normalize_edge(*m.removed)
         if (a, b) not in g.edge_set:
@@ -67,9 +77,9 @@ def reference_apply(g, m):
             raise MoveError("removed endpoints must be among the new neighbors")
         require_fresh([m.vertex])
         require_present(m.neighbors)
-        cut = g.without_edge(a, b)
-        grown = SimpleGraph(cut.vertices + (m.vertex,), cut.edges)
-        return grown.with_edges([(m.vertex, w) for w in m.neighbors])
+        kept = [e for e in g.edges if e != (a, b)]
+        star = [(m.vertex, w) for w in m.neighbors]
+        return SimpleGraph(g.vertices + (m.vertex,), kept + star)
     if isinstance(m, VertexToK4):
         require_present([m.base])
         require_distinct(m.added, "vertex-to-K4 additions")

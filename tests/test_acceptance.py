@@ -6,9 +6,7 @@ one usually means an algorithmic regression, not a slow machine.
 """
 
 import random
-import time
 from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +14,7 @@ import pytest
 
 from helpers import (
     assert_witness_flex,
+    budget,
     complete_bodies,
     grow_tight_graph,
     random_graph,
@@ -67,14 +66,6 @@ from rigidkit.towers import (
     sequential_rigidity_2d,
     tower_rigidity,
 )
-
-
-@contextmanager
-def budget(seconds):
-    start = time.monotonic()
-    yield
-    elapsed = time.monotonic() - start
-    assert elapsed < seconds, f"runtime budget exceeded: {elapsed:.1f}s >= {seconds}s"
 
 
 def lq_lengths(g, p, q):
@@ -492,22 +483,31 @@ def test_17_chains_on_one_game(monkeypatch):
     # The chain search undoes each candidate move on one pebble game over
     # the target, and verification plays each move forward on one game from
     # the start, instead of a fresh game per backward step and per stage.
+    # Both walk one adjacency in place instead of building a graph per move.
     target = grow_tight_graph("euclidean", 800, 3, protected=[(0, 1)])
     start = SimpleGraph([0, 1], [(0, 1)])
-    built = []
-    init = PebbleGame.__init__
+    built = {PebbleGame: 0, SimpleGraph: 0}
 
-    def counting_init(self, *args):
-        built.append(self)
-        init(self, *args)
+    def count(cls):
+        init = cls.__init__
 
-    monkeypatch.setattr(PebbleGame, "__init__", counting_init)
-    with budget(6):
+        def counting_init(self, *args, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    count(PebbleGame)
+    count(SimpleGraph)
+    with budget(1):
         chain = find_chain(start, target, EUCLIDEAN_MODE)
-        searched = len(built)
+        searched = built[PebbleGame]
         report = verify_chain(chain, EUCLIDEAN_MODE)
-    # find_chain: the two input tightness checks and the search's game
-    assert searched == 3
-    assert len(built) == searched + 1
+    # find_chain: the start's tightness check and the search's game, which
+    # also checks the target
+    assert searched == 2
+    assert built[PebbleGame] == searched + 1
+    # the replayed target and the verified final graph
+    assert built[SimpleGraph] <= 2
     assert report.ok and report.final == target
     assert len(chain.moves) == 798

@@ -252,6 +252,18 @@ def test_whirlpool_counts_and_edge_order():
     assert list(g.edges[:12]) == RING_EDGES + inner + SPOKE_EDGES
 
 
+def test_whirlpool_places_34_layers_on_distinct_points():
+    fam = whirlpool(34)
+    coords = [fam.placement[v] for v in fam.graph.vertices]
+    assert len(set(coords)) == fam.graph.n_vertices == 140
+
+
+def test_whirlpool_refuses_layers_that_round_together():
+    # Square 35 lies within rounding of square 34 on the line x = y.
+    with pytest.raises(InputError, match="whirlpool layer 35 rounds two vertices"):
+        whirlpool(35)
+
+
 def test_whirlpool_outer_squares_fixed():
     pts = whirlpool_exact_points(1)
     assert pts[0] == (3, 3)

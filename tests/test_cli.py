@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import budget
 
 import rigidkit
 from rigidkit import catalog, jsonio
@@ -457,6 +458,19 @@ def test_catalog_refuses_oversized_families(invoke, monkeypatch, family, params)
         f"rigidkit: {family} would have more than {catalog.MAX_FAMILY_EDGES} edges, "
         "the most the catalog builds\n"
     )
+
+
+def test_catalog_refuses_whirlpool_layers_past_double_precision(invoke, monkeypatch):
+    # Refused at layer 35, the first to round onto an earlier one, before
+    # the graph or the deeper exact points (denominators 3^k) are built.
+    def never(*args, **kwargs):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setattr(catalog, "SimpleGraph", never)
+    with budget(1):
+        code, out, err = invoke("catalog", "whirlpool", "--params", "layers=100000")
+    assert (code, out) == (1, "")
+    assert err == "rigidkit: whirlpool layer 35 rounds two vertices to one point\n"
 
 
 # ---- render ---------------------------------------------------------------

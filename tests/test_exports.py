@@ -1,6 +1,8 @@
 """Every name a module lists in __all__ resolves to an attribute."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -39,4 +41,36 @@ def test_sparsity_lists_exactly_its_public_names():
         "is_sparse",
         "planar_count",
         "tight_spanning_subgraph",
+    ]
+
+
+def test_moves_lists_exactly_its_public_names():
+    # Every unprefixed name the module binds itself, constants included;
+    # the walk and search helpers stay private.
+    from rigidkit import moves
+
+    imports = (ast.Import, ast.ImportFrom)
+    tree = ast.parse(inspect.getsource(moves))
+    imported = {a.asname or a.name for s in tree.body if isinstance(s, imports) for a in s.names}
+    defined = {n for n in vars(moves) if not n.startswith("_") and n not in imported}
+    assert sorted(moves.__all__) == sorted(defined) == [
+        "CHAIN_MODES",
+        "ChainReport",
+        "ConstructionChain",
+        "EUCLIDEAN_MODE",
+        "EdgeMove",
+        "Edit",
+        "MOVE_CLASSES",
+        "Move",
+        "QNORM_MODE",
+        "VertexExtension",
+        "VertexSplit3D",
+        "VertexTo4Cycle",
+        "VertexToK4",
+        "apply_move",
+        "concatenate_chains",
+        "count_for_mode",
+        "find_chain",
+        "inverse_candidates",
+        "verify_chain",
     ]

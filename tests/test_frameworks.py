@@ -104,7 +104,7 @@ def test_euclidean_triangle_is_rigid_same_placement():
 
 
 def test_matrix_rows_match_finite_differences():
-    g = complete_graph(4).without_edge(1, 3)
+    g = SimpleGraph(range(4), [e for e in complete_graph(4).edges if e != (1, 3)])
     norm = NormSpec(2, 2.5)
     p = random_placement(g, norm, seed=7)
     rm = rigidity_matrix(g, p, norm)
@@ -291,7 +291,7 @@ def test_peeled_ranks_equal_elimination_ranks(q, d, seed):
         (a, b) for a in reversed(full.vertices) for b in full.vertices
         if a != b and not full.has_edge(a, b)
     )
-    for g in (full, cut, full.with_edges([extra])):
+    for g in (full, cut, SimpleGraph(full.vertices, full.edges + (extra,))):
         g = shuffled_copy(g, rng)
         p = random_placement(g, norm, seed)
         m = rigidity_matrix_mod_p(g, p, norm)
@@ -354,7 +354,8 @@ def drop_graphs(d, q, rng):
     less = list(full.edges)
     for _ in range(rng.randint(1, 6)):
         less.pop(rng.randrange(len(less)))
-    graphs = (zero.with_edges(rng.sample(missing, 6)), full, SimpleGraph(full.vertices, less))
+    braced = SimpleGraph(zero.vertices, zero.edges + tuple(rng.sample(missing, 6)))
+    graphs = (braced, full, SimpleGraph(full.vertices, less))
     return [shuffled_copy(g, rng) for g in graphs]
 
 
@@ -431,7 +432,7 @@ def test_exact_rank_lays_out_only_the_core():
 def test_numeric_rank_agrees_with_exact(seed, q):
     # K5 less an edge has 9 edges: rank 2*5 - 3 in the Euclidean plane,
     # 2*5 - 2 for q = 3.
-    g = complete_graph(5).without_edge(0, 3)
+    g = SimpleGraph(range(5), [e for e in complete_graph(5).edges if e != (0, 3)])
     norm = NormSpec(2, q)
     assert generic_rank(g, norm, trials=3, seed=seed) == {2: 7, 3: 8}[q]
     # K4 is (2,2)-tight: full row rank 2*4 - 2.
@@ -476,7 +477,7 @@ def test_is_rigid_generic_certifies_tight_graphs_at_scale(name):
     assert verdict.combinatorial in (None, True)
     # One edge less leaves one flex; its basis vector comes from the singular
     # vectors after the known rank.
-    loose = g.without_edge(*g.edges[-1])
+    loose = SimpleGraph(g.vertices, g.edges[:-1])
     verdict = is_rigid_generic(loose, norm, seed=0)
     assert not verdict.rigid
     assert (verdict.report.rank, verdict.report.flex_dim) == (loose.n_edges, 1)
@@ -601,7 +602,7 @@ def test_length_map_matches_per_edge_evaluation(q):
 
 def test_growth_profile_cancels_when_bracing_appears():
     c4 = cycle_graph(4)
-    braced = c4.with_edges([(0, 2)])
+    braced = SimpleGraph(c4.vertices, c4.edges + ((0, 2),))
     p = random_placement(braced, EUCLID2, seed=9)
     prof = flex_growth_profile([c4, braced], [p.restrict(c4.vertices), p], EUCLID2)
     assert prof.cancellation_stage == 1

@@ -168,7 +168,7 @@ def test_inverse_of_degree_three_vertex_restores_triangle():
     assert len(cands) >= 1
     m = cands[0]
     assert isinstance(m, EdgeMove) and m.removed == (0, 1)
-    reduced = g.without_vertex(3).with_edges([m.removed])
+    reduced = SimpleGraph([0, 1, 2], [*g.without_vertex(3).edges, m.removed])
     assert reduced == complete_graph(3)
     assert apply_move(reduced, m) == g
 
@@ -228,8 +228,9 @@ def test_find_chain_euclidean_random_targets(seed):
 
 
 def test_laman_chain_checks_only_its_inputs(monkeypatch):
-    # Every reduction is checked on the search's own pebble game, so the
-    # search runs no sparsity check beyond the two inputs, in either mode.
+    # The target and every reduction are checked on the search's own pebble
+    # game, so the search runs no sparsity check beyond the start's, in
+    # either mode.
     checked = []
 
     def counting(g, count):
@@ -242,7 +243,7 @@ def test_laman_chain_checks_only_its_inputs(monkeypatch):
         checked.clear()
         target = grow_tight_graph(mode, 40, 7, protected=protected)
         chain = find_chain(start, target, mode)
-        assert checked == [start, target]
+        assert checked == [start]
         assert chain.final == target
         kinds[mode] = {type(m) for m in chain.moves}
     assert kinds["euclidean"] == {VertexExtension, EdgeMove}

@@ -450,9 +450,10 @@ def test_container_matches_per_pair_blockers(q):
         rng = random.Random(seed)
         g = grow_tight_graph(mode, 14 + seed, seed)
         extra = [(a, b) for a, b in combinations(g.vertices, 2) if not g.has_edge(a, b)]
-        g = g.with_edges(rng.sample(extra, 4))
+        g = SimpleGraph(g.vertices, g.edges + tuple(rng.sample(extra, 4)))
         for _ in range(seed % 3 * 2):
-            g = g.without_edge(*g.edges[rng.randrange(g.n_edges)])
+            cut = g.edges[rng.randrange(g.n_edges)]
+            g = SimpleGraph(g.vertices, [e for e in g.edges if e != cut])
         edges = list(g.edges)
         rng.shuffle(edges)
         g = SimpleGraph(g.vertices, edges)
