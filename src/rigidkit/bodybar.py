@@ -30,7 +30,6 @@ from .errors import (
     AlgorithmError,
     InconsistencyError,
     InputError,
-    NestingError,
     PlacementError,
 )
 from .frameworks import (
@@ -45,7 +44,7 @@ from .frameworks import (
     random_placement,
     report_at_rank,
 )
-from .graphs import MultiGraph, SimpleGraph, Tower, normalize_edge
+from .graphs import MultiGraph, SimpleGraph, Tower, normalize_edge, validate_tower
 from .sparsity import PebbleGame, SparsityCount, is_sparse
 from .towers import (
     LAMAN_TOWER_MINIMAL,
@@ -72,7 +71,6 @@ __all__ = [
     "special_placement",
     "essentially_independent",
     "rigid_container_multibody",
-    "validate_multibody_tower",
     "bodybar_tower_decide",
 ]
 
@@ -196,6 +194,12 @@ class MultiBodyGraph:
             tuple((owner[v], owner[w]) for v, w in self.inter_body_edges),
         )
 
+    def is_subgraph_of(self, other: "MultiBodyGraph") -> bool:
+        """Every body of self is a body of other, and other's graph contains self's."""
+        return self.underlying.is_subgraph_of(other.underlying) and all(
+            frozenset(b) in other.body_index for b in self.bodies
+        )
+
     def __repr__(self) -> str:
         return (
             f"MultiBodyGraph({self.n_bodies} bodies, "
@@ -228,9 +232,13 @@ def validate_multibody(
         raise InputError("; ".join(problems))
     p = random_placement(g, norm, 0)
     for i, (b, part) in enumerate(zip(bs, _body_subgraphs(g, bs))):
-        rank, kept = _certified_rank(part, p, norm)
-        if kept is not None:
-            _plane_cross_check(kept, norm, True, rank)
+        rank, dropped = _certified_rank(part, p, norm)
+        if rank >= norm.rigid_rank(len(b)):
+            if norm.d == 2:  # the one reader of the kept edges
+                gone = set(dropped)
+                kept = [e for t, e in enumerate(part.edges) if t not in gone]
+                kept_graph = SimpleGraph(part.vertices, kept) if gone else part
+                _plane_cross_check(kept_graph, norm, True, rank)
         elif not is_rigid_generic(part, norm).rigid:
             problems.append(
                 f"body {i} on vertices {list(b)} is not generically rigid for {norm}"
@@ -535,20 +543,6 @@ def essentially_independent(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) ->
 # ---- relative rigidity and containers ------------------------------------
 
 
-def _check_sub_multibody(g: MultiBodyGraph, h: MultiBodyGraph, norm: NormSpec) -> None:
-    for b in h.bodies:
-        if frozenset(b) not in g.body_index:
-            raise InputError(f"body {list(b)} of the part is not a body of the host")
-    if not h.underlying.is_subgraph_of(g.underlying):
-        raise InputError("the part must be a subgraph of the host")
-    need = _independence_threshold(norm)
-    if h.underlying.n_vertices < need:
-        raise InputError(
-            f"the anchored part needs at least {need} vertices for {norm}, "
-            f"got {h.underlying.n_vertices}"
-        )
-
-
 def rigid_container_multibody(
     g: MultiBodyGraph, h: MultiBodyGraph, norm: NormSpec
 ) -> MultiBodyGraph | None:
@@ -561,7 +555,14 @@ def rigid_container_multibody(
     the multi-body equivalence that is exactly the failure of relative
     rigidity, in any dimension and for either norm family.
     """
-    _check_sub_multibody(g, h, norm)
+    if not h.is_subgraph_of(g):
+        raise InputError("the part is not a sub-structure of the host")
+    need = _independence_threshold(norm)
+    if h.underlying.n_vertices < need:
+        raise InputError(
+            f"the anchored part needs at least {need} vertices for {norm}, "
+            f"got {h.underlying.n_vertices}"
+        )
     game = PebbleGame.over(g.collapsed, body_bar_count(norm))
     bar_pos = {e: t for t, e in enumerate(g.inter_body_edges)}
     chosen_bodies = {g.body_index[frozenset(b)] for b in h.bodies}
@@ -598,24 +599,6 @@ def rigid_container_multibody(
 MultiBodyTower = Tower
 
 
-def validate_multibody_tower(t: Tower) -> None:
-    """Stage k+1 must contain stage k and carry every one of its bodies."""
-
-    def check(small: MultiBodyGraph, large: MultiBodyGraph, idx: int, what: str) -> None:
-        for b in small.bodies:
-            if frozenset(b) not in large.body_index:
-                raise NestingError(
-                    idx, f"{what} does not carry body {list(b)} of its predecessor"
-                )
-        if not small.underlying.is_subgraph_of(large.underlying):
-            raise NestingError(idx, f"{what} does not contain its predecessor")
-
-    for k in range(t.depth - 1):
-        check(t.stages[k], t.stages[k + 1], k + 1, f"stage {k + 1}")
-    if t.target is not None:
-        check(t.stages[-1], t.target, t.depth - 1, "the target")
-
-
 BODYBAR_TOWER_MINIMAL = "EssentiallyMinimallyRigid"
 
 
@@ -648,7 +631,7 @@ def bodybar_tower_decide(
     pairs, which certify Rigid exactly when relative rigidity holds stage by
     stage and the containers reach every body.
     """
-    validate_multibody_tower(t)
+    validate_tower(t)
     status, tight = _nested_witnesses(
         (labeled_body_bar(s) for s in t.stages),
         labeled_body_bar(t.reference),

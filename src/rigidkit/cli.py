@@ -18,7 +18,7 @@ from .norms import RANK_EPS, NormSpec
 # Each verb imports the modules it calls, so the pebble-game verbs
 # (sparsity, chain, tower --mode laman and sequential) start without numpy.
 
-__all__ = ["main", "run"]
+__all__ = ["UsageError", "main", "run"]
 
 
 class UsageError(InputError):

@@ -4,6 +4,19 @@ Exit-code mapping used by the CLI: InputError -> 1, InconsistencyError
 and AlgorithmError -> 2.  Everything else propagates as a plain crash.
 """
 
+__all__ = [
+    "RigidkitError",
+    "InputError",
+    "UnsupportedCountError",
+    "NestingError",
+    "MoveError",
+    "PlacementError",
+    "SamplingError",
+    "ContinuationError",
+    "InconsistencyError",
+    "AlgorithmError",
+]
+
 
 class RigidkitError(Exception):
     """Base class for all package errors."""

@@ -62,16 +62,64 @@ from .errors import (
     PlacementError,
     SamplingError,
 )
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, Tower, validate_tower
 from .norms import RANK_EPS, NormSpec
 from .placements import Placement
 from . import sparsity
 
+__all__ = [
+    "NormSpec",
+    "Placement",
+    "RANK_EPS",
+    "VelocityField",
+    "signed_power",
+    "rigidity_matrix",
+    "matrix_rank",
+    "kernel_basis",
+    "kernel_at_rank",
+    "trivial_motion_basis",
+    "FlexReport",
+    "flex_report",
+    "report_at_rank",
+    "random_placement",
+    "PRIME",
+    "residues",
+    "rigidity_matrix_mod_p",
+    "rank_mod_p",
+    "placement_rank",
+    "pinned_ranks",
+    "generic_rank",
+    "GenericRigidityVerdict",
+    "is_rigid_generic",
+    "ExtensionResult",
+    "flex_extends",
+    "continuation_track",
+    "FlexGrowthProfile",
+    "flex_growth_profile",
+]
+
 VelocityField = dict[int, np.ndarray]
 
 
+def _abs_power(x: np.ndarray, e: float) -> np.ndarray:
+    """|x| ** e entry by entry, a whole e >= 1 by repeated squaring and
+    multiplication: numpy's vectorised pow can differ from the C library's
+    in the last bit, and whether it does depends on the machine."""
+    a = np.abs(x)
+    if e < 1 or not float(e).is_integer():
+        return a**e
+    n, out = int(e), None
+    while True:
+        if n & 1:
+            out = a if out is None else out * a
+        n >>= 1
+        if not n:
+            return out
+        a = a * a
+
+
 def signed_power(x: np.ndarray, e: float) -> np.ndarray:
-    return np.sign(x) * np.abs(x) ** e
+    return np.sign(x) * _abs_power(x, e)
 
 
 def _endpoints(g: SimpleGraph, p: Placement, norm: NormSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -482,29 +530,25 @@ def pinned_ranks(
 
 def _certified_rank(
     g: SimpleGraph, p: Placement, norm: NormSpec
-) -> tuple[int, SimpleGraph | None]:
-    """placement_rank(g, p, norm), with a spanning subgraph of g whose rows
-    at p reach norm.rigid_rank(n) when the rank does (None otherwise).
+) -> tuple[int, list[int]]:
+    """placement_rank(g, p, norm), with the positions in g.edges of rows
+    that can go without lowering it.
 
     For an integer q the peel first runs with |E| - rigid_rank(n) rows to
     drop.  Its kept rows are rows of the matrix, so their rank is at most
     the rank, which is at most rigid_rank(n): a bound that reaches it is the
-    rank, and their edges certify g rigid.  A rigid complete graph keeps a
-    0-extension graph on its K_{d+1} (Euclidean) or K_{2d} base.  Only when
-    the bound falls short does the whole matrix go through placement_rank,
-    and then g itself is the subgraph when its rank reaches rigid_rank(n)."""
+    rank, and the edges kept certify g rigid.  A rigid complete graph keeps
+    a 0-extension graph on its K_{d+1} (Euclidean) or K_{2d} base.  Only
+    when the bound falls short does the whole matrix go through
+    placement_rank, and then no row is dropped."""
     top = norm.rigid_rank(g.n_vertices)
     if norm.q_is_integer and g.n_edges >= top:
         vals, ends = _exact_values(g, p, norm)
         every = np.ones(g.n_vertices, dtype=bool)
         bound, dropped = _peeled_rank(vals, ends, norm.d, every, g.n_edges - top)
         if bound >= top:
-            if dropped:
-                gone = set(dropped)
-                g = SimpleGraph(g.vertices, [e for i, e in enumerate(g.edges) if i not in gone])
-            return bound, g
-    rank = placement_rank(g, p, norm)
-    return rank, g if rank >= top else None
+            return bound, dropped
+    return placement_rank(g, p, norm), []
 
 
 # ---- generic-rank decisions --------------------------------------------
@@ -692,7 +736,7 @@ def _scalar_power(x: np.ndarray, e: float) -> np.ndarray:
 
 def _lq_lengths(pts: np.ndarray, g: SimpleGraph, qf: float) -> np.ndarray:
     ia, ib = _edge_ends(g)
-    return _scalar_power(np.sum(np.abs(pts[ia] - pts[ib]) ** qf, axis=1), 1.0 / qf)
+    return _scalar_power(np.sum(_abs_power(pts[ia] - pts[ib], qf), axis=1), 1.0 / qf)
 
 
 def _length_jacobian(pts: np.ndarray, g: SimpleGraph, qf: float) -> np.ndarray:
@@ -802,11 +846,8 @@ def flex_growth_profile(
     """
     if len(stages) != len(placements):
         raise InputError("stage and placement counts differ")
-    if not stages:
-        raise InputError("need at least one stage")
+    validate_tower(Tower(stages))
     for k in range(len(stages) - 1):
-        if not stages[k].is_subgraph_of(stages[k + 1]):
-            raise InputError(f"stage {k + 1} does not contain stage {k}")
         for v in stages[k].vertices:
             a = np.asarray(placements[k][v])
             b = np.asarray(placements[k + 1][v])

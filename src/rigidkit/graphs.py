@@ -15,6 +15,21 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, NestingError
 
+__all__ = [
+    "GraphLike",
+    "MultiGraph",
+    "SimpleGraph",
+    "Tower",
+    "complete_graph",
+    "complete_graph_on",
+    "cycle_graph",
+    "graph_union",
+    "induced_subgraph",
+    "normalize_edge",
+    "path_graph",
+    "validate_tower",
+]
+
 
 def normalize_edge(v: int, w: int) -> tuple[int, int]:
     if v == w:
@@ -35,8 +50,8 @@ def _check_vertices(vertices: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class SimpleGraph:
-    """Finite simple graph with ordered vertex labels."""
+class _Graph:
+    """Vertices and edges as SimpleGraph and MultiGraph both hold them."""
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -44,21 +59,14 @@ class SimpleGraph:
     def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]] = ()):
         vs = _check_vertices(tuple(vertices))
         vset = set(vs)
-        out: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for e in edges:
-            v, w = e
-            ne = normalize_edge(int(v), int(w))
-            if ne[0] not in vset or ne[1] not in vset:
-                raise InputError(f"edge {ne} has an endpoint outside the vertex set")
-            if ne in seen:
-                raise InputError(f"edge {ne} repeated")
-            seen.add(ne)
-            out.append(ne)
+        out = []
+        for v, w in edges:
+            e = normalize_edge(int(v), int(w))
+            if e[0] not in vset or e[1] not in vset:
+                raise InputError(f"edge {e} has an endpoint outside the vertex set")
+            out.append(e)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", tuple(out))
-
-    # ---- basic queries -------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
@@ -73,13 +81,29 @@ class SimpleGraph:
         return frozenset(self.vertices)
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    @cached_property
     def index_of(self) -> dict[int, int]:
         """Label -> position in the vertex tuple."""
         return {v: i for i, v in enumerate(self.vertices)}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n_vertices} vertices, {self.n_edges} edges)"
+
+
+class SimpleGraph(_Graph):
+    """Finite simple graph with ordered vertex labels."""
+
+    def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]] = ()):
+        super().__init__(vertices, edges)
+        if len(self.edge_set) < self.n_edges:
+            seen: set[tuple[int, int]] = set()
+            for e in self.edges:
+                if e in seen:
+                    raise InputError(f"edge {e} repeated")
+                seen.add(e)
+
+    @cached_property
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.edges)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -105,9 +129,6 @@ class SimpleGraph:
 
     def __hash__(self) -> int:
         return hash((self.vertex_set, self.edge_set))
-
-    def __repr__(self) -> str:
-        return f"SimpleGraph({self.n_vertices} vertices, {self.n_edges} edges)"
 
     # ---- derived graphs ------------------------------------------------
 
@@ -145,9 +166,7 @@ def graph_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
 
 
 def complete_graph(n: int, offset: int = 0) -> SimpleGraph:
-    vs = tuple(range(offset, offset + n))
-    es = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)]
-    return SimpleGraph(vs, es)
+    return complete_graph_on(range(offset, offset + n))
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -166,44 +185,11 @@ def complete_graph_on(labels: Sequence[int]) -> SimpleGraph:
     return SimpleGraph(ls, es)
 
 
-@dataclass(frozen=True, eq=False)
-class MultiGraph:
+class MultiGraph(_Graph):
     """Graph with parallel edges; edge identity is positional.
 
     Loops are rejected: no supported sparsity count admits them.
     """
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]] = ()):
-        vs = _check_vertices(tuple(vertices))
-        vset = set(vs)
-        out = []
-        for e in edges:
-            v, w = e
-            ne = normalize_edge(int(v), int(w))
-            if ne[0] not in vset or ne[1] not in vset:
-                raise InputError(f"edge {ne} has an endpoint outside the vertex set")
-            out.append(ne)
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", tuple(out))
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    @cached_property
-    def index_of(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
 
     def multiplicity(self, v: int, w: int) -> int:
         e = normalize_edge(v, w)
@@ -219,9 +205,6 @@ class MultiGraph:
     def __hash__(self) -> int:
         return hash((self.vertex_set, tuple(sorted(self.edges))))
 
-    def __repr__(self) -> str:
-        return f"MultiGraph({self.n_vertices} vertices, {self.n_edges} edges)"
-
 
 GraphLike = SimpleGraph | MultiGraph
 
@@ -231,7 +214,8 @@ class Tower:
     """Increasing sequence of stages, optionally with a declared target.
 
     Stages are simple graphs, or multi-body structures for the staged
-    body-bar decision (bodybar.MultiBodyTower names this class).  The
+    body-bar decision (bodybar.MultiBodyTower names this class); either
+    kind answers is_subgraph_of, which is all validate_tower asks.  The
     reference is the declared target, or else the final stage, which for
     a nested tower (see validate_tower) is the union of all stages;
     vertex completeness is measured against it.
@@ -261,10 +245,11 @@ class Tower:
 
 
 def validate_tower(t: Tower) -> None:
-    """Check stage nesting (and target containment when declared).
+    """Check stage nesting (and target containment when declared) by the
+    stages' own is_subgraph_of.
 
     Raises NestingError carrying the index of the first stage that fails to
-    contain its predecessor.
+    contain its predecessor, or depth - 1 for the target.
     """
     for k in range(t.depth - 1):
         if not t.stages[k].is_subgraph_of(t.stages[k + 1]):

@@ -35,6 +35,7 @@ if TYPE_CHECKING:
     from .frameworks import Placement, VelocityField
 
 __all__ = [
+    "anchor_threshold",
     "RelativeRigidityVerdict",
     "TowerVerdict",
     "LamanTowerVerdict",
@@ -256,12 +257,16 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
     completeness.  The pairs are the consecutive stages, and a finite
     presentation (one stage, or a final stage equal to the declared target)
     also pairs its final stage with itself, so that stage must be rigid.
-    With no declared target the stages are read as a truncated presentation
-    of the countable graph they build: the final stage is not tested against
-    itself, so flexible stages each pinned by the next certify rigid, as in
-    the banana tower.  When a pair fails, Flexible is certified if the final
-    stage is flexible and no declared target reaches beyond it; otherwise
-    the verdict stays Undecided."""
+
+    A tower with no declared target has two readings, one per verdict.  For
+    Rigid it is a truncated presentation of the countable graph it builds:
+    the final stage is not tested against itself, so flexible stages each
+    pinned by the next certify rigid, as in the banana tower.  For Flexible
+    it is finite: when a pair fails, a flexible final stage is the whole
+    graph and certifies Flexible, so Tower([C4, C4]) is Flexible, while
+    Tower([C4, C4, K4]), whose final stage is rigid, stays Undecided.  With
+    a declared target beyond the final stage a failing pair always leaves
+    the verdict Undecided."""
     from .frameworks import is_rigid_generic
 
     validate_tower(t)

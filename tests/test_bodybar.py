@@ -43,7 +43,13 @@ from rigidkit.frameworks import (
     random_placement,
     rigidity_matrix,
 )
-from rigidkit.graphs import MultiGraph, SimpleGraph, complete_graph, induced_subgraph
+from rigidkit.graphs import (
+    MultiGraph,
+    SimpleGraph,
+    complete_graph,
+    induced_subgraph,
+    validate_tower,
+)
 from rigidkit.sparsity import SparsityCount, is_sparse
 from rigidkit.towers import LAMAN_TOWER_NOT, LAMAN_TOWER_RIGID, relative_rigidity
 
@@ -222,6 +228,24 @@ def test_flexible_cross_check_stops_at_the_predicted_rank(monkeypatch):
     assert len(ranks) == 1 + 5
 
 
+@pytest.mark.parametrize("norm", [EUCLID3, CUBIC3])
+def test_validation_in_space_builds_no_kept_graph(monkeypatch, norm):
+    # Both complete bodies drop rows, but only the plane check reads the
+    # kept edges: in space a body's own graph is the one built for it.
+    g, bodies = build((7, 7), [(i, 7 + i) for i in range(6)])
+    built = []
+    init = SimpleGraph.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append((self.vertices, self.edges))
+
+    monkeypatch.setattr(SimpleGraph, "__init__", recording)
+    m = validate_multibody(g, bodies, norm)
+    monkeypatch.undo()
+    assert built == [(h.vertices, h.edges) for h in m.body_subgraphs]
+
+
 def test_rank_above_the_prediction_is_inconsistent(monkeypatch):
     g, bodies = build((6, 6), [(i, 6 + i) for i in range(5)])
     m = validate_multibody(g, bodies, EUCLID3)
@@ -288,7 +312,7 @@ def test_body_short_of_its_certificate_takes_the_full_rank():
         p = random_placement(g, EUCLID2, seed)
         vals, ends = frameworks._exact_values(g, p, EUCLID2)
         assert frameworks._peeled_rank(vals, ends, 2, every, g.n_edges - 15)[0] == 14
-        assert frameworks._certified_rank(g, p, EUCLID2) == (15, g)
+        assert frameworks._certified_rank(g, p, EUCLID2) == (15, [])
     assert validate_multibody(g, [range(9)], EUCLID2).bodies == (tuple(range(9)),)
 
 
@@ -636,7 +660,7 @@ def test_foreign_body_rejected():
         [tuple(range(5))],
         [],
     )
-    with pytest.raises(InputError, match="not a body of the host"):
+    with pytest.raises(InputError, match="not a sub-structure of the host"):
         rigid_container_multibody(m, odd, CUBIC2)
 
 
@@ -728,6 +752,35 @@ def test_stage_order_enforced():
             ),
             CUBIC2,
         )
+
+
+def _split_body_stages():
+    """A K4 body, then a second body joined to it by two bars, then the same
+    graph with the second body cut in two along a matching."""
+    k4 = list(combinations(range(4), 2))
+    halves = [(4, 5), (4, 8), (5, 8), (6, 7), (6, 9), (7, 9)]
+    bars = [(0, 8), (1, 9)]
+    g = SimpleGraph(range(10), k4 + halves + [(4, 6), (5, 7)] + bars)
+    first = MultiBodyGraph(SimpleGraph(range(4), k4), [range(4)], [])
+    whole = MultiBodyGraph(g, [range(4), range(4, 10)], bars)
+    split = MultiBodyGraph(g, [range(4), (4, 5, 8), (6, 7, 9)], bars + [(4, 6), (5, 7)])
+    return first, whole, split
+
+
+def test_stage_that_splits_a_body_is_not_nested():
+    first, whole, split = _split_body_stages()
+    assert split.underlying == whole.underlying
+    validate_tower(MultiBodyTower([first, whole], target=whole))
+    with pytest.raises(NestingError, match="stage 2 does not contain stage 1") as err:
+        bodybar_tower_decide(MultiBodyTower([first, whole, split]), CUBIC2)
+    assert err.value.index == 2
+
+
+def test_target_missing_a_body_of_the_final_stage_is_not_nested():
+    first, whole, split = _split_body_stages()
+    with pytest.raises(NestingError, match="not contained in the target") as err:
+        bodybar_tower_decide(MultiBodyTower([first, whole], target=split), CUBIC2)
+    assert err.value.index == 1
 
 
 def test_fallback_certifies_late_pinning():

@@ -1,4 +1,5 @@
-"""Every name a module lists in __all__ resolves to an attribute."""
+"""Every name a module lists in __all__ resolves to an attribute, and every
+unprefixed name a module defines is listed there."""
 
 import ast
 import importlib
@@ -20,6 +21,19 @@ def test_public_names_resolve(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
 
+
+def _defined_names(module):
+    """Unprefixed names the module binds itself, imports left out."""
+    imports = (ast.Import, ast.ImportFrom)
+    tree = ast.parse(inspect.getsource(module))
+    imported = {a.asname or a.name for s in ast.walk(tree) if isinstance(s, imports) for a in s.names}
+    return {n for n in vars(module) if not n.startswith("_") and n not in imported}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_every_defined_name(name):
+    module = importlib.import_module(f"rigidkit.{name}")
+    assert sorted(_defined_names(module) - set(getattr(module, "__all__", ()))) == []
 
 
 def test_sparsity_lists_exactly_its_public_names():
@@ -49,11 +63,7 @@ def test_moves_lists_exactly_its_public_names():
     # the walk and search helpers stay private.
     from rigidkit import moves
 
-    imports = (ast.Import, ast.ImportFrom)
-    tree = ast.parse(inspect.getsource(moves))
-    imported = {a.asname or a.name for s in tree.body if isinstance(s, imports) for a in s.names}
-    defined = {n for n in vars(moves) if not n.startswith("_") and n not in imported}
-    assert sorted(moves.__all__) == sorted(defined) == [
+    assert sorted(moves.__all__) == sorted(_defined_names(moves)) == [
         "CHAIN_MODES",
         "ChainReport",
         "ConstructionChain",

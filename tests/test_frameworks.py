@@ -8,7 +8,7 @@ import pytest
 
 from helpers import grow_tight_graph, shuffled_copy, zero_extension_graph
 from rigidkit import frameworks
-from rigidkit.errors import ContinuationError, InputError
+from rigidkit.errors import ContinuationError, InputError, NestingError
 from rigidkit.frameworks import (
     PRIME,
     ExtensionResult,
@@ -405,10 +405,12 @@ def test_complete_graphs_certify_on_a_spanning_subgraph(q, d, monkeypatch):
     for n in (base + 1, rng.randint(base + 2, 29), 30):
         g = shuffled_copy(complete_graph(n), rng)
         shapes.clear()
-        rank, kept = frameworks._certified_rank(g, random_placement(g, norm, n), norm)
-        assert rank == norm.rigid_rank(n) == kept.n_edges
-        assert kept.vertices == g.vertices and kept.edge_set <= g.edge_set
+        p = random_placement(g, norm, n)
+        rank, dropped = frameworks._certified_rank(g, p, norm)
+        kept = sorted(set(range(g.n_edges)) - set(dropped))
+        assert rank == norm.rigid_rank(n) == len(kept) == g.n_edges - len(dropped)
         assert shapes == [core]
+        assert rank_mod_p(rigidity_matrix_mod_p(g, p, norm)[kept]) == rank
 
 
 def test_exact_rank_lays_out_only_the_core():
@@ -569,14 +571,15 @@ def test_continuation_cubic_triangle_moves():
 
 def _per_edge_length_map(pts, g, qf):
     """Edge lengths and their Jacobian edge by edge, the powers of each
-    edge's length taken on numpy scalars."""
+    edge's length taken on numpy scalars, and |diff|^q by the library's
+    integer-power routine."""
     idx = g.index_of
     d = pts.shape[1]
     lengths = np.zeros(g.n_edges)
     jac = np.zeros((g.n_edges, pts.size))
     for r, (a, b) in enumerate(g.edges):
         diff = pts[idx[a]] - pts[idx[b]]
-        norm_q = np.sum(np.abs(diff) ** qf) ** (1.0 / qf)
+        norm_q = np.sum(frameworks._abs_power(diff, qf)) ** (1.0 / qf)
         lengths[r] = norm_q
         row = signed_power(diff, qf - 1.0) / norm_q ** (qf - 1.0)
         jac[r, d * idx[a] : d * idx[a] + d] = row
@@ -600,6 +603,22 @@ def test_length_map_matches_per_edge_evaluation(q):
             assert got.tobytes() == jac.tobytes()
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_quartic_matrix_is_the_product_of_the_differences(d):
+    # bit for bit: a whole exponent is multiplied out, not left to a
+    # vectorised pow whose last bit depends on the platform
+    g = complete_graph(40)
+    norm = NormSpec(d, 4)
+    p = random_placement(g, norm, 3)
+    pts, idx = p.array_for(g).reshape(-1, d), g.index_of
+    want = np.zeros((g.n_edges, d * g.n_vertices))
+    for r, (a, b) in enumerate(g.edges):
+        diff = pts[idx[a]] - pts[idx[b]]
+        want[r, d * idx[a] : d * idx[a] + d] = diff * diff * diff
+        want[r, d * idx[b] : d * idx[b] + d] = -(diff * diff * diff)
+    assert rigidity_matrix(g, p, norm).tobytes() == want.tobytes()
+
+
 def test_growth_profile_cancels_when_bracing_appears():
     c4 = cycle_graph(4)
     braced = SimpleGraph(c4.vertices, c4.edges + ((0, 2),))
@@ -608,3 +627,12 @@ def test_growth_profile_cancels_when_bracing_appears():
     assert prof.cancellation_stage == 1
     assert len(prof.speeds) == 1
     assert prof.speeds[0] == 1.0
+
+
+def test_growth_profile_checks_nesting_as_towers_do():
+    c4 = cycle_graph(4)
+    braced = SimpleGraph(c4.vertices, c4.edges + ((0, 2),))
+    p = random_placement(braced, EUCLID2, seed=9)
+    with pytest.raises(NestingError, match="stage 2 does not contain stage 1") as err:
+        flex_growth_profile([c4, braced, c4], [p, p, p], EUCLID2)
+    assert err.value.index == 2
