@@ -14,8 +14,8 @@ matrix reduces mod the prime PRIME = 2^31 - 1, and int64 elimination gives
 its rank over GF(PRIME).  That never exceeds the rank over Q: reaching
 NormSpec.rigid_rank(n) certifies rigidity, and falling short of a generic
 rank r happens with probability at most r(q-1)/PRIME per placement (Schwartz
-1980).  Sampled points are in general position, so the norm counts their
-rigid motions.
+1980), below r * 2^-21 as NormSpec keeps q <= 1024.  Sampled points are in
+general position, so the norm counts their rigid motions.
 
 The exact rank peels vertices before it eliminates.  A vertex v whose
 columns are in the matrix has nonzero entries there only in the rows R of
@@ -101,25 +101,25 @@ __all__ = [
 VelocityField = dict[int, np.ndarray]
 
 
-def _abs_power(x: np.ndarray, e: float) -> np.ndarray:
-    """|x| ** e entry by entry, a whole e >= 1 by repeated squaring and
-    multiplication: numpy's vectorised pow can differ from the C library's
-    in the last bit, and whether it does depends on the machine."""
-    a = np.abs(x)
+def _power(a: np.ndarray, e: float, mul=np.multiply) -> np.ndarray:
+    """a ** e entry by entry for a >= 0: a whole e >= 1 by repeated squaring
+    with mul (a product reduced mod PRIME for residues), any other e by the
+    C library's pow, which numpy's scalar power calls.  numpy's vectorised
+    pow can differ from it in the last bit, depending on the machine."""
     if e < 1 or not float(e).is_integer():
-        return a**e
+        return np.array([x**e for x in a.ravel()]).reshape(a.shape)
     n, out = int(e), None
     while True:
         if n & 1:
-            out = a if out is None else out * a
+            out = a if out is None else mul(out, a)
         n >>= 1
         if not n:
             return out
-        a = a * a
+        a = mul(a, a)
 
 
 def signed_power(x: np.ndarray, e: float) -> np.ndarray:
-    return np.sign(x) * _abs_power(x, e)
+    return np.sign(x) * _power(np.abs(x), e)
 
 
 def _endpoints(g: SimpleGraph, p: Placement, norm: NormSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -151,9 +151,21 @@ def _layout(
 def rigidity_matrix(g: SimpleGraph, p: Placement, norm: NormSpec) -> np.ndarray:
     """One row per edge in g.edges order, d columns per vertex in g.vertices
     order."""
-    pts, (ia, ib) = _endpoints(g, p, norm)
-    vals = signed_power(pts[ia] - pts[ib], float(norm.q) - 1.0)
-    return _layout(g.n_vertices, norm.d, ia, ib, vals, -vals)
+    return _float_rows(*_endpoints(g, p, norm), float(norm.q))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _float_rows(
+    pts: np.ndarray, ends: np.ndarray, qf: float, scale: float | np.ndarray = 1.0
+) -> np.ndarray:
+    """The float rigidity matrix on pts (one row each) for the edges with
+    the given ends, each edge's row divided by its scale.  A non-finite
+    entry raises PlacementError before any SVD or solve meets it."""
+    ia, ib = ends
+    vals = signed_power(pts[ia] - pts[ib], qf - 1.0) / scale
+    if not np.isfinite(vals).all():
+        raise PlacementError(f"rigidity matrix at q = {qf:g} has a non-finite entry")
+    return _layout(len(pts), pts.shape[1], ia, ib, vals, -vals)
 
 
 def _rank_from_singulars(s: np.ndarray, shape: tuple[int, int], eps: float) -> int:
@@ -354,9 +366,7 @@ def _exact_values(
     sign = np.sign(pts[ia] - pts[ib]).astype(np.int64)
     res = residues(pts)
     magnitude = (res[ia] - res[ib]) * sign % PRIME
-    power = magnitude
-    for _ in range(norm.q_int - 2):
-        power = power * magnitude % PRIME
+    power = _power(magnitude, norm.q_int - 1, lambda x, y: x * y % PRIME)
     return power * sign % PRIME, ends
 
 
@@ -723,29 +733,17 @@ def _pinned_coordinates(g: SimpleGraph, norm: NormSpec) -> list[int]:
     return pins
 
 
-def _scalar_power(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e entry by entry, each a Python float power (the C library's pow).
-
-    numpy's array power may take a vectorised pow whose last bit differs
-    from the C library's, and the edge lengths and Jacobian that tracked
-    paths are built on are pinned bit for bit to scalar powers of each
-    edge's length (tests/test_frameworks.py).
-    """
-    return np.array([v**e for v in x.tolist()])
-
-
+@np.errstate(over="ignore")  # an infinite length leaves a non-finite Jacobian
 def _lq_lengths(pts: np.ndarray, g: SimpleGraph, qf: float) -> np.ndarray:
     ia, ib = _edge_ends(g)
-    return _scalar_power(np.sum(_abs_power(pts[ia] - pts[ib], qf), axis=1), 1.0 / qf)
+    return _power(np.sum(_power(np.abs(pts[ia] - pts[ib]), qf), axis=1), 1.0 / qf)
 
 
 def _length_jacobian(pts: np.ndarray, g: SimpleGraph, qf: float) -> np.ndarray:
     """Jacobian of the edge-length map: each rigidity matrix row divided by
     its edge's lq length^(q-1)."""
-    ia, ib = _edge_ends(g)
-    scale = _scalar_power(_lq_lengths(pts, g, qf), qf - 1.0)
-    vals = signed_power(pts[ia] - pts[ib], qf - 1.0) / scale[:, None]
-    return _layout(g.n_vertices, pts.shape[1], ia, ib, vals, -vals)
+    scale = _power(_lq_lengths(pts, g, qf), qf - 1.0)
+    return _float_rows(pts, _edge_ends(g), qf, scale[:, None])
 
 
 _NEWTON_TOL = 1e-12

@@ -164,6 +164,52 @@ def test_unreadable_norm_is_one_error_line(invoke, spec):
     assert err.startswith("rigidkit: ")
 
 
+def _python_m(*argv, cwd, timeout=60):
+    """`python -m rigidkit argv` in a fresh process: exit code, stdout, stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rigidkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rigidkit", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_norm_past_q_1024_is_refused_at_once(tmp_path):
+    # At q = 5000 a sampled matrix overflows, and an SVD of it may not
+    # return; the norm is refused before any is built.
+    c4 = SimpleGraph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    write_json(tmp_path / "c4.json", jsonio.graph_to_json(c4))
+    code, out, err = _python_m(
+        "analyze", "--generic", "--norm", "d=2,q=5000", "c4.json", cwd=tmp_path, timeout=10
+    )
+    assert (code, out) == (1, "")
+    assert err == "rigidkit: norm exponent must lie in (1, 1024], got 5000\n"
+
+
+def test_overflowing_placement_is_one_error_line(tmp_path):
+    g = complete_graph(3)
+    p = Placement(2, {0: (1e200, 0.0), 1: (-1e200, 1e200), 2: (0.0, -1e200)})
+    write_json(tmp_path / "f.json", jsonio.framework_to_json(g, p, NormSpec(2, 3)))
+    code, out, err = _python_m("analyze", "f.json", cwd=tmp_path)
+    assert (code, out) == (1, "")
+    assert err.startswith("rigidkit: ") and err.count("\n") == 1
+    assert "q = 3" in err and "RuntimeWarning" not in err
+
+
+def test_python_m_prints_the_version(tmp_path):
+    assert _python_m("--version", cwd=tmp_path) == (0, f"{rigidkit.__version__}\n", "")
+    assert rigidkit.__version__ == "0.1.0"
+
+
+def test_python_m_refuses_an_oversized_family(tmp_path):
+    code, out, err = _python_m("catalog", "complete", "--params", "n=100000000000", cwd=tmp_path)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"rigidkit: complete would have more than {catalog.MAX_FAMILY_EDGES} edges, "
+        "the most the catalog builds\n"
+    )
+
+
 # ---- sparsity -------------------------------------------------------------
 
 K4_TEXT = json.dumps({"vertices": [0, 1, 2, 3], "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]})

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import random
 import tracemalloc
@@ -8,7 +10,7 @@ import pytest
 
 from helpers import grow_tight_graph, shuffled_copy, zero_extension_graph
 from rigidkit import frameworks
-from rigidkit.errors import ContinuationError, InputError, NestingError
+from rigidkit.errors import ContinuationError, InputError, NestingError, PlacementError
 from rigidkit.frameworks import (
     PRIME,
     ExtensionResult,
@@ -59,6 +61,17 @@ def test_norm_spec_parse_and_validate():
         NormSpec(2, 1)
     with pytest.raises(InputError):
         NormSpec(2, 0.5)
+
+
+@pytest.mark.parametrize("q", [1025, 1024.5, 2**31, math.inf, math.nan])
+def test_norm_spec_refuses_q_past_1024(q):
+    with pytest.raises(InputError, match=r"\(1, 1024\]"):
+        NormSpec(2, q)
+
+
+def test_norm_spec_certifies_rigid_at_q_1024():
+    verdict = is_rigid_generic(complete_graph(6), NormSpec(2, 1024))
+    assert verdict.rigid and verdict.report.rank == NormSpec(2, 1024).rigid_rank(6)
 
 
 def test_signed_power_is_odd():
@@ -239,6 +252,21 @@ def test_mod_p_matrix_is_float_matrix_mod_p_at_integer_points(q, d):
     assert (float_matrix < 0).any()
     expected = float_matrix.astype(np.int64) % PRIME
     assert np.array_equal(rigidity_matrix_mod_p(g, p, norm), expected)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 1024])
+def test_exact_values_match_three_argument_pow(q):
+    g = complete_graph(6)
+    norm = NormSpec(3, q)
+    p = random_placement(g, norm, q)
+    vals, (ia, ib) = frameworks._exact_values(g, p, norm)
+    pts = p.array_for(g).reshape(-1, 3)
+    for r in range(g.n_edges):
+        for i in range(3):
+            x = Fraction(pts[ia[r], i]) - Fraction(pts[ib[r], i])
+            m = abs(x).numerator * pow(abs(x).denominator, -1, PRIME) % PRIME
+            sign = 1 if x > 0 else -1
+            assert vals[r, i] == sign * pow(m, q - 1, PRIME) % PRIME
 
 
 def test_residues_of_dyadic_values():
@@ -569,19 +597,35 @@ def test_continuation_cubic_triangle_moves():
     assert moved > 1e-3
 
 
+# The products of repeated squaring for whole exponents up to 4.
+_PRODUCTS = {
+    1: lambda x: x,
+    2: lambda x: x * x,
+    3: lambda x: x * (x * x),
+    4: lambda x: (x * x) * (x * x),
+}
+
+
+def _reference_power(x, e):
+    """x ** e for a float x >= 0: the products in repeated squaring's order
+    for a whole e, Python's float pow (the C library's) otherwise."""
+    return _PRODUCTS[e](x) if e in _PRODUCTS else x**e
+
+
 def _per_edge_length_map(pts, g, qf):
-    """Edge lengths and their Jacobian edge by edge, the powers of each
-    edge's length taken on numpy scalars, and |diff|^q by the library's
-    integer-power routine."""
+    """Edge lengths and their Jacobian edge by edge, every power taken on
+    one Python float by _reference_power."""
     idx = g.index_of
     d = pts.shape[1]
     lengths = np.zeros(g.n_edges)
     jac = np.zeros((g.n_edges, pts.size))
     for r, (a, b) in enumerate(g.edges):
-        diff = pts[idx[a]] - pts[idx[b]]
-        norm_q = np.sum(frameworks._abs_power(diff, qf)) ** (1.0 / qf)
+        diff = (pts[idx[a]] - pts[idx[b]]).tolist()
+        total = float(np.sum([_reference_power(abs(x), qf) for x in diff]))
+        norm_q = _reference_power(total, 1.0 / qf)
         lengths[r] = norm_q
-        row = signed_power(diff, qf - 1.0) / norm_q ** (qf - 1.0)
+        scale = _reference_power(norm_q, qf - 1.0)
+        row = np.array([np.sign(x) * _reference_power(abs(x), qf - 1.0) for x in diff]) / scale
         jac[r, d * idx[a] : d * idx[a] + d] = row
         jac[r, d * idx[b] : d * idx[b] + d] = -row
     return lengths, jac
@@ -617,6 +661,65 @@ def test_quartic_matrix_is_the_product_of_the_differences(d):
         want[r, d * idx[a] : d * idx[a] + d] = diff * diff * diff
         want[r, d * idx[b] : d * idx[b] + d] = -(diff * diff * diff)
     assert rigidity_matrix(g, p, norm).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [1.5, 2.5])
+def test_noninteger_matrix_takes_c_pow_per_entry(q):
+    # bit for bit: numpy's vectorised pow differs from the C library's in
+    # the last bit of some entries, depending on the machine
+    g = complete_graph(40)
+    norm = NormSpec(2, q)
+    p = random_placement(g, norm, 3)
+    pts, idx = p.array_for(g).reshape(-1, 2), g.index_of
+    want = np.zeros((g.n_edges, 2 * g.n_vertices))
+    for r, (a, b) in enumerate(g.edges):
+        diff = (pts[idx[a]] - pts[idx[b]]).tolist()
+        row = np.array([np.sign(x) * (abs(x) ** (q - 1)) for x in diff])
+        want[r, 2 * idx[a] : 2 * idx[a] + 2] = row
+        want[r, 2 * idx[b] : 2 * idx[b] + 2] = -row
+    assert rigidity_matrix(g, p, norm).tobytes() == want.tobytes()
+
+
+def test_non_finite_rows_raise_placement_error():
+    # (1e200)^2 overflows, and an SVD of inf and nan entries fails
+    g = TRIANGLE
+    p = Placement(2, {0: (1e200, 0.0), 1: (-1e200, 1e200), 2: (0.0, -1e200)})
+    with pytest.raises(PlacementError, match="q = 3"):
+        flex_report(g, p, CUBIC)
+    with pytest.raises(PlacementError, match="q = 3"):
+        continuation_track(g, p, CUBIC, TRI_FLEX, steps=1, step_length=0.01)
+
+
+def _power_nodes(tree):
+    """The ** operators, and the calls and attributes named after a power,
+    among the nodes of an AST."""
+    names = {"pow", "power", "float_power", "__pow__"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            yield node
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            yield node
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow":
+            yield node
+
+
+def test_frameworks_has_one_power_routine():
+    # The only ** are _power's pow and PRIME's definition, and the builtin
+    # pow serves only rank_mod_p's modular inverse.
+    tree = ast.parse(inspect.getsource(frameworks))
+    allowed = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "_power":
+            allowed += [n for n in _power_nodes(node) if isinstance(n, ast.BinOp)]
+        elif isinstance(node, ast.Assign) and ast.unparse(node) == "PRIME = 2 ** 31 - 1":
+            allowed += list(_power_nodes(node))
+        elif isinstance(node, ast.FunctionDef) and node.name == "rank_mod_p":
+            allowed += [
+                n for n in _power_nodes(node)
+                if isinstance(n, ast.Call) and ast.unparse(n.args[1]) == "-1"
+            ]
+    assert len(allowed) == 3
+    assert [ast.unparse(n) for n in _power_nodes(tree) if n not in allowed] == []
 
 
 def test_growth_profile_cancels_when_bracing_appears():

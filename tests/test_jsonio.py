@@ -157,6 +157,13 @@ def test_norm_roundtrip(q, expect):
     assert jsonio.norm_from_json(roundtrip(obj)) == norm
 
 
+@pytest.mark.parametrize("q", [1025, "2049/2", "1e9"])
+def test_norm_field_past_q_1024_is_refused(q):
+    assert jsonio.norm_from_json({"d": 2, "q": 1024}) == NormSpec(2, 1024)
+    with pytest.raises(InputError, match=r"\(1, 1024\]"):
+        jsonio.norm_from_json({"d": 2, "q": q})
+
+
 def test_framework_roundtrip():
     g = complete_graph(3)
     p = Placement(2, {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.5, 1.0)})
