@@ -11,7 +11,6 @@ __all__ = [
     "NestingError",
     "MoveError",
     "PlacementError",
-    "SamplingError",
     "ContinuationError",
     "InconsistencyError",
     "AlgorithmError",
@@ -44,10 +43,6 @@ class MoveError(InputError):
 
 class PlacementError(InputError):
     """Placement is inconsistent with the graph or the norm."""
-
-
-class SamplingError(RigidkitError):
-    """Random sampling exhausted its retry budget."""
 
 
 class ContinuationError(RigidkitError):

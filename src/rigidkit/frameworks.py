@@ -60,7 +60,6 @@ from .errors import (
     InconsistencyError,
     InputError,
     PlacementError,
-    SamplingError,
 )
 from .graphs import SimpleGraph, Tower, validate_tower
 from .norms import RANK_EPS, NormSpec
@@ -76,7 +75,6 @@ __all__ = [
     "rigidity_matrix",
     "matrix_rank",
     "kernel_basis",
-    "kernel_at_rank",
     "trivial_motion_basis",
     "FlexReport",
     "flex_report",
@@ -192,13 +190,6 @@ def kernel_basis(m: np.ndarray, eps: float = RANK_EPS) -> np.ndarray:
     return vt[r:]
 
 
-def kernel_at_rank(m: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal kernel rows of a matrix whose rank is already known."""
-    if rank == 0:
-        return np.eye(m.shape[1])
-    return np.linalg.svd(m, full_matrices=True)[2][rank:]
-
-
 def _motion_generators(g: SimpleGraph, p: Placement, norm: NormSpec) -> np.ndarray:
     """The d coordinate translations plus, in the Euclidean case, the d(d-1)/2
     infinitesimal rotations, evaluated at p: one flattened motion per row."""
@@ -305,30 +296,34 @@ def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> F
     The points are in general position, so the norm gives the rigid-motion
     count: a rigid report needs no SVD and no motion basis, a flexible one
     takes the singular vectors after the known rank and projects out the
-    evaluated motions."""
+    evaluated motions.
+
+    The SVD is of the matrix with unit rows, which has the same kernel and
+    evens out the spread of q-th power row sizes, sharpening its float
+    basis.  Each row is divided by its largest entry before its norm, so a
+    row of tiny powers does not underflow to a zero norm; a row that is all
+    zero (its powers underflowed) stays zero."""
     trivial_dim = norm.trivial_dim_at(g.n_vertices)
     if rank >= norm.rigid_rank(g.n_vertices):
         return _report(g, norm, rank, trivial_dim)
-    kern = kernel_at_rank(rigidity_matrix(g, p, norm), rank)
+    m = rigidity_matrix(g, p, norm)
+    top = np.abs(m).max(axis=1, keepdims=True)
+    m = m / np.where(top > 0.0, top, 1.0)
+    # A nonzero row now holds an entry of exactly 1, so its norm is at least 1.
+    m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1.0)
+    kern = np.linalg.svd(m, full_matrices=True)[2][rank:]
     return _report(g, norm, rank, trivial_dim, kern, trivial_motion_basis(g, p, norm))
 
 
 # ---- placement sampling ------------------------------------------------
 
 
-_PLACEMENT_ATTEMPTS = 100
-
-
 def random_placement(g: SimpleGraph, norm: NormSpec, seed: int) -> Placement:
-    """Uniform in [-1, 1]^d, resampled while any edge has an equal
-    coordinate pair (keeps the placement off the degenerate variety)."""
+    """Uniform in [-1, 1]^d, drawn once.  An edge with an equal coordinate
+    pair has probability below |E| d 2^-53, one more degenerate placement
+    inside the per-placement error bound of the module docstring."""
     rng = np.random.default_rng(seed)
-    ia, ib = _edge_ends(g)
-    for _ in range(_PLACEMENT_ATTEMPTS):
-        pts = rng.uniform(-1.0, 1.0, size=(g.n_vertices, norm.d))
-        if not np.any(pts[ia] == pts[ib]):
-            return Placement.from_array(g, pts)
-    raise SamplingError(f"no admissible placement in {_PLACEMENT_ATTEMPTS} attempts")
+    return Placement.from_array(g, rng.uniform(-1.0, 1.0, size=(g.n_vertices, norm.d)))
 
 
 # ---- exact rank mod a prime ----------------------------------------------

@@ -86,38 +86,30 @@ def _witness_flex(
 ) -> VelocityField:
     """The unit flex of g that moves h farthest from a rigid motion.
 
-    With K the orthonormal kernel rows of g's matrix at p, K_h their columns
-    on h and P the projector onto h's rigid motions, the anchored kernel
-    (the flexes rigid on h) is c K for c in the left null space of
-    K_h (I - P).  The top left singular vector of K_h (I - P), mapped
-    through K, is thus a unit flex orthogonal to it that moves h by the top
-    singular value.  K holds g's rigid motions only to a rounding error that
-    the matrix's conditioning amplifies, so they are projected out of the
-    witness once more; both projections fit the motion generators by least
-    squares.
+    The rows F of g's nontrivial flex basis (report_at_rank) are orthonormal
+    and, with g's rigid motions, span g's kernel; on h a motion of g is a
+    motion of h.  With F_h their columns on h and P the projector onto h's
+    rigid motions, the flexes rigid on h are thus c F for c in the left null
+    space of F_h (I - P), and the top left singular vector c of F_h (I - P)
+    gives c F: a unit flex orthogonal to them that moves h by the top
+    singular value.
     """
     import numpy as np
 
-    from .frameworks import _motion_generators, kernel_at_rank, rigidity_matrix
+    from .frameworks import report_at_rank, trivial_motion_basis
 
-    m = rigidity_matrix(g, p, norm)
-    # Unit rows keep the kernel and even out the spread of q-th power row
-    # sizes, which sharpens its float basis.
-    kern = kernel_at_rank(m / np.linalg.norm(m, axis=1, keepdims=True), rank_g)
-    gens = _motion_generators(g, p, norm).T
-    on_h = np.repeat([v in h.vertex_set for v in g.vertices], norm.d)
-
-    def nontrivial(x, rows):
-        """x less its least-squares fit by the rigid motions on rows."""
-        return x - gens[rows] @ np.linalg.lstsq(gens[rows], x, rcond=None)[0]
-
-    # The SVD of (K_h (I - P))^T: its right singular vectors are the left
-    # ones of K_h (I - P).
-    _, s, vt = np.linalg.svd(nontrivial(kern[:, on_h].T, on_h), full_matrices=False)
+    report = report_at_rank(g, p, norm, rank_g)
+    flexes = np.array([f.ravel() for f in report.nontrivial_flex_basis])
+    in_h = [v in h.vertex_set for v in g.vertices]
+    # h's vertices in g's order, so the motion basis lines up with F_h.
+    triv = trivial_motion_basis(
+        SimpleGraph([v for v, keep in zip(g.vertices, in_h) if keep], ()), p, norm
+    )
+    f_h = flexes[:, np.repeat(in_h, norm.d)]
+    u, s, _ = np.linalg.svd(f_h - (f_h @ triv.T) @ triv, full_matrices=False)
     if s[0] < 1e-8:
         raise AlgorithmError("nullity gap reported but no separating flex found")
-    vec = nontrivial(vt[0] @ kern, slice(None))
-    vec = (vec / np.linalg.norm(vec)).reshape(g.n_vertices, norm.d)
+    vec = (u[:, 0] @ flexes).reshape(g.n_vertices, norm.d)
     return {v: vec[i].copy() for i, v in enumerate(g.vertices)}
 
 

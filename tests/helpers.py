@@ -9,7 +9,6 @@ import numpy as np
 
 from rigidkit.bodybar import body_bar_count, validate_multibody
 from rigidkit.frameworks import (
-    kernel_at_rank,
     placement_rank,
     random_placement,
     rigidity_matrix,
@@ -361,7 +360,8 @@ def assert_witness_flex(g, h, norm, verdict):
     assert np.linalg.norm(triv @ u) < 1e-9
     glued = rigidity_matrix(graph_union(g, complete_graph_on(h.vertices)), p, norm)
     rank = norm.d * g.n_vertices - verdict.nullity_anchored
-    assert np.linalg.norm(kernel_at_rank(glued, rank) @ u) < 1e-8
+    glued_kernel = np.linalg.svd(glued, full_matrices=True)[2][rank:]
+    assert np.linalg.norm(glued_kernel @ u) < 1e-8
     k_h = rigidity_matrix(complete_graph_on(h.vertices), p, norm)
     u_h = np.concatenate([verdict.witness_flex[v] for v in h.vertices])
     assert np.linalg.norm(k_h @ u_h) > 1e-6 * np.linalg.norm(k_h)

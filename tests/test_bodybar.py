@@ -126,6 +126,13 @@ def test_partition_problems_collected():
     assert "belong to no body" in str(err.value)
 
 
+def test_empty_body_and_vertices_outside_the_graph_rejected():
+    g, _ = build((4, 4), [(0, 4)])
+    with pytest.raises(InputError) as err:
+        MultiBodyGraph(g, [(0, 1, 2, 3), (), (4, 5, 6, 7, 9)], [(0, 4)])
+    assert str(err.value) == "body 0 is empty; body vertices [9] are not in the graph"
+
+
 def test_body_rigidity_depends_on_norm():
     g, bodies = build((4, 4), [(0, 4)])
     assert validate_multibody(g, bodies, CUBIC2).n_bodies == 2

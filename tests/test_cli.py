@@ -341,6 +341,28 @@ def test_tower_planar_modes_reject_3d(invoke):
     assert "d=2" in err
 
 
+def test_tower_sequential_rejects_3d_in_one_line(invoke):
+    code, out, err = invoke(
+        "tower", "--mode", "sequential", "--norm", "d=3,q=2", stdin=tower_text(3, 4)
+    )
+    assert (code, out) == (1, "")
+    assert err == "rigidkit: sequential certificates are planar; use --norm d=2\n"
+
+
+def test_tower_at_large_q_certifies_hinged_blocks_flexible(invoke, tmp_path):
+    # At q = 200 some rows of the hinged blocks' float matrix are so small
+    # that their norms underflow to zero.
+    k4 = complete_graph(4).edges
+    blocks = SimpleGraph(range(8), k4 + tuple((a + 4, b + 4) for a, b in k4))
+    hinged = SimpleGraph(range(8), blocks.edges + ((0, 4),))
+    path = write_json(tmp_path / "t.json", jsonio.tower_to_json(Tower([blocks, hinged])))
+    code, out, err = invoke(
+        "tower", "--mode", "relative", "--norm", "d=2,q=200", "--seed", "0", path
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "FlexibleCertified"
+
+
 def test_tower_rejects_unnested_stages(invoke):
     raw = {
         "stages": [
@@ -555,6 +577,12 @@ def test_render_rejects_3d(invoke, tmp_path):
     code, _, err = invoke("render", path)
     assert code == 1
     assert "plane" in err
+
+
+def test_render_needs_a_placement(invoke):
+    graph = json.dumps(jsonio.jsonable(jsonio.graph_to_json(complete_graph(3))))
+    code, out, err = invoke("render", stdin=graph)
+    assert (code, out, err) == (1, "", "rigidkit: render needs a placement\n")
 
 
 def test_render_output_file(invoke, tmp_path):

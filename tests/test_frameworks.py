@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import grow_tight_graph, shuffled_copy, zero_extension_graph
-from rigidkit import frameworks
+from rigidkit import frameworks, towers
 from rigidkit.errors import ContinuationError, InputError, NestingError, PlacementError
 from rigidkit.frameworks import (
     PRIME,
@@ -720,6 +720,36 @@ def test_frameworks_has_one_power_routine():
             ]
     assert len(allowed) == 3
     assert [ast.unparse(n) for n in _power_nodes(tree) if n not in allowed] == []
+
+
+def _complete_svds(module):
+    """The top-level definition around each np.linalg.svd call in a module
+    that computes every singular vector (full_matrices and compute_uv not
+    False)."""
+    found = []
+    for top in ast.parse(inspect.getsource(module)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd":
+                flags = dict(zip(("full_matrices", "compute_uv"), node.args[1:]))
+                flags.update((k.arg, k.value) for k in node.keywords)
+                if all(ast.unparse(v) != "False" for v in flags.values()):
+                    found.append(getattr(top, "name", None))
+    return found
+
+
+def test_one_kernel_per_sampled_framework():
+    # A kernel at a known rank is computed by report_at_rank alone; the
+    # relative-rigidity witness reads it off the flex report.
+    assert sorted(_complete_svds(frameworks)) == ["kernel_basis", "report_at_rank"]
+    assert _complete_svds(towers) == []
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(towers)))
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("frameworks", "rigidkit.frameworks")
+        for alias in node.names
+    ]
+    assert imported and [n for n in imported if n.startswith("_")] == []
 
 
 def test_growth_profile_cancels_when_bracing_appears():

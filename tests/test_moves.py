@@ -300,6 +300,19 @@ def test_verify_chain_rejects_untight_start():
     assert not report.ok and report.failure_stage == 0
 
 
+def test_verify_chain_rejects_a_move_of_the_wrong_degree():
+    chain = ConstructionChain(K2, (VertexExtension(2, (0, 1)), VertexExtension(3, (2,))))
+    assert verify_chain(chain, "euclidean") == ChainReport(False, 2, "move degree 1 != 2")
+
+
+def test_verify_chain_reports_a_stage_its_game_refuses(monkeypatch):
+    # Every allowed move keeps a tight graph tight, so only a game that
+    # refuses the move's edges reaches this report.
+    monkeypatch.setattr("rigidkit.moves._exchange", lambda game, out, into: False)
+    chain = ConstructionChain(K2, (VertexExtension(2, (0, 1)),))
+    assert verify_chain(chain, "euclidean") == ChainReport(False, 1, "stage is not tight")
+
+
 @pytest.mark.parametrize("mode,seed", [("euclidean", 3), ("euclidean", 8), ("qnorm", 3), ("qnorm", 8)])
 def test_growth_keeps_every_prefix_tight(mode, seed):
     count = count_for_mode(mode)

@@ -1,4 +1,5 @@
 import random
+import warnings
 from collections import Counter
 from itertools import combinations
 
@@ -257,22 +258,25 @@ _HINGED = SimpleGraph(range(8), _K4 + [(a + 4, b + 4) for a, b in _K4] + [(0, 4)
     ids=["c4-diagonal", "loose-3d", "hinged-cubic", "hinged-quartic"],
 )
 def test_failing_verdict_takes_its_witness_from_one_svd_of_g(monkeypatch, g, h, norm):
-    """A failing verdict runs one SVD of g's rigidity matrix, and its witness
-    moves h away from the rigid motions by the top singular value of
-    K_h (I - P), K g's kernel rows and P the projector onto the motions on
-    h: no unit flex of g moves h farther."""
-    widths = []
+    """A failing verdict runs one complete SVD, of g's rigidity matrix, and
+    its witness moves h away from the rigid motions by the top singular
+    value of K_h (I - P), K g's kernel rows and P the projector onto the
+    motions on h: no unit flex of g moves h farther.  Thin SVDs (the motion
+    basis, the flex basis, the witness's own) can share g's shape, so only
+    complete ones count."""
+    shapes = []
     real_svd = np.linalg.svd
 
-    def svd(a, *args, **kwargs):
-        widths.append(np.shape(a)[-1])
-        return real_svd(a, *args, **kwargs)
+    def svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        if full_matrices and compute_uv:
+            shapes.append(np.shape(a))
+        return real_svd(a, full_matrices, compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     verdict = relative_rigidity(g, h, norm, seed=4)
     monkeypatch.undo()
     assert not verdict.relatively_rigid
-    assert widths.count(norm.d * g.n_vertices) == 1
+    assert shapes == [(g.n_edges, norm.d * g.n_vertices)]
     assert_witness_flex(g, h, norm, verdict)
     p = verdict.placement
     m = rigidity_matrix(g, p, norm)
@@ -285,6 +289,37 @@ def test_failing_verdict_takes_its_witness_from_one_svd_of_g(monkeypatch, g, h, 
     u_h = np.concatenate([verdict.witness_flex[v] for v in h.vertices])
     moved = np.linalg.norm(u_h - triv.T @ (triv @ u_h))
     assert moved == pytest.approx(top, rel=1e-9)
+
+
+# The two blocks of _HINGED without the hinge bar.  At a large q the powers
+# of small coordinate differences underflow, so some rows of g's float
+# matrix are tiny or all zero while the exact rank sees them.
+_TWO_K4 = SimpleGraph(range(8), _K4 + [(a + 4, b + 4) for a, b in _K4])
+
+
+def _assert_unit_witness(verdict):
+    assert not verdict.relatively_rigid
+    u = np.concatenate([verdict.witness_flex[v] for v in _HINGED.vertices])
+    assert np.isfinite(u).all()
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "q, seed", [(200, s) for s in (0, 2, 3, 4, 8, 14, 16)] + [(150, 2), (150, 16)]
+)
+def test_witness_at_large_q_is_a_finite_unit_flex(q, seed):
+    _assert_unit_witness(relative_rigidity(_HINGED, _TWO_K4, NormSpec(2, q), seed=seed))
+
+
+def test_witness_beside_rows_that_underflow_to_zero():
+    norm = NormSpec(2, 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = relative_rigidity(_HINGED, _TWO_K4, norm, seed=0)
+    # An edge whose coordinate differences are all below about 0.48 has an
+    # all-zero row: 0.48^1023 is under the smallest subnormal.
+    assert not rigidity_matrix(_HINGED, verdict.placement, norm).any(axis=1).all()
+    _assert_unit_witness(verdict)
 
 
 # ---- rigid containers in the plane ---------------------------------------
@@ -542,6 +577,22 @@ def test_greedy_subsequence_skips_unpinned_stage():
         [C4, graph_union(C4, pendant), graph_union(complete_graph(4), pendant)]
     )
     assert relatively_rigid_subsequence(t, EUCLID2) == (0, 2)
+
+
+def test_greedy_subsequence_skips_stages_a_vertex_cannot_anchor():
+    # One vertex is below the Euclidean anchor threshold of two, so every
+    # later stage is skipped and the scan ends where it started.
+    t = Tower([SimpleGraph([0], []), complete_graph(2), complete_graph(3)])
+    assert relatively_rigid_subsequence(t, EUCLID2) == (0,)
+
+
+def test_greedy_subsequence_stops_when_no_later_stage_passes():
+    # A triangle pins the foot of a pendant bar, but nothing later pins the
+    # bar's free end.
+    hung = SimpleGraph(range(4), complete_graph(3).edges + ((2, 3),))
+    longer = SimpleGraph(range(5), hung.edges + ((3, 4),))
+    t = Tower([complete_graph(3), hung, longer])
+    assert relatively_rigid_subsequence(t, EUCLID2) == (0, 1)
 
 
 # ---- staged decisions against per-decision reference loops ---------------
