@@ -51,7 +51,8 @@ sigma > eps * sigma_max * max(rows, cols) with eps = 1e-9 by default.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -229,14 +230,25 @@ def trivial_motion_basis(
 
 @dataclass(frozen=True)
 class FlexReport:
-    """Rank/nullity bookkeeping of one framework at one placement."""
+    """Rank/nullity bookkeeping of one framework at one placement.  Its flex
+    basis is built on first read: the motions are projected out of the
+    kernel rows that _kernel returns, then made orthonormal by a thin SVD."""
 
     rank: int
     nullity: int
     trivial_dim: int
     flex_dim: int
     vertex_order: tuple[int, ...]
-    nontrivial_flex_basis: tuple[np.ndarray, ...] = field(compare=False, default=())
+    _kernel: Callable[[], tuple[np.ndarray, np.ndarray]] = field(compare=False, repr=False)
+
+    @cached_property
+    def nontrivial_flex_basis(self) -> tuple[np.ndarray, ...]:
+        if self.flex_dim <= 0:
+            return ()
+        kern, triv = self._kernel()
+        residual = kern - (kern @ triv.T) @ triv
+        vt = np.linalg.svd(residual, full_matrices=False)[2]
+        return tuple(vt[i].reshape(len(self.vertex_order), -1) for i in range(self.flex_dim))
 
     @property
     def rigid(self) -> bool:
@@ -252,31 +264,10 @@ class FlexReport:
 
 
 def _report(
-    g: SimpleGraph,
-    norm: NormSpec,
-    rank: int,
-    trivial_dim: int,
-    kern: np.ndarray | None = None,
-    triv: np.ndarray | None = None,
+    g: SimpleGraph, norm: NormSpec, rank: int, trivial_dim: int, kernel
 ) -> FlexReport:
-    """The nontrivial flexes are the kernel rows kern with the trivial
-    motions triv projected out, so both are needed only when some are left."""
-    n, d = g.n_vertices, norm.d
-    nullity = d * n - rank
-    flex_dim = nullity - trivial_dim
-    basis: tuple[np.ndarray, ...] = ()
-    if flex_dim > 0:
-        residual = kern - (kern @ triv.T) @ triv
-        vt = np.linalg.svd(residual, full_matrices=False)[2]
-        basis = tuple(vt[i].reshape(n, d) for i in range(flex_dim))
-    return FlexReport(
-        rank=rank,
-        nullity=nullity,
-        trivial_dim=trivial_dim,
-        flex_dim=flex_dim,
-        vertex_order=g.vertices,
-        nontrivial_flex_basis=basis,
-    )
+    nullity = norm.d * g.n_vertices - rank
+    return FlexReport(rank, nullity, trivial_dim, nullity - trivial_dim, g.vertices, kernel)
 
 
 def flex_report(
@@ -284,35 +275,36 @@ def flex_report(
 ) -> FlexReport:
     """Flex report at a given placement, ranked by the SVD cutoff tol.  The
     placement may be degenerate, so its rigid motions are evaluated and
-    ranked by the same cutoff."""
+    ranked by the same cutoff.  The flex basis is built on first read."""
     kern = kernel_basis(rigidity_matrix(g, p, norm), tol)
     rank = norm.d * g.n_vertices - kern.shape[0]
     triv = trivial_motion_basis(g, p, norm, tol)
-    return _report(g, norm, rank, triv.shape[0], kern, triv)
+    return _report(g, norm, rank, triv.shape[0], lambda: (kern, triv))
 
 
 def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> FlexReport:
     """Flex report at a sampled placement p for a rank from placement_rank.
     The points are in general position, so the norm gives the rigid-motion
-    count: a rigid report needs no SVD and no motion basis, a flexible one
-    takes the singular vectors after the known rank and projects out the
-    evaluated motions.
+    count.  The flex basis is built on first read, so a report whose basis
+    is never read runs no SVD: a flexible one then takes the singular
+    vectors after the known rank and projects out the evaluated motions.
 
     The SVD is of the matrix with unit rows, which has the same kernel and
     evens out the spread of q-th power row sizes, sharpening its float
     basis.  Each row is divided by its largest entry before its norm, so a
     row of tiny powers does not underflow to a zero norm; a row that is all
     zero (its powers underflowed) stays zero."""
-    trivial_dim = norm.trivial_dim_at(g.n_vertices)
-    if rank >= norm.rigid_rank(g.n_vertices):
-        return _report(g, norm, rank, trivial_dim)
-    m = rigidity_matrix(g, p, norm)
-    top = np.abs(m).max(axis=1, keepdims=True)
-    m = m / np.where(top > 0.0, top, 1.0)
-    # A nonzero row now holds an entry of exactly 1, so its norm is at least 1.
-    m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1.0)
-    kern = np.linalg.svd(m, full_matrices=True)[2][rank:]
-    return _report(g, norm, rank, trivial_dim, kern, trivial_motion_basis(g, p, norm))
+
+    def kernel() -> tuple[np.ndarray, np.ndarray]:
+        m = rigidity_matrix(g, p, norm)
+        top = np.abs(m).max(axis=1, keepdims=True)
+        m = m / np.where(top > 0.0, top, 1.0)
+        # A nonzero row now holds an entry of exactly 1, so its norm is at least 1.
+        m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1.0)
+        kern = np.linalg.svd(m, full_matrices=True)[2][rank:]
+        return kern, trivial_motion_basis(g, p, norm)
+
+    return _report(g, norm, rank, norm.trivial_dim_at(g.n_vertices), kernel)
 
 
 # ---- placement sampling ------------------------------------------------

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import AlgorithmError, InconsistencyError, InputError
 from .graphs import (
@@ -72,13 +73,18 @@ def anchor_threshold(norm: NormSpec) -> int:
 class RelativeRigidityVerdict:
     """Outcome of comparing a graph's freedom with and without its anchor
     pinned.  The witness flex, present only on failure, is a unit kernel
-    element of the ambient graph that moves the anchor nontrivially."""
+    element of the ambient graph that moves the anchor nontrivially; it is
+    built on first read, by _witness."""
 
     relatively_rigid: bool
     nullity_graph: int
     nullity_anchored: int
     placement: Placement = field(compare=False)
-    witness_flex: VelocityField | None = field(compare=False, default=None)
+    _witness: Callable[[], VelocityField] = field(compare=False, repr=False)
+
+    @cached_property
+    def witness_flex(self) -> VelocityField | None:
+        return None if self.relatively_rigid else self._witness()
 
 
 def _witness_flex(
@@ -131,7 +137,8 @@ def relative_rigidity(
     so for an integer q either verdict is wrong with probability at most
     (r_g + r_pinned)(q-1)/PRIME.  Since the anchored kernel lies inside g's,
     an anchored nullity above g's can only come from such a shortfall and
-    raises InconsistencyError.
+    raises InconsistencyError.  A failing verdict's witness is built on first
+    read, from g's flex report at the same placement and rank.
     """
     import numpy as np
 
@@ -158,16 +165,12 @@ def relative_rigidity(
         raise InconsistencyError(
             f"anchored nullity {nullity_a} exceeds graph nullity {nullity_g}"
         )
-    rigid_rel = nullity_a == nullity_g
-    witness = None
-    if not rigid_rel:
-        witness = _witness_flex(g, h, p, norm, rank_g)
     return RelativeRigidityVerdict(
-        relatively_rigid=rigid_rel,
+        relatively_rigid=nullity_a == nullity_g,
         nullity_graph=nullity_g,
         nullity_anchored=nullity_a,
         placement=p,
-        witness_flex=witness,
+        _witness=lambda: _witness_flex(g, h, p, norm, rank_g),
     )
 
 

@@ -3,12 +3,15 @@
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from rigidkit.bodybar import body_bar_count, validate_multibody
 from rigidkit.frameworks import (
+    RANK_EPS,
+    kernel_basis,
     placement_rank,
     random_placement,
     rigidity_matrix,
@@ -367,30 +370,114 @@ def assert_witness_flex(g, h, norm, verdict):
     assert np.linalg.norm(k_h @ u_h) > 1e-6 * np.linalg.norm(k_h)
 
 
+def record_complete_svds(monkeypatch):
+    """The shapes of the complete SVDs (every singular vector computed) that
+    numpy runs from now until monkeypatch is undone, in call order.  Thin
+    SVDs (the motion basis, the flex basis, a witness's own) can share a
+    rigidity matrix's shape, so they are not recorded."""
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        if full_matrices and compute_uv:
+            shapes.append(np.shape(a))
+        return real_svd(a, full_matrices, compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return shapes
+
+
+def eager_flex_basis(g, p, norm, rank=None, tol=RANK_EPS):
+    """Reference for the flex basis a report builds on first read, written
+    out as reports used to build it on construction.  With a rank
+    (report_at_rank), the kernel rows are the singular vectors after it of
+    the matrix with unit rows, each row divided by its largest entry and
+    then by its norm, and the norm counts the motions.  Without one
+    (flex_report), they are kernel_basis at tol, and the motions are ranked
+    at tol.  The motions are projected out, and a thin SVD gives the basis."""
+    m = rigidity_matrix(g, p, norm)
+    if rank is None:
+        kern = kernel_basis(m, tol)
+        triv = trivial_motion_basis(g, p, norm, tol)
+        trivial_dim = triv.shape[0]
+    else:
+        top = np.abs(m).max(axis=1, keepdims=True)
+        m = m / np.where(top > 0.0, top, 1.0)
+        m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1.0)
+        kern = np.linalg.svd(m, full_matrices=True)[2][rank:]
+        triv = trivial_motion_basis(g, p, norm)
+        trivial_dim = norm.trivial_dim_at(g.n_vertices)
+    flex_dim = kern.shape[0] - trivial_dim
+    if flex_dim <= 0:
+        return ()
+    residual = kern - (kern @ triv.T) @ triv
+    vt = np.linalg.svd(residual, full_matrices=False)[2]
+    return tuple(vt[i].reshape(g.n_vertices, norm.d) for i in range(flex_dim))
+
+
+def _row_reduce(m, n_cols):
+    """Gauss-Jordan elimination over the rationals of the Fraction rows m,
+    in place, on their first n_cols columns.  Returns the pivot columns in
+    order; the i-th is the leading 1 of row i."""
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        scale = m[r][c]
+        m[r] = [v / scale for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
+def exact_kernel(g, p, norm):
+    """Reference for g's kernel at the placement p, for an integer q.
+
+    Float coordinates are dyadic rationals, so the rigidity matrix at p has
+    rational entries sgn(x)|x|^(q-1), x an exact coordinate difference.
+    Its kernel comes from solve_exact's elimination, one vector per free
+    column, and is returned as orthonormal float rows."""
+    q = int(norm.q)
+    assert q == norm.q, "exact_kernel needs an integer q"
+    d, n, idx = norm.d, g.n_vertices, g.index_of
+    rows = []
+    for v, w in g.edges:
+        row = [Fraction(0)] * (d * n)
+        for i in range(d):
+            x = Fraction(p[v][i]) - Fraction(p[w][i])
+            val = ((x > 0) - (x < 0)) * abs(x) ** (q - 1)
+            row[d * idx[v] + i], row[d * idx[w] + i] = val, -val
+        rows.append(row)
+    pivots = _row_reduce(rows, d * n)
+    basis = []
+    for f in sorted(set(range(d * n)) - set(pivots)):
+        vec = [Fraction(0)] * (d * n)
+        vec[f] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[f]
+        basis.append([float(x) for x in vec])
+    return np.linalg.qr(np.array(basis).T)[0].T
+
+
 def solve_exact(rows, rhs):
     """Unique rational solution of a linear system, or AssertionError.
 
     Asserts full column rank and consistency so a test using it also pins
     down uniqueness of the solution it freezes.
     """
-    from fractions import Fraction
-
     aug = [
         [Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)
     ]
     n_cols = len(aug[0]) - 1
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        assert piv is not None, f"column {c} is free: solution not unique"
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][c]
-        aug[r] = [v / scale for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        r += 1
-    for row in aug[r:]:
+    pivots = _row_reduce(aug, n_cols)
+    free = sorted(set(range(n_cols)) - set(pivots))
+    assert not free, f"column {free[0]} is free: solution not unique"
+    for row in aug[n_cols:]:
         assert not row[-1], "inconsistent system"
     return [aug[i][-1] for i in range(n_cols)]

@@ -5,9 +5,14 @@ values where the construction admits them.  Budgets are generous; blowing
 one usually means an algorithmic regression, not a slow machine.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +26,13 @@ from helpers import (
     random_multibody,
     random_tight_multigraph,
     realize_bodybar,
+    record_complete_svds,
     shuffled_copy,
     solve_exact,
     zero_extension_graph,
 )
-from rigidkit import frameworks
+import rigidkit
+from rigidkit import frameworks, jsonio
 from rigidkit.bodybar import special_placement, tay_decide, validate_multibody
 from rigidkit.catalog import (
     SimplicialMeta,
@@ -59,6 +66,7 @@ from rigidkit.sparsity import (
     tight_spanning_subgraph,
 )
 from rigidkit.towers import (
+    TOWER_FLEXIBLE,
     TOWER_RIGID,
     exhaustive_rigid_container,
     relative_rigidity,
@@ -511,3 +519,51 @@ def test_17_chains_on_one_game(monkeypatch):
     assert built[SimpleGraph] <= 2
     assert report.ok and report.final == target
     assert len(chain.moves) == 798
+
+
+def _flexible_1200():
+    # A rigid 1200-vertex 0-extension graph in 3-space less one edge: one
+    # flex, and ranks that take a few hundredths of a second.
+    g = zero_extension_graph(1200, 3, 4, seed=7)
+    return SimpleGraph(g.vertices, g.edges[1:])
+
+
+def test_18_flexible_verdict_at_scale():
+    # The verdict reads no flex basis, so it runs no SVD of the 3593 x 3600
+    # matrix; the basis is built when it is read.
+    g = _flexible_1200()
+    with budget(2):
+        verdict = is_rigid_generic(g, NormSpec(3, 2))
+    assert not verdict.rigid
+    assert (verdict.report.rank, verdict.report.flex_dim) == (3593, 1)
+
+
+def test_19_analyze_generic_at_scale(tmp_path):
+    # `rigidkit analyze --generic` prints counts only.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jsonio.jsonable(jsonio.graph_to_json(_flexible_1200()))))
+    env = dict(os.environ, PYTHONPATH=str(Path(rigidkit.__file__).parents[1]))
+    with budget(5):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigidkit", "analyze", "--generic", "--norm", "d=3,q=2", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = json.loads(proc.stdout)
+    assert (out["rank"], out["flexDim"], out["rigid"]) == (3593, 1, False)
+
+
+def test_20_tower_reads_no_witness(monkeypatch):
+    # test_13's two Laman blocks joined by two bars, as a tower over its
+    # anchor: the failing pair's witness and the final stage's flex basis
+    # are never read, so no complete SVD runs.
+    small = grow_tight_graph("euclidean", 200, 31)
+    right = grow_tight_graph("euclidean", 200, 33)
+    shifted = tuple((a + 200, b + 200) for a, b in right.edges)
+    joined = SimpleGraph(range(400), small.edges + shifted + ((5, 205), (50, 250)))
+    anchor = SimpleGraph([0, 1, 200, 201], [])
+    shapes = record_complete_svds(monkeypatch)
+    with budget(1):
+        verdict = tower_rigidity(Tower([anchor, joined]), NormSpec(2, 2))
+    assert verdict.status == TOWER_FLEXIBLE
+    assert shapes == []

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import grow_tight_graph, shuffled_copy, zero_extension_graph
+from helpers import eager_flex_basis, grow_tight_graph, shuffled_copy, zero_extension_graph
 from rigidkit import frameworks, towers
 from rigidkit.errors import ContinuationError, InputError, NestingError, PlacementError
 from rigidkit.frameworks import (
@@ -750,6 +750,28 @@ def test_one_kernel_per_sampled_framework():
         for alias in node.names
     ]
     assert imported and [n for n in imported if n.startswith("_")] == []
+
+
+@pytest.mark.parametrize(
+    "d, q, seed", [(2, 2, 0), (3, 2, 1), (2, 3, 2), (3, 4, 3), (2, Fraction(5, 2), 4)]
+)
+def test_bases_read_on_demand_match_the_eager_formula(d, q, seed):
+    # bit for bit: the basis a report builds when read is the one it used to
+    # build on construction
+    norm = NormSpec(d, q)
+    full = zero_extension_graph(24, d, d + 1 if q == 2 else 2 * d, seed)
+    g = SimpleGraph(full.vertices, full.edges[:-2])
+    verdict = is_rigid_generic(g, norm, seed=seed)
+    rep = verdict.report
+    assert rep.flex_dim > 0
+    want = eager_flex_basis(g, verdict.placement, norm, rep.rank)
+    assert len(rep.nontrivial_flex_basis) == len(want) == rep.flex_dim
+    assert all(np.array_equal(a, b) for a, b in zip(rep.nontrivial_flex_basis, want))
+    p = random_placement(g, norm, seed + 50)
+    rep = flex_report(g, p, norm)
+    want = eager_flex_basis(g, p, norm)
+    assert len(rep.nontrivial_flex_basis) == len(want) == rep.flex_dim > 0
+    assert all(np.array_equal(a, b) for a, b in zip(rep.nontrivial_flex_basis, want))
 
 
 def test_growth_profile_cancels_when_bracing_appears():

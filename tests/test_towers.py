@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 from collections import Counter
@@ -8,13 +9,17 @@ import pytest
 
 from helpers import (
     assert_witness_flex,
+    exact_kernel,
     glued_relative_nullities,
     grow_tight_graph,
     random_graph,
+    record_complete_svds,
     seeded_tight_witnesses,
     zero_extension_graph,
 )
 import rigidkit.frameworks
+from rigidkit import jsonio
+from rigidkit.cli import run
 from rigidkit.errors import InconsistencyError, InputError
 from rigidkit.frameworks import (
     NormSpec,
@@ -247,7 +252,14 @@ _K4 = [(a, b) for a, b in combinations(range(4), 2)]
 _HINGED = SimpleGraph(range(8), _K4 + [(a + 4, b + 4) for a, b in _K4] + [(0, 4)])
 
 
-@pytest.mark.parametrize(
+# The two blocks of _HINGED without the hinge bar.  At a large q the powers
+# of small coordinate differences underflow, so some rows of g's float
+# matrix are tiny or all zero while the exact rank sees them.
+_TWO_K4 = SimpleGraph(range(8), _K4 + [(a + 4, b + 4) for a, b in _K4])
+
+
+# Failing pairs (g, h): h is not relatively rigid in g.
+_FAILING = pytest.mark.parametrize(
     "g, h, norm",
     [
         (C4, DIAGONAL, EUCLID2),
@@ -257,25 +269,21 @@ _HINGED = SimpleGraph(range(8), _K4 + [(a + 4, b + 4) for a, b in _K4] + [(0, 4)
     ],
     ids=["c4-diagonal", "loose-3d", "hinged-cubic", "hinged-quartic"],
 )
+
+
+@_FAILING
 def test_failing_verdict_takes_its_witness_from_one_svd_of_g(monkeypatch, g, h, norm):
-    """A failing verdict runs one complete SVD, of g's rigidity matrix, and
-    its witness moves h away from the rigid motions by the top singular
-    value of K_h (I - P), K g's kernel rows and P the projector onto the
-    motions on h: no unit flex of g moves h farther.  Thin SVDs (the motion
-    basis, the flex basis, the witness's own) can share g's shape, so only
-    complete ones count."""
-    shapes = []
-    real_svd = np.linalg.svd
-
-    def svd(a, full_matrices=True, compute_uv=True, **kwargs):
-        if full_matrices and compute_uv:
-            shapes.append(np.shape(a))
-        return real_svd(a, full_matrices, compute_uv, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    """A failing verdict runs no complete SVD until its witness is read,
+    and then one, of g's rigidity matrix.  The witness moves h away from
+    the rigid motions by the top singular value of K_h (I - P), K g's
+    kernel rows and P the projector onto the motions on h: no unit flex of
+    g moves h farther."""
+    shapes = record_complete_svds(monkeypatch)
     verdict = relative_rigidity(g, h, norm, seed=4)
-    monkeypatch.undo()
     assert not verdict.relatively_rigid
+    assert shapes == []
+    verdict.witness_flex
+    monkeypatch.undo()
     assert shapes == [(g.n_edges, norm.d * g.n_vertices)]
     assert_witness_flex(g, h, norm, verdict)
     p = verdict.placement
@@ -291,10 +299,45 @@ def test_failing_verdict_takes_its_witness_from_one_svd_of_g(monkeypatch, g, h, 
     assert moved == pytest.approx(top, rel=1e-9)
 
 
-# The two blocks of _HINGED without the hinge bar.  At a large q the powers
-# of small coordinate differences underflow, so some rows of g's float
-# matrix are tiny or all zero while the exact rank sees them.
-_TWO_K4 = SimpleGraph(range(8), _K4 + [(a + 4, b + 4) for a, b in _K4])
+@_FAILING
+def test_witness_lies_in_the_exact_kernel_of_g(g, h, norm):
+    # g's kernel over the rationals at the sampled placement: the witness
+    # is a float flex of the matrix rounded from it.
+    for seed in range(10):
+        verdict = relative_rigidity(g, h, norm, seed=seed)
+        assert not verdict.relatively_rigid
+        kern = exact_kernel(g, verdict.placement, norm)
+        assert kern.shape[0] == verdict.nullity_graph
+        u = np.concatenate([verdict.witness_flex[v] for v in g.vertices])
+        assert np.linalg.norm(u - kern.T @ (kern @ u)) < 1e-9
+
+
+def _analyze_generic(tmp_path):
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps(jsonio.jsonable(jsonio.graph_to_json(C4))))
+    return run(["analyze", "--generic", "--norm", "d=2,q=2", str(path)])
+
+
+_TWO_K4_HINGED = Tower([_TWO_K4, _HINGED])
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda tmp: is_rigid_generic(C4, EUCLID2).rigid, False),
+        (lambda tmp: tower_rigidity(_TWO_K4_HINGED, EUCLID2).status, TOWER_FLEXIBLE),
+        (lambda tmp: relatively_rigid_subsequence(_TWO_K4_HINGED, EUCLID2), (0,)),
+        (lambda tmp: exhaustive_rigid_container(C4, DIAGONAL, EUCLID2), None),
+        (_analyze_generic, 0),
+    ],
+    ids=["is-rigid-generic", "tower-rigidity", "subsequence", "exhaustive", "cli-analyze"],
+)
+def test_verdicts_that_read_no_vectors_run_no_complete_svd(monkeypatch, tmp_path, call, expected):
+    # Flexible reports and failing pairs build their bases and witnesses
+    # only when those are read, and none of these reads them.
+    shapes = record_complete_svds(monkeypatch)
+    assert call(tmp_path) == expected
+    assert shapes == []
 
 
 def _assert_unit_witness(verdict):
