@@ -178,7 +178,10 @@ def double_banana() -> SimpleGraph:
 
 
 def strip(
-    cells: int, mode: str = "radial", spacing: float = 1.0, shear: float = 0.3
+    cells: int,
+    mode: str = "radial",
+    spacing: float | None = None,
+    shear: float | None = None,
 ) -> GeneratedFamily:
     """Three-row strip: a free chain on top, a braced ladder underneath.
 
@@ -187,7 +190,8 @@ def strip(
     in the lower ladder.  The radial placement stacks the columns vertically
     at x = 2^-(k+1) with the rows on the lines y = x, y = 0 and y = -x, so
     the whole top row can drift horizontally; the periodic placement repeats
-    a sheared column every `spacing`.
+    a column sheared by `shear` (default 0.3) every `spacing` (default 1).
+    Only the periodic placement reads them, so the radial one refuses them.
     """
     if cells < 1:
         raise InputError(f"strip needs at least one cell, got {cells}")
@@ -202,12 +206,16 @@ def strip(
     _check_edges(g, expected, "strip")
     coords: dict[int, tuple[float, float]] = {}
     if mode == "radial":
+        if spacing is not None or shear is not None:
+            raise InputError("strip's radial placement takes no spacing or shear")
         for k in range(cells):
             x = 2.0 ** -(k + 1)
             coords[3 * k] = (x, x)
             coords[3 * k + 1] = (x, 0.0)
             coords[3 * k + 2] = (x, -x)
     elif mode == "periodic":
+        spacing = 1.0 if spacing is None else spacing
+        shear = 0.3 if shear is None else shear
         for k in range(cells):
             x = k * spacing
             coords[3 * k] = (x + 2 * shear, 2.0)

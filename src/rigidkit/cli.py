@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Verbs map one-to-one onto library modules; every analysis report embeds the
-tool version plus the norm, seed, trial count, and tolerance that produced
-it, and identical invocations produce byte-identical output.  Exit codes:
-0 analysis completed (whatever the verdict), 1 input or usage problem,
-2 internal cross-check failure.
+Verbs map one-to-one onto library modules.  A verb registers only the flags
+that some mode of it reads: --seed on analyze, tower and bodybar, --tol on
+analyze and render, and a flag the chosen mode never reads is a usage error.
+Every analysis report embeds the tool version plus the norm, seed, trial
+count and tolerance, each the value its computation used or null, and
+identical invocations produce byte-identical output.  Exit codes: 0 analysis
+completed (whatever the verdict), 1 input or usage problem, 2 internal
+cross-check failure.
 """
 
 import argparse
@@ -30,8 +33,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _norm_flag(text: str) -> NormSpec:
-    return NormSpec.parse(text)
+def _seed_flag(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _build_parser() -> _Parser:
@@ -39,18 +48,22 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, norm=True):
+    # Flags that a mode may not read default to None, so a handler can
+    # refuse one that was given (_refuse_unread) before filling in defaults.
+    def common(p, norm=True, seed=False, tol=False):
         if norm:
-            p.add_argument("--norm", type=_norm_flag, default=None, metavar="d=D,q=Q")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=RANK_EPS)
+            p.add_argument("--norm", type=NormSpec.parse, default=None, metavar="d=D,q=Q")
+        if seed:
+            p.add_argument("--seed", type=_seed_flag, default=None)
+        if tol:
+            p.add_argument("--tol", type=float, default=None)
         p.add_argument("-o", "--output", default=None, metavar="PATH")
 
     p = sub.add_parser("analyze", help="flex report for a framework")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--generic", action="store_true")
-    p.add_argument("--trials", type=int, default=5)
-    common(p)
+    p.add_argument("--trials", type=int, default=None)
+    common(p, seed=True, tol=True)
 
     p = sub.add_parser("sparsity", help="(k,l)-sparsity check")
     p.add_argument("input", nargs="?", default="-")
@@ -68,11 +81,11 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--mode", default="relative", choices=["relative", "sequential", "laman"]
     )
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("bodybar", help="multi-body rigidity decision")
     p.add_argument("input", nargs="?", default="-")
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("catalog", help="emit a named graph family")
     p.add_argument("family")
@@ -84,8 +97,20 @@ def _build_parser() -> _Parser:
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--flex", type=int, default=None, metavar="K")
     p.add_argument("--no-labels", action="store_true")
-    common(p)
+    common(p, tol=True)
     return parser
+
+
+def _refuse_unread(when: str, **flags) -> None:
+    """A usage error naming each flag given (not None) that the chosen mode
+    never reads."""
+    given = [f"--{name}" for name, value in flags.items() if value is not None]
+    if given:
+        raise UsageError(f"{' and '.join(given)} not read {when}")
+
+
+def _or_default(value, default):
+    return default if value is None else value
 
 
 def _load(path: str):
@@ -116,15 +141,19 @@ def _emit_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _report(args, norm: NormSpec | None, payload: dict, trials=None) -> dict:
+def _report(
+    norm: NormSpec | None, payload: dict, seed=None, trials=None, tolerance=None
+) -> dict:
+    """The report of one computation: the settings it used (None for one it
+    never read), then its payload."""
     from . import jsonio
 
     out = {
         "version": __version__,
         "norm": jsonio.norm_to_json(norm) if norm is not None else None,
-        "seed": getattr(args, "seed", None),
+        "seed": seed,
         "trials": trials,
-        "tolerance": getattr(args, "tol", None),
+        "tolerance": tolerance,
     }
     out.update(payload)
     return out
@@ -141,21 +170,25 @@ def _cmd_analyze(args) -> None:
     from . import jsonio
     from .frameworks import flex_report, is_rigid_generic
 
+    if args.generic:
+        _refuse_unread("with --generic", tol=args.tol)
+        settings = {"seed": _or_default(args.seed, 0), "trials": _or_default(args.trials, 5)}
+    else:
+        _refuse_unread("without --generic", seed=args.seed, trials=args.trials)
+        settings = {"tolerance": _or_default(args.tol, RANK_EPS)}
     g, p, file_norm = jsonio.loose_input_from_json(_load(args.input))
     norm = _resolve_norm(args, file_norm)
     if args.generic:
-        verdict = is_rigid_generic(g, norm, trials=args.trials, seed=args.seed)
+        verdict = is_rigid_generic(g, norm, **settings)
         rep = verdict.report
         extras = {"generic": True}
         if verdict.combinatorial is not None:
             extras["combinatorialCrossCheck"] = verdict.combinatorial
-        trials = args.trials
     else:
         if p is None:
             raise InputError("input has no placement; pass --generic to sample one")
-        rep = flex_report(g, p, norm, args.tol)
+        rep = flex_report(g, p, norm, settings["tolerance"])
         extras = {"generic": False}
-        trials = None
     payload = {
         "rank": rep.rank,
         "nullity": rep.nullity,
@@ -165,7 +198,7 @@ def _cmd_analyze(args) -> None:
         "classification": rep.classification,
         **extras,
     }
-    _emit_json(_report(args, norm, payload, trials), args.output)
+    _emit_json(_report(norm, payload, **settings), args.output)
 
 
 def _cmd_sparsity(args) -> None:
@@ -183,7 +216,7 @@ def _cmd_sparsity(args) -> None:
             jsonio.graph_to_json(rep.witness) if rep.witness is not None else None
         ),
     }
-    _emit_json(_report(args, None, payload), args.output)
+    _emit_json(_report(None, payload), args.output)
 
 
 def _cmd_chain(args) -> None:
@@ -207,17 +240,22 @@ def _cmd_chain(args) -> None:
         "verified": True,
         **jsonio.chain_to_json(chain),
     }
-    _emit_json(_report(args, None, payload), args.output)
+    _emit_json(_report(None, payload), args.output)
 
 
 def _cmd_tower(args) -> None:
     from . import jsonio
     from .towers import laman_tower_decide, sequential_rigidity_2d, tower_rigidity
 
+    if args.mode == "laman":
+        _refuse_unread("in laman mode", seed=args.seed)
+        seed = None
+    else:
+        seed = _or_default(args.seed, 0)
     t = jsonio.tower_from_json(_load(args.input))
     norm = _resolve_norm(args, None)
     if args.mode == "relative":
-        v = tower_rigidity(t, norm, seed=args.seed)
+        v = tower_rigidity(t, norm, seed=seed)
         payload = {
             "mode": args.mode,
             "status": v.status,
@@ -229,7 +267,7 @@ def _cmd_tower(args) -> None:
     elif args.mode == "sequential":
         if norm.d != 2:
             raise InputError("sequential certificates are planar; use --norm d=2")
-        witness = sequential_rigidity_2d(t, norm.q, seed=args.seed)
+        witness = sequential_rigidity_2d(t, norm.q, seed=seed)
         payload = {
             "mode": args.mode,
             "status": "SequentiallyRigid" if witness else "NotCertified",
@@ -250,7 +288,7 @@ def _cmd_tower(args) -> None:
                 else None
             ),
         }
-    _emit_json(_report(args, norm, payload), args.output)
+    _emit_json(_report(norm, payload, seed=seed), args.output)
 
 
 def _cmd_bodybar(args) -> None:
@@ -260,7 +298,8 @@ def _cmd_bodybar(args) -> None:
     raw = jsonio.multibody_from_json(_load(args.input))
     norm = _resolve_norm(args, None)
     m = validate_multibody(raw.underlying, raw.bodies, norm)
-    v = tay_decide(m, norm, seed=args.seed)
+    seed = _or_default(args.seed, 0)
+    v = tay_decide(m, norm, seed=seed)
     payload = {
         "rigid": v.rigid,
         "count": {"k": v.count.k, "l": v.count.l},
@@ -271,7 +310,7 @@ def _cmd_bodybar(args) -> None:
             jsonio.graph_to_json(v.witness) if v.witness is not None else None
         ),
     }
-    _emit_json(_report(args, norm, payload), args.output)
+    _emit_json(_report(norm, payload, seed=seed), args.output)
 
 
 def _parse_param(item: str):
@@ -307,13 +346,15 @@ def _cmd_render(args) -> None:
     from .frameworks import flex_report
     from .svg import render_svg
 
+    if args.flex is None:
+        _refuse_unread("without --flex", norm=args.norm, tol=args.tol)
     g, p, file_norm = jsonio.loose_input_from_json(_load(args.input))
     if p is None:
         raise InputError("render needs a placement")
     flex = None
     if args.flex is not None:
         norm = _resolve_norm(args, file_norm)
-        rep = flex_report(g, p, norm, args.tol)
+        rep = flex_report(g, p, norm, _or_default(args.tol, RANK_EPS))
         if args.flex < 0 or args.flex >= len(rep.nontrivial_flex_basis):
             raise InputError(
                 f"flex index {args.flex} out of range: "

@@ -50,6 +50,7 @@ sigma > eps * sigma_max * max(rows, cols) with eps = 1e-9 by default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -273,13 +274,22 @@ def _report(
 def flex_report(
     g: SimpleGraph, p: Placement, norm: NormSpec, tol: float = RANK_EPS
 ) -> FlexReport:
-    """Flex report at a given placement, ranked by the SVD cutoff tol.  The
-    placement may be degenerate, so its rigid motions are evaluated and
-    ranked by the same cutoff.  The flex basis is built on first read."""
-    kern = kernel_basis(rigidity_matrix(g, p, norm), tol)
-    rank = norm.d * g.n_vertices - kern.shape[0]
+    """Flex report at a given placement, ranked by the SVD cutoff tol from
+    singular values alone.  The placement may be degenerate, so its rigid
+    motions are evaluated and ranked by the same cutoff.  The flex basis is
+    built on first read, from the singular vectors after the rank."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"rank tolerance must be finite and non-negative, got {tol!r}")
+    m = rigidity_matrix(g, p, norm)
+    rank = matrix_rank(m, tol)
     triv = trivial_motion_basis(g, p, norm, tol)
-    return _report(g, norm, rank, triv.shape[0], lambda: (kern, triv))
+
+    def kernel() -> tuple[np.ndarray, np.ndarray]:
+        if m.shape[0] == 0:
+            return np.eye(m.shape[1]), triv
+        return np.linalg.svd(m, full_matrices=True)[2][rank:], triv
+
+    return _report(g, norm, rank, triv.shape[0], kernel)
 
 
 def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> FlexReport:

@@ -151,7 +151,7 @@ def placement_to_json(p: Placement) -> dict:
 def placement_from_json(obj) -> Placement:
     if not isinstance(obj, dict) or not obj:
         raise InputError("placement must be a non-empty JSON object")
-    coords: dict[int, tuple[float, ...]] = {}
+    coords: dict[int, tuple] = {}
     dim = None
     for key, val in obj.items():
         try:
@@ -160,7 +160,7 @@ def placement_from_json(obj) -> Placement:
             raise InputError(f"placement key {key!r} is not a vertex label") from exc
         if not isinstance(val, list) or not val:
             raise InputError(f"placement of vertex {v} must be a coordinate list")
-        pt = tuple(float(parse_number(c)) for c in val)
+        pt = tuple(parse_number(c) for c in val)
         if dim is None:
             dim = len(pt)
         elif len(pt) != dim:

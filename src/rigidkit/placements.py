@@ -7,6 +7,7 @@ and from arrays import numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -29,7 +30,13 @@ class Placement:
     def __init__(self, dim: int, coords: Mapping[int, Sequence[float]]):
         fixed = {}
         for v, pt in coords.items():
-            pt = tuple(float(x) for x in pt)
+            try:
+                pt = tuple(float(x) for x in pt)
+                finite = all(map(math.isfinite, pt))
+            except OverflowError:  # an integer or fraction beyond the float range
+                finite = False
+            if not finite:
+                raise PlacementError(f"vertex {v} has a coordinate that is not a finite float")
             if len(pt) != dim:
                 raise PlacementError(
                     f"vertex {v} has a {len(pt)}-coordinate point in dimension {dim}"

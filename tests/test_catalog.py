@@ -201,6 +201,14 @@ def test_strip_rejects_bad_input():
         strip(3, mode="periodic", spacing=1e308)
 
 
+def test_strip_spacing_and_shear_are_periodic_only():
+    for kwargs in ({"spacing": 2.0}, {"shear": 0.5}, {"spacing": 1.0, "shear": 0.3}):
+        with pytest.raises(InputError, match="radial placement takes no spacing or shear"):
+            strip(3, **kwargs)
+    default = strip(3, mode="periodic").placement
+    assert default == strip(3, mode="periodic", spacing=1.0, shear=0.3).placement
+
+
 # ---- whirlpools -----------------------------------------------------------
 
 RING_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]

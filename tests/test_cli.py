@@ -112,7 +112,7 @@ def test_analyze_framework_file(invoke, tmp_path):
     rep = json.loads(out)
     assert rep["version"] == rigidkit.__version__
     assert rep["norm"] == {"d": 2, "q": 3}
-    assert rep["seed"] == 0
+    assert rep["seed"] is None
     assert rep["trials"] is None
     assert float(rep["tolerance"]) == RANK_EPS
     assert rep["flexDim"] == 1
@@ -591,6 +591,133 @@ def test_render_output_file(invoke, tmp_path):
     assert code == 0
     assert out == ""
     assert out_path.read_text().startswith("<svg ")
+
+
+# ---- settings: each flag only where some mode reads it ----------------------
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """One input file per verb, in a working directory of their own."""
+    g, p = fig_k3()
+    write_json(tmp_path / "f.json", jsonio.framework_to_json(g, p, NormSpec(2, 3)))
+    two_tree = SimpleGraph(range(4), [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    write_json(tmp_path / "g.json", jsonio.graph_to_json(two_tree))
+    write_json(tmp_path / "a.json", jsonio.graph_to_json(complete_graph(2)))
+    (tmp_path / "t.json").write_text(tower_text(3, 4, 5))
+    (tmp_path / "b.json").write_text(bodybar_text(3))
+    monkeypatch.chdir(tmp_path)
+
+
+def _registered_flags():
+    from rigidkit.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions if a.dest == "verb")
+    return {
+        verb: sorted(
+            a.option_strings[-1] for a in p._actions if a.option_strings and a.dest != "help"
+        )
+        for verb, p in sub.choices.items()
+    }
+
+
+def test_each_verb_registers_only_the_flags_it_reads():
+    flags = _registered_flags()
+    assert sum(map(len, flags.values())) == 27
+    assert [v for v, f in flags.items() if "--seed" in f] == ["analyze", "tower", "bodybar"]
+    assert [v for v, f in flags.items() if "--tol" in f] == ["analyze", "render"]
+
+
+CHAIN = ["chain", "--mode", "euclidean", "--from", "a.json", "--to", "g.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # flags no mode of the verb reads
+        ["sparsity", "--count", "2,3", "--seed", "1", "g.json"],
+        ["sparsity", "--count", "2,3", "--tol", "1e-6", "g.json"],
+        [*CHAIN, "--seed", "1"],
+        [*CHAIN, "--tol", "1e-6"],
+        ["tower", "--norm", "d=2,q=2", "--tol", "1e-6", "t.json"],
+        ["bodybar", "--norm", "d=2,q=2", "--tol", "1e-6", "b.json"],
+        ["render", "--seed", "1", "f.json"],
+        # flags the chosen mode never reads
+        ["analyze", "--generic", "--tol", "0.5", "f.json"],
+        ["analyze", "--seed", "1", "f.json"],
+        ["analyze", "--trials", "3", "f.json"],
+        ["tower", "--mode", "laman", "--norm", "d=2,q=2", "--seed", "1", "t.json"],
+        ["render", "--norm", "d=2,q=3", "f.json"],
+        ["render", "--tol", "1e-6", "f.json"],
+        ["catalog", "strip", "--params", "cells=2", "spacing=2"],
+        ["catalog", "strip", "--params", "cells=2", "mode=radial", "shear=0.5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_setting_no_mode_reads_is_refused(invoke, inputs, argv):
+    code, out, err = invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("rigidkit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, seed, trials, tolerance",
+    [
+        (["analyze", "f.json"], None, None, RANK_EPS),
+        (["analyze", "--tol", "1e-6", "f.json"], None, None, 1e-6),
+        (["analyze", "--generic", "f.json"], 0, 5, None),
+        (["analyze", "--generic", "--seed", "4", "--trials", "2", "f.json"], 4, 2, None),
+        (["sparsity", "--count", "2,3", "g.json"], None, None, None),
+        (CHAIN, None, None, None),
+        (["tower", "--norm", "d=2,q=2", "--seed", "4", "t.json"], 4, None, None),
+        (["tower", "--mode", "sequential", "--norm", "d=2,q=2", "t.json"], 0, None, None),
+        (["tower", "--mode", "laman", "--norm", "d=2,q=2", "t.json"], None, None, None),
+        (["bodybar", "--norm", "d=2,q=2", "--seed", "4", "b.json"], 4, None, None),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+)
+def test_a_report_echoes_the_settings_it_used(invoke, inputs, argv, seed, trials, tolerance):
+    code, out, _ = invoke(*argv)
+    assert code == 0
+    rep = json.loads(out)
+    used = (rep["seed"], rep["trials"], rep["tolerance"])
+    assert used == (seed, trials, None if tolerance is None else jsonio.format_number(tolerance))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--generic", "--norm", "d=2,q=2", "--seed", "-1", "g.json"],
+        ["tower", "--mode", "relative", "--norm", "d=2,q=2", "--seed", "-1", "t.json"],
+    ],
+    ids=["analyze", "tower"],
+)
+def test_negative_seed_is_a_usage_error(invoke, inputs, argv):
+    code, out, err = invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("rigidkit: ") and "seed must be non-negative, got -1" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_unusable_tolerance_is_refused(invoke, inputs, tol):
+    code, out, err = invoke("analyze", "--tol", tol, "f.json")
+    assert (code, out) == (1, "")
+    assert err.startswith("rigidkit: rank tolerance must be finite and non-negative")
+
+
+@pytest.mark.parametrize(
+    "coord, verbs",
+    [(float("nan"), ["render", "analyze"]), (10**333, ["sparsity", "render"])],
+    ids=["nan", "334-digits"],
+)
+def test_non_finite_coordinate_is_one_error_line(invoke, coord, verbs):
+    doc = json.loads(framework_text())
+    doc["placement"]["2"] = [coord, 1]
+    for verb in verbs:
+        argv = [verb, "--count", "2,3"] if verb == "sparsity" else [verb]
+        code, out, err = invoke(*argv, stdin=json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err == "rigidkit: vertex 2 has a coordinate that is not a finite float\n"
 
 
 # ---- dispatch and exit codes ----------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from rigidkit import jsonio
 from rigidkit.bodybar import MultiBodyGraph
 from rigidkit.catalog import SimplicialMeta, generate
-from rigidkit.errors import InputError
+from rigidkit.errors import InputError, PlacementError
 from rigidkit.frameworks import NormSpec, Placement
 from rigidkit.graphs import SimpleGraph, Tower, complete_graph
 from rigidkit.moves import (
@@ -147,6 +147,20 @@ def test_placement_rejects_bad_shapes():
         jsonio.placement_from_json({})
     with pytest.raises(InputError):
         jsonio.placement_from_json({"0": []})
+
+
+@pytest.mark.parametrize(
+    "coord",
+    [float("nan"), float("inf"), -float("inf"), 10**333, Fraction(10**400, 3)],
+    ids=["nan", "inf", "-inf", "334-digit", "huge-fraction"],
+)
+def test_placement_coordinates_must_be_finite(coord):
+    message = "vertex 7 has a coordinate that is not a finite float"
+    with pytest.raises(PlacementError, match=message):
+        Placement(2, {0: (0.0, 0.0), 7: (1.0, coord)})
+    raw = roundtrip(jsonio.jsonable({"0": [0, 0], "7": [1, coord]}))
+    with pytest.raises(PlacementError, match=message):
+        jsonio.placement_from_json(raw)
 
 
 @pytest.mark.parametrize("q,expect", [(2, 2), (3, 3), (Fraction(5, 2), "5/2")])
