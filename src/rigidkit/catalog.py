@@ -221,10 +221,6 @@ def strip(
             coords[3 * k] = (x + 2 * shear, 2.0)
             coords[3 * k + 1] = (x + shear, 1.0)
             coords[3 * k + 2] = (x, 0.0)
-        if not all(math.isfinite(x) for xy in coords.values() for x in xy):
-            raise InputError(
-                f"strip coordinates overflow with spacing {spacing!r} and shear {shear!r}"
-            )
     else:
         raise InputError(f"unknown strip placement mode {mode!r}")
     return GeneratedFamily(g, Placement(2, coords))

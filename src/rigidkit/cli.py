@@ -4,7 +4,7 @@ Verbs map one-to-one onto library modules.  A verb registers only the flags
 that some mode of it reads: --seed on analyze, tower and bodybar, --tol on
 analyze and render, and a flag the chosen mode never reads is a usage error.
 Every analysis report embeds the tool version plus the norm, seed, trial
-count and tolerance, each the value its computation used or null, and
+count and tolerance, each the value the chosen mode takes or null, and
 identical invocations produce byte-identical output.  Exit codes: 0 analysis
 completed (whatever the verdict), 1 input or usage problem, 2 internal
 cross-check failure.
@@ -30,7 +30,7 @@ class UsageError(InputError):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise UsageError(message)
 
 
 def _seed_flag(text: str) -> int:
@@ -144,8 +144,8 @@ def _emit_text(text: str, path: str | None) -> None:
 def _report(
     norm: NormSpec | None, payload: dict, seed=None, trials=None, tolerance=None
 ) -> dict:
-    """The report of one computation: the settings it used (None for one it
-    never read), then its payload."""
+    """The report of one computation: the settings its mode takes (None for
+    one it does not take), then its payload."""
     from . import jsonio
 
     out = {

@@ -274,22 +274,15 @@ def _report(
 def flex_report(
     g: SimpleGraph, p: Placement, norm: NormSpec, tol: float = RANK_EPS
 ) -> FlexReport:
-    """Flex report at a given placement, ranked by the SVD cutoff tol from
-    singular values alone.  The placement may be degenerate, so its rigid
-    motions are evaluated and ranked by the same cutoff.  The flex basis is
-    built on first read, from the singular vectors after the rank."""
+    """Flex report at a given placement, ranked by the SVD cutoff tol.  The
+    placement may be degenerate, so its rigid motions are evaluated and
+    ranked by the same cutoff.  The flex basis is built on first read."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"rank tolerance must be finite and non-negative, got {tol!r}")
-    m = rigidity_matrix(g, p, norm)
-    rank = matrix_rank(m, tol)
+    kern = kernel_basis(rigidity_matrix(g, p, norm), tol)
+    rank = norm.d * g.n_vertices - kern.shape[0]
     triv = trivial_motion_basis(g, p, norm, tol)
-
-    def kernel() -> tuple[np.ndarray, np.ndarray]:
-        if m.shape[0] == 0:
-            return np.eye(m.shape[1]), triv
-        return np.linalg.svd(m, full_matrices=True)[2][rank:], triv
-
-    return _report(g, norm, rank, triv.shape[0], kernel)
+    return _report(g, norm, rank, triv.shape[0], lambda: (kern, triv))
 
 
 def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> FlexReport:

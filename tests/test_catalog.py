@@ -197,7 +197,7 @@ def test_strip_rejects_bad_input():
         strip(0)
     with pytest.raises(InputError, match="mode"):
         strip(2, mode="diagonal")
-    with pytest.raises(InputError, match="coordinates overflow"):
+    with pytest.raises(InputError, match="vertex 6 has a coordinate that is not a finite float"):
         strip(3, mode="periodic", spacing=1e308)
 
 

@@ -8,13 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (
-    eager_flex_basis,
-    grow_tight_graph,
-    record_complete_svds,
-    shuffled_copy,
-    zero_extension_graph,
-)
+from helpers import eager_flex_basis, grow_tight_graph, shuffled_copy, zero_extension_graph
 from rigidkit import frameworks, towers
 from rigidkit.errors import ContinuationError, InputError, NestingError, PlacementError
 from rigidkit.frameworks import (
@@ -131,22 +125,6 @@ def test_flex_report_refuses_an_unusable_tolerance(tol):
         with pytest.raises(InputError, match="tolerance must be finite and non-negative"):
             flex_report(TRIANGLE, p, EUCLID2, tol)
     assert flex_report(TRIANGLE, collinear, EUCLID2).rank == 2
-
-
-def test_flex_report_runs_the_complete_svd_only_when_its_basis_is_read(monkeypatch):
-    g = cycle_graph(5)
-    p = random_placement(g, EUCLID2, seed=3)
-    shapes = record_complete_svds(monkeypatch)
-    rep = flex_report(g, p, EUCLID2)
-    assert (rep.rank, rep.flex_dim) == (5, 2)
-    assert shapes == []
-    assert len(rep.nontrivial_flex_basis) == 2
-    assert shapes == [(5, 10)]
-    # An edgeless graph's kernel is the identity: no SVD of its matrix.
-    bare = SimpleGraph(range(3), [])
-    rep = flex_report(bare, p.restrict(bare.vertices), EUCLID2)
-    assert (rep.rank, rep.trivial_dim, len(rep.nontrivial_flex_basis)) == (0, 3, 3)
-    assert shapes == [(5, 10)]
 
 
 def test_matrix_rows_match_finite_differences():
@@ -771,10 +749,9 @@ def _complete_svds(module):
 
 
 def test_one_kernel_per_sampled_framework():
-    # A kernel at a known rank is computed by the flex reports alone, and
-    # only when their basis is read; the relative-rigidity witness reads it
-    # off the flex report.
-    assert sorted(_complete_svds(frameworks)) == ["flex_report", "kernel_basis", "report_at_rank"]
+    # A kernel at a known rank is computed by report_at_rank alone; the
+    # relative-rigidity witness reads it off the flex report.
+    assert sorted(_complete_svds(frameworks)) == ["kernel_basis", "report_at_rank"]
     assert _complete_svds(towers) == []
     imported = [
         alias.name
