@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,9 +134,9 @@ class MultiBodyGraph:
 
     Construction enforces the structural rules (bodies partition the vertex
     set, the bars are exactly the edges between distinct bodies, and no
-    vertex carries two bars).  Generic rigidity of the bodies depends on the
-    ambient norm and is checked by validate_multibody, the intended entry
-    point for external data.
+    vertex carries two bars) on the bodies as listed, then sorts them by
+    least vertex.  Generic rigidity depends on the norm and is checked by
+    validate_multibody, the intended entry point for external data.
     """
 
     underlying: SimpleGraph
@@ -150,10 +150,10 @@ class MultiBodyGraph:
         inter_body_edges: Iterable[Sequence[int]],
     ):
         bs = tuple(tuple(sorted(int(v) for v in b)) for b in bodies)
-        bs = tuple(sorted(bs, key=lambda b: b[0] if b else -1))
         problems = _structure_problems(underlying, bs)
         if problems:
             raise InputError("; ".join(problems))
+        bs = tuple(sorted(bs))  # disjoint and nonempty: by least vertex
         owner = {v: i for i, b in enumerate(bs) for v in b}
         bars = tuple(normalize_edge(*e) for e in inter_body_edges)
         cross = tuple(e for e in underlying.edges if owner[e[0]] != owner[e[1]])
@@ -323,95 +323,84 @@ def tay_decide(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) -> TayVerdict:
 # ---- spanning tree decomposition -----------------------------------------
 
 
-def _forest_path(adj: dict[int, list[tuple[int, int]]], src: int, dst: int):
-    """Edge indices along the unique src-dst path, or None if disconnected."""
-    if src == dst:
-        return []
-    prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y, e in adj[x]:
-            if y not in prev:
-                prev[y] = (x, e)
-                if y == dst:
-                    path = []
-                    at = dst
-                    while at != src:
-                        back, via = prev[at]
-                        path.append(via)
-                        at = back
-                    return path
-                queue.append(y)
-    return None
+def _tree_path(game: PebbleGame, u: int, w: int) -> list[int] | None:
+    """Vertices along the u-w path in the forest of a (1, 1) game, or None
+    when u and w lie in different trees: each tree keeps its one pebble on
+    its root, and every other vertex's one out-arc points toward it."""
+    out = game.out
+    depth = {u: 0}
+    x = u
+    while out[x]:
+        x = out[x][0]
+        depth[x] = len(depth)
+    down = [w]
+    while down[-1] not in depth:
+        if not out[down[-1]]:
+            return None
+        down.append(out[down[-1]][0])
+    return list(islice(depth, depth[down[-1]])) + down[::-1]
 
 
 def spanning_tree_layers(gb: MultiGraph, d: int) -> tuple[int, ...]:
     """Assign every edge of a (d, d)-tight multigraph to one of d trees.
 
-    Edges are inserted one at a time into whichever forest keeps them
-    acyclic; when none does, a breadth-first search over blocking cycles
-    finds a chain of relocations that makes room.  Tightness guarantees the
-    process fills d spanning trees, which a final audit confirms.
+    Each forest is a (1, 1) PebbleGame.  An edge goes into a forest it
+    keeps acyclic; when none does, a breadth-first search over blocking
+    cycles finds the shortest chain of relocations that makes room.
+    Tightness guarantees the process fills d spanning trees, which a final
+    audit confirms.
     """
     if not is_sparse(gb, SparsityCount(d, d)).tight:
         raise InputError("multigraph is not (d, d)-tight")
     edges = gb.edges
-    forests: list[dict[int, list[tuple[int, int]]]] = [
-        {v: [] for v in gb.vertices} for _ in range(d)
-    ]
-    home: dict[int, int] = {}
+    games = [PebbleGame(gb.vertices, SparsityCount(1, 1)) for _ in range(d)]
+    # forest -> vertex pair -> edge (a forest holds no two parallel edges)
+    held: list[dict[tuple[int, int], int]] = [{} for _ in range(d)]
 
-    def add(layer: int, idx: int) -> None:
-        v, w = edges[idx]
-        forests[layer][v].append((w, idx))
-        forests[layer][w].append((v, idx))
-        home[idx] = layer
+    def place(idx: int, layer: int) -> None:
+        if not games[layer].insert(*edges[idx]):
+            raise AlgorithmError("tree decomposition moved an edge onto a cycle")
+        held[layer][edges[idx]] = idx
 
-    def drop(idx: int) -> int:
-        layer = home.pop(idx)
-        v, w = edges[idx]
-        forests[layer][v] = [(y, e) for y, e in forests[layer][v] if e != idx]
-        forests[layer][w] = [(y, e) for y, e in forests[layer][w] if e != idx]
-        return layer
-
-    for idx, (u, v) in enumerate(edges):
-        direct = next(
-            (i for i in range(d) if _forest_path(forests[i], u, v) is None), None
-        )
-        if direct is not None:
-            add(direct, idx)
-            continue
-        parent: dict[int, int] = {}
-        seen = {idx}
+    for idx in range(len(edges)):
+        # edge -> (the edge whose cycle it lies on, the forest holding it);
+        # the new edge is in no forest yet
+        parent = {idx: (idx, -1)}
         queue = deque([idx])
         goal = None
         while queue and goal is None:
             x = queue.popleft()
-            ux, vx = edges[x]
+            cycles = []
             for i in range(d):
-                path = _forest_path(forests[i], ux, vx)
+                if i == parent[x][1]:
+                    continue  # x's own forest: its cycle there is x alone
+                path = _tree_path(games[i], *edges[x])
                 if path is None:
                     goal = (x, i)
                     break
-                for y in path:
-                    if y not in seen:
-                        seen.add(y)
-                        parent[y] = x
-                        queue.append(y)
+                cycles.append((i, path))
+            else:
+                for i, path in cycles:
+                    for a, b in zip(path, path[1:]):
+                        y = held[i][(a, b) if a < b else (b, a)]
+                        if y not in parent:
+                            parent[y] = (x, i)
+                            queue.append(y)
         if goal is None:
             raise AlgorithmError("tree decomposition stalled on a tight multigraph")
         # Walk the chain backwards: each edge moves into the forest its
         # successor vacated, and the new edge takes the last gap.
         x, target = goal
         while x != idx:
-            vacated = drop(x)
-            add(target, x)
-            target = vacated
-            x = parent[x]
-        add(target, idx)
-    n = gb.n_vertices
+            back, vacated = parent[x]
+            games[vacated].delete(*edges[x])
+            del held[vacated][edges[x]]
+            place(x, target)
+            x, target = back, vacated
+        place(idx, target)
     for i in range(d):
+        if len(held[i]) != gb.n_vertices - 1:
+            raise AlgorithmError("tree decomposition audit failed")
         comp = {v: v for v in gb.vertices}
 
         def find(a: int) -> int:
@@ -420,18 +409,13 @@ def spanning_tree_layers(gb: MultiGraph, d: int) -> tuple[int, ...]:
                 a = comp[a]
             return a
 
-        merges = 0
-        for e, lay in home.items():
-            if lay != i:
-                continue
-            ra, rb = find(edges[e][0]), find(edges[e][1])
+        for a, b in held[i]:
+            ra, rb = find(a), find(b)
             if ra == rb:
                 raise AlgorithmError("tree decomposition produced a cycle")
             comp[ra] = rb
-            merges += 1
-        if merges != n - 1:
-            raise AlgorithmError("tree decomposition audit failed")
-    return tuple(home[i] for i in range(len(edges)))
+    home = {e: i for i in range(d) for e in held[i].values()}
+    return tuple(home[e] for e in range(len(edges)))
 
 
 def nash_williams_trees(gb: MultiGraph, d: int) -> tuple[MultiGraph, ...]:

@@ -295,9 +295,11 @@ def _cmd_bodybar(args) -> None:
     from . import jsonio
     from .bodybar import tay_decide, validate_multibody
 
-    raw = jsonio.multibody_from_json(_load(args.input))
+    doc = _load(args.input)
+    raw = jsonio.multibody_from_json(doc)
     norm = _resolve_norm(args, None)
-    m = validate_multibody(raw.underlying, raw.bodies, norm)
+    # The listed bodies, so that a problem names a body by its position there
+    m = validate_multibody(raw.underlying, doc["bodies"], norm)
     seed = _or_default(args.seed, 0)
     v = tay_decide(m, norm, seed=seed)
     payload = {

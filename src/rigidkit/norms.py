@@ -6,6 +6,7 @@ which only read a norm, start without loading it.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import InputError
 
@@ -45,6 +46,8 @@ class NormSpec:
     q: QValue
 
     def __post_init__(self) -> None:
+        if isinstance(self.d, bool) or not isinstance(self.d, Integral):
+            raise InputError(f"dimension d must be an integer, got {self.d!r}")
         if self.d < 2:
             raise InputError(f"dimension must be at least 2, got {self.d}")
         if not 1 < self.q <= 1024:  # nan fails both
@@ -104,7 +107,11 @@ class NormSpec:
             fields[key] = value.strip()
         if len(fields) != 2:
             raise InputError(f"norm spec {text!r} must give both d and q")
-        return cls(int(fields["d"]), parse_number(fields["q"]))
+        try:
+            d = int(fields["d"])
+        except ValueError:
+            d = fields["d"]  # not an integer, which the dimension check names
+        return cls(d, parse_number(fields["q"]))
 
     def __str__(self) -> str:
         return f"d={self.d},q={self.q}"

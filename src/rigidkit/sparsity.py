@@ -25,6 +25,11 @@ the edges it adds: a refused edge depends on the basis so far, so a fresh
 game seeded with the previous basis would refuse it again.  `delete` drops
 a held edge, so one game also follows a chain of construction moves, which
 remove edges as well as add them.
+
+Every vertex keeps pebbles + out-degree = k, so a (1, 1) game holds a
+forest whose trees each keep one pebble, on the root, and every other
+vertex's one out-arc points toward it: out-arc walks give tree membership
+and tree paths, as bodybar.spanning_tree_layers uses them.
 """
 
 from __future__ import annotations

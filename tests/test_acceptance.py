@@ -33,7 +33,13 @@ from helpers import (
 )
 import rigidkit
 from rigidkit import frameworks, jsonio
-from rigidkit.bodybar import special_placement, tay_decide, validate_multibody
+from rigidkit.bodybar import (
+    nash_williams_trees,
+    spanning_tree_layers,
+    special_placement,
+    tay_decide,
+    validate_multibody,
+)
 from rigidkit.catalog import (
     SimplicialMeta,
     add_shafts,
@@ -567,3 +573,16 @@ def test_20_tower_reads_no_witness(monkeypatch):
         verdict = tower_rigidity(Tower([anchor, joined]), NormSpec(2, 2))
     assert verdict.status == TOWER_FLEXIBLE
     assert shapes == []
+
+
+def test_21_spanning_trees_at_scale():
+    # Six edge-disjoint spanning trees of a 400-node union of six random
+    # trees (2394 edges with parallel pairs), each forest a (1, 1) pebble game.
+    gb = random_tight_multigraph(400, 6, 1)
+    with budget(2.5):
+        layers = spanning_tree_layers(gb, 6)
+    trees = nash_williams_trees(gb, 6)
+    assert Counter(layers) == Counter({i: 399 for i in range(6)})
+    for i, t in enumerate(trees):
+        assert t.edges == tuple(e for e, lay in zip(gb.edges, layers) if lay == i)
+        assert is_sparse(t, SparsityCount(1, 1)).tight

@@ -15,7 +15,7 @@ from helpers import (
     realize_bodybar,
     seeded_tight_witnesses,
 )
-from rigidkit import bodybar, frameworks
+from rigidkit import bodybar, frameworks, jsonio
 from rigidkit.bodybar import (
     BODYBAR_TOWER_MINIMAL,
     MultiBodyGraph,
@@ -32,6 +32,7 @@ from rigidkit.bodybar import (
     validate_multibody,
 )
 from rigidkit.errors import (
+    AlgorithmError,
     InconsistencyError,
     InputError,
     NestingError,
@@ -130,7 +131,31 @@ def test_empty_body_and_vertices_outside_the_graph_rejected():
     g, _ = build((4, 4), [(0, 4)])
     with pytest.raises(InputError) as err:
         MultiBodyGraph(g, [(0, 1, 2, 3), (), (4, 5, 6, 7, 9)], [(0, 4)])
-    assert str(err.value) == "body 0 is empty; body vertices [9] are not in the graph"
+    assert str(err.value) == "body 1 is empty; body vertices [9] are not in the graph"
+
+
+def test_every_entry_point_names_a_body_by_its_listed_position():
+    g = SimpleGraph(range(9), [])
+    bodies = [(6, 7, 8), (3, 4, 5, 0), (0, 1, 2)]
+    doc = {
+        "graph": jsonio.graph_to_json(g),
+        "bodies": [list(b) for b in bodies],
+        "interbody_edges": [],
+    }
+    for build_it in (
+        lambda: validate_multibody(g, bodies, EUCLID2),
+        lambda: MultiBodyGraph(g, bodies, []),
+        lambda: jsonio.multibody_from_json(doc),
+    ):
+        with pytest.raises(InputError) as err:
+            build_it()
+        assert str(err.value) == "vertex 0 appears in bodies 1 and 2"
+
+
+def test_bodies_are_kept_sorted_by_least_vertex():
+    g, _ = build((4, 4), [(0, 4)])
+    m = MultiBodyGraph(g, [(7, 6, 5, 4), (3, 2, 1, 0)], [(0, 4)])
+    assert m.bodies == ((0, 1, 2, 3), (4, 5, 6, 7))
 
 
 def test_body_rigidity_depends_on_norm():
@@ -466,19 +491,66 @@ def test_sparse_but_loose_rejected():
         nash_williams_trees(k4, 3)
 
 
-@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("seed", range(60))
 def test_tree_partition_properties(seed):
-    rng = random.Random(seed)
-    n = rng.randrange(3, 9)
-    d = rng.randrange(2, 5)
+    # n runs from 2 to 40 while d cycles through 1 to 6, ending at (40, 6).
+    n, d = 2 + seed * 38 // 59, 1 + seed % 6
     gb = random_tight_multigraph(n, d, seed + 50)
     layers = spanning_tree_layers(gb, d)
     assert len(layers) == gb.n_edges
+    # Each layer is a spanning tree by a union-find kept here, apart from
+    # the library's own audit.
+    for i in range(d):
+        comp = {v: v for v in gb.vertices}
+
+        def find(a):
+            while comp[a] != a:
+                a = comp[a]
+            return a
+
+        tree = [e for e, lay in zip(gb.edges, layers) if lay == i]
+        assert len(tree) == n - 1
+        for a, b in tree:
+            ra, rb = find(a), find(b)
+            assert ra != rb, f"layer {i} closes a cycle at {(a, b)}"
+            comp[ra] = rb
     trees = nash_williams_trees(gb, d)
     assert sorted(e for t in trees for e in t.edges) == sorted(gb.edges)
     for t in trees:
         assert t.n_edges == n - 1
         assert is_sparse(t, SparsityCount(1, 1)).tight
+    # One edge short or one parallel edge over is not tight.
+    for bad in (gb.edges[1:], gb.edges + gb.edges[:1]):
+        with pytest.raises(InputError, match="tight"):
+            spanning_tree_layers(MultiGraph(gb.vertices, bad), d)
+
+
+def test_layers_hold_each_forest_in_a_one_one_pebble_game(monkeypatch):
+    counts = []
+    init = bodybar.PebbleGame.__init__
+
+    def record(self, vertices, count):
+        counts.append((count.k, count.l))
+        init(self, vertices, count)
+
+    monkeypatch.setattr(bodybar.PebbleGame, "__init__", record)
+    for d in (1, 3, 6):
+        counts.clear()
+        spanning_tree_layers(random_tight_multigraph(12, d, d), d)
+        # one more game, of count (d, d), is the tightness precheck
+        assert Counter(counts) == Counter({(1, 1): d}) + Counter({(d, d): 1})
+
+
+def test_a_refused_move_raises_algorithm_error(monkeypatch):
+    insert = bodybar.PebbleGame.insert
+    # The (3, 3) tightness precheck plays on; every (1, 1) forest refuses.
+    monkeypatch.setattr(
+        bodybar.PebbleGame,
+        "insert",
+        lambda self, u, w: self.l != 1 and insert(self, u, w),
+    )
+    with pytest.raises(AlgorithmError, match="onto a cycle"):
+        spanning_tree_layers(random_tight_multigraph(6, 3, 0), 3)
 
 
 # ---- constructed placements ----------------------------------------------

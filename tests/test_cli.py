@@ -164,6 +164,14 @@ def test_unreadable_norm_is_one_error_line(invoke, spec):
     assert err.startswith("rigidkit: ")
 
 
+@pytest.mark.parametrize("d", ["x", "2.5"])
+def test_non_integer_dimension_is_one_error_line_naming_d(invoke, d):
+    text = json.dumps(jsonio.graph_to_json(complete_graph(3)))
+    code, out, err = invoke("analyze", "--generic", "--norm", f"d={d},q=2", stdin=text)
+    assert (code, out) == (1, "")
+    assert err == f"rigidkit: dimension d must be an integer, got '{d}'\n"
+
+
 def _python_m(*argv, cwd, timeout=60):
     """`python -m rigidkit argv` in a fresh process: exit code, stdout, stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(rigidkit.__file__).parents[1]))
@@ -414,6 +422,19 @@ def test_bodybar_rejects_bar_mismatch(invoke):
     code, _, err = invoke("bodybar", "--norm", "d=2,q=2", stdin=json.dumps(obj))
     assert code == 1
     assert "inter-body" in err
+
+
+def test_bodybar_names_a_body_by_its_listed_position(invoke):
+    obj = json.loads(bodybar_text(3))
+    obj["bodies"] = [[3, 4, 5], [0, 1, 2]]
+    obj["graph"]["edges"].remove([0, 1])  # body [0, 1, 2] is a path
+    code, out, err = invoke("bodybar", "--norm", "d=2,q=2", stdin=json.dumps(obj))
+    assert (code, out) == (1, "")
+    assert err.startswith("rigidkit: body 1 on vertices [0, 1, 2] is not generically rigid")
+    obj = json.loads(bodybar_text(3))
+    obj["bodies"] = [[3, 4, 5], [1, 2, 0], [0]]
+    code, _, err = invoke("bodybar", "--norm", "d=2,q=2", stdin=json.dumps(obj))
+    assert (code, err) == (1, "rigidkit: vertex 0 appears in bodies 1 and 2\n")
 
 
 # ---- catalog --------------------------------------------------------------

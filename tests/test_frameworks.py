@@ -51,6 +51,7 @@ def test_norm_spec_parse_and_validate():
     assert NormSpec.parse("d=2,q=3") == NormSpec(2, 3)
     assert NormSpec.parse("d=3, q=5/2") == NormSpec(3, Fraction(5, 2))
     assert NormSpec.parse("d=2,q=2.5").q == 2.5
+    assert NormSpec.parse("d=+3,q=2") == NormSpec(3, 2)
     assert NormSpec(2, 2).euclidean
     assert not NormSpec(2, 3).euclidean
     assert NormSpec(3, 2).trivial_dim_generic == 6
@@ -61,6 +62,18 @@ def test_norm_spec_parse_and_validate():
         NormSpec(2, 1)
     with pytest.raises(InputError):
         NormSpec(2, 0.5)
+
+
+@pytest.mark.parametrize("d", [2.5, 3.0, True, "3", None])
+def test_norm_spec_refuses_a_dimension_that_is_not_an_integer(d):
+    with pytest.raises(InputError, match="dimension d must be an integer"):
+        NormSpec(d, 2)
+
+
+@pytest.mark.parametrize("text", ["d=2.5,q=2", "d=x,q=2", "d=,q=2", "d=--3,q=2"])
+def test_norm_spec_parse_reads_d_through_the_same_check(text):
+    with pytest.raises(InputError, match="dimension d must be an integer"):
+        NormSpec.parse(text)
 
 
 @pytest.mark.parametrize("q", [1025, 1024.5, 2**31, math.inf, math.nan])
