@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -323,24 +323,6 @@ def tay_decide(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) -> TayVerdict:
 # ---- spanning tree decomposition -----------------------------------------
 
 
-def _tree_path(game: PebbleGame, u: int, w: int) -> list[int] | None:
-    """Vertices along the u-w path in the forest of a (1, 1) game, or None
-    when u and w lie in different trees: each tree keeps its one pebble on
-    its root, and every other vertex's one out-arc points toward it."""
-    out = game.out
-    depth = {u: 0}
-    x = u
-    while out[x]:
-        x = out[x][0]
-        depth[x] = len(depth)
-    down = [w]
-    while down[-1] not in depth:
-        if not out[down[-1]]:
-            return None
-        down.append(out[down[-1]][0])
-    return list(islice(depth, depth[down[-1]])) + down[::-1]
-
-
 def spanning_tree_layers(gb: MultiGraph, d: int) -> tuple[int, ...]:
     """Assign every edge of a (d, d)-tight multigraph to one of d trees.
 
@@ -374,7 +356,7 @@ def spanning_tree_layers(gb: MultiGraph, d: int) -> tuple[int, ...]:
             for i in range(d):
                 if i == parent[x][1]:
                     continue  # x's own forest: its cycle there is x alone
-                path = _tree_path(games[i], *edges[x])
+                path = games[i].tree_path(*edges[x])
                 if path is None:
                     goal = (x, i)
                     break

@@ -29,7 +29,21 @@ remove edges as well as add them.
 Every vertex keeps pebbles + out-degree = k, so a (1, 1) game holds a
 forest whose trees each keep one pebble, on the root, and every other
 vertex's one out-arc points toward it: out-arc walks give tree membership
-and tree paths, as bodybar.spanning_tree_layers uses them.
+and tree paths (`PebbleGame.tree_path`), as bodybar.spanning_tree_layers
+uses them.
+
+The game works on positions, not labels.  It maps each vertex label to
+its position in the listed vertices once, when it is built, and turns a
+queried pair into positions once per call.  Pebble counts, out-arc lists,
+search parents and visit stamps are flat lists indexed by position; a
+search marks a vertex visited by writing the search's own clock value
+into its stamp, so no dict or set is allocated per search.  The search is
+the same depth-first walk as on labels: the same stack order, each
+out-list scanned in its stored order, the other endpoint of the queried
+pair walked through but never robbed, and the path reversed arc by arc
+(the reversed arc appended to the far end's out-list).  Positions only
+rename the vertices, so every pebble moves as it would on labels, and the
+accepted edges, blockers and forest paths are the same.
 """
 
 from __future__ import annotations
@@ -120,13 +134,24 @@ class PebbleGame:
     `accepted` still lists only the offering positions of the edges insert
     kept; delete leaves it as it is.  admits and blocker query a pair
     against the held edges without adding one, and may be mixed freely with
-    insertions and deletions.
+    insertions and deletions.  Every vertex must be listed once, and every
+    queried pair must join two distinct listed vertices.
     """
 
     def __init__(self, vertices: Iterable[int], count: SparsityCount):
         self.l = count.l
-        self.pebbles = {v: count.k for v in vertices}
-        self.out: dict[int, list[int]] = {v: [] for v in self.pebbles}
+        self._k = count.k
+        self._labels = list(vertices)
+        self._index: dict[int, int] = {}
+        for i, v in enumerate(self._labels):
+            if self._index.setdefault(v, i) != i:
+                raise InputError(f"vertex label {v} repeated")
+        n = len(self._labels)
+        self._pebbles = [count.k] * n
+        self._out: list[list[int]] = [[] for _ in range(n)]
+        self._parent = [0] * n
+        self._stamp = [0] * n
+        self._clock = 0
         self.accepted: list[int] = []
         self._offered = 0
 
@@ -138,37 +163,57 @@ class PebbleGame:
             game.insert(u, w)
         return game
 
-    def _find_pebble(self, root: int, blocked: set[int]) -> bool:
+    def _pair(self, u: int, w: int) -> tuple[int, int]:
+        """Positions of the endpoints of edge uw."""
+        try:
+            a, b = self._index[u], self._index[w]
+        except KeyError:
+            raise InputError(f"edge ({u}, {w}) has an endpoint outside the game") from None
+        if a == b:
+            raise InputError(f"loop edge at vertex {u} is not allowed")
+        return a, b
+
+    def _find_pebble(self, root: int, other: int) -> bool:
         """Pull one free pebble to root along a directed path, if any.
 
-        Vertices in `blocked` neither give up pebbles nor restart the search;
-        during insertion these are the two endpoints, whose pebbles are
-        already counted.
+        The other endpoint of the queried pair gives up no pebble, but the
+        search walks on through it; its pebbles and root's are already
+        counted.  A vertex is visited when its stamp equals this search's
+        clock, and its parent then names the vertex it was reached from.
         """
-        parent: dict[int, int] = {root: root}
+        out, pebbles, parent, stamp = self._out, self._pebbles, self._parent, self._stamp
+        self._clock += 1
+        clock = self._clock
+        stamp[root] = clock
         stack = [root]
-        found = None
-        while stack and found is None:
+        while stack:
             v = stack.pop()
-            for w in self.out[v]:
-                if w in parent:
+            for w in out[v]:
+                if stamp[w] == clock:
                     continue
+                stamp[w] = clock
                 parent[w] = v
-                if self.pebbles[w] > 0 and w not in blocked:
-                    found = w
-                    break
+                if pebbles[w] and w != other:
+                    # Reverse the arcs along the path, carrying the pebble
+                    # to the root.
+                    pebbles[w] -= 1
+                    pebbles[root] += 1
+                    while w != root:
+                        v = parent[w]
+                        out[v].remove(w)
+                        out[w].append(v)
+                        w = v
+                    return True
                 stack.append(w)
-        if found is None:
-            return False
-        # Reverse the arcs along the path, carrying the pebble to the root.
-        w = found
-        while w != root:
-            v = parent[w]
-            self.out[v].remove(w)
-            self.out[w].append(v)
-            w = v
-        self.pebbles[found] -= 1
-        self.pebbles[root] += 1
+        return False
+
+    def _gather(self, a: int, b: int) -> bool:
+        """Gather l + 1 pebbles on positions a and b, if possible."""
+        need = self.l + 1
+        pebbles = self._pebbles
+        while pebbles[a] + pebbles[b] < need:
+            if not (self._find_pebble(a, b) or self._find_pebble(b, a)):
+                return False
         return True
 
     def admits(self, u: int, w: int) -> bool:
@@ -177,22 +222,18 @@ class PebbleGame:
         Gathers l + 1 pebbles on the pair {u, w}, which is possible exactly
         when no tight subgraph contains both endpoints.
         """
-        need = self.l + 1
-        blocked = {u, w}
-        while self.pebbles[u] + self.pebbles[w] < need:
-            if not (self._find_pebble(u, blocked) or self._find_pebble(w, blocked)):
-                return False
-        return True
+        return self._gather(*self._pair(u, w))
 
     def insert(self, u: int, w: int) -> bool:
         """Offer edge uw and keep it when admitted."""
+        a, b = self._pair(u, w)
         pos = self._offered
         self._offered += 1
-        if not self.admits(u, w):
+        if not self._gather(a, b):
             return False
-        tail, head = (u, w) if self.pebbles[u] > 0 else (w, u)
-        self.pebbles[tail] -= 1
-        self.out[tail].append(head)
+        tail, head = (a, b) if self._pebbles[a] > 0 else (b, a)
+        self._pebbles[tail] -= 1
+        self._out[tail].append(head)
         self.accepted.append(pos)
         return True
 
@@ -204,10 +245,11 @@ class PebbleGame:
         sparse, which is all admits and blocker rely on (Lee and Streinu,
         Pebble game algorithms and sparse graphs, 2008).
         """
-        for tail, head in ((u, w), (w, u)):
-            if head in self.out.get(tail, ()):
-                self.out[tail].remove(head)
-                self.pebbles[tail] += 1
+        a, b = self._pair(u, w)
+        for tail, head in ((a, b), (b, a)):
+            if head in self._out[tail]:
+                self._out[tail].remove(head)
+                self._pebbles[tail] += 1
                 return
         raise InputError(f"edge ({u}, {w}) is not held by the game")
 
@@ -217,20 +259,50 @@ class PebbleGame:
         None when edge uw is admitted.  The held edges induced on the
         returned vertices form that subgraph.
         """
-        if self.admits(u, w):
+        a, b = self._pair(u, w)
+        if self._gather(a, b):
             return None
-        seen = {u, w}
-        stack = [w, u]
-        while stack:
-            for x in self.out[stack.pop()]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
+        out, stamp = self._out, self._stamp
+        self._clock += 1
+        clock = self._clock
+        stamp[a] = stamp[b] = clock
+        seen = [a, b]
+        for v in seen:
+            for x in out[v]:
+                if stamp[x] != clock:
+                    stamp[x] = clock
+                    seen.append(x)
         # No arc leaves the closure, so its held edges number k|V| minus
         # the pebbles left on it.
-        if sum(self.pebbles[x] for x in seen) != self.l:
+        if sum(self._pebbles[x] for x in seen) != self.l:
             raise AlgorithmError("pebble closure failed to produce a tight subgraph")
-        return frozenset(seen)
+        return frozenset(self._labels[x] for x in seen)
+
+    def tree_path(self, u: int, w: int) -> list[int] | None:
+        """Vertices along the u-w path in the forest of a (1, 1) game, or
+        None when u and w lie in different trees: each tree keeps its one
+        pebble on its root, and every other vertex's one out-arc points
+        toward it."""
+        if (self._k, self.l) != (1, 1):
+            raise InputError(f"tree paths need a (1,1) game, not ({self._k},{self.l})")
+        a, b = self._pair(u, w)
+        out, stamp = self._out, self._stamp
+        self._clock += 1
+        clock = self._clock
+        x, up = a, [a]
+        stamp[a] = clock
+        while out[x]:
+            x = out[x][0]
+            stamp[x] = clock
+            up.append(x)
+        y, down = b, [b]
+        while stamp[y] != clock:
+            if not out[y]:
+                return None
+            y = out[y][0]
+            down.append(y)
+        path = up[: up.index(y)] + down[::-1]
+        return [self._labels[x] for x in path]
 
 
 def _sparse_game(g: GraphLike, count: SparsityCount) -> PebbleGame:

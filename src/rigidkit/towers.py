@@ -185,7 +185,14 @@ def rigid_container_2d(g: SimpleGraph, h: SimpleGraph, q) -> SimpleGraph | None:
     space), then every vertex pair of h must be linked, either by a surviving
     edge or by the tight subgraph that blocks the pair's insertion.  The
     union of those links with h is rigid exactly when h is relatively rigid
-    in g, so a single missing blocker decides the negative."""
+    in g, so a single missing blocker decides the negative.
+
+    A pair whose ends both lie in a closure already taken is skipped: that
+    closure is a tight subgraph holding the pair, so it contains the pair's
+    minimal tight closure (see the sparsity module), whose vertices and
+    edges are thus already in the container.  Such a pair is never the
+    missing blocker either, so neither verdict nor the order of the
+    container's vertices and edges changes."""
     norm = NormSpec(2, q)
     need = anchor_threshold(norm)
     if not h.is_subgraph_of(g):
@@ -199,13 +206,17 @@ def rigid_container_2d(g: SimpleGraph, h: SimpleGraph, q) -> SimpleGraph | None:
     thin = SimpleGraph(g.vertices, tuple(g.edges[i] for i in game.accepted))
     # Ordered sets: the container lists h first, then each link as it comes.
     vs, es = dict.fromkeys(h.vertices), dict.fromkeys(h.edges)
+    taken: list[frozenset[int]] = []
     for v, w in combinations(sorted(h.vertex_set), 2):
+        if any(v in c and w in c for c in taken):
+            continue
         if thin.has_edge(v, w):
             es[(v, w)] = None
             continue
         closure = game.blocker(v, w)
         if closure is None:
             return None
+        taken.append(closure)
         vs.update(dict.fromkeys(x for x in thin.vertices if x in closure))
         es.update(dict.fromkeys(e for e in thin.edges if closure.issuperset(e)))
     return SimpleGraph(vs, es)

@@ -4,7 +4,8 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from typing import Iterable
 
 import numpy as np
 
@@ -18,13 +19,14 @@ from rigidkit.frameworks import (
     trivial_motion_basis,
 )
 from rigidkit.graphs import (
+    GraphLike,
     MultiGraph,
     SimpleGraph,
     complete_graph_on,
     graph_union,
     normalize_edge,
 )
-from rigidkit.errors import MoveError
+from rigidkit.errors import AlgorithmError, InputError, MoveError
 from rigidkit.moves import (
     EdgeMove,
     VertexExtension,
@@ -33,7 +35,9 @@ from rigidkit.moves import (
     VertexToK4,
     apply_move,
 )
-from rigidkit.sparsity import PebbleGame
+from rigidkit.norms import NormSpec
+from rigidkit.sparsity import PebbleGame, SparsityCount, planar_count
+from rigidkit.towers import anchor_threshold
 
 
 @contextmanager
@@ -338,6 +342,173 @@ def seeded_tight_witnesses(stages, count):
         witness.append(type(stage)(stage.vertices, kept))
         prev = tuple(kept)
     return witness
+
+
+def unskipped_rigid_container_2d(g, h, q):
+    """Reference for towers.rigid_container_2d that asks the game for the
+    blocker of every vertex pair of h, covered by an earlier closure or not."""
+    norm = NormSpec(2, q)
+    need = anchor_threshold(norm)
+    if not h.is_subgraph_of(g):
+        raise InputError("h must be a subgraph of g")
+    if h.n_vertices < need:
+        raise InputError(
+            f"rigid container for q={q} needs at least {need} vertices in h, "
+            f"got {h.n_vertices}"
+        )
+    game = PebbleGame.over(g, planar_count(norm))
+    thin = SimpleGraph(g.vertices, tuple(g.edges[i] for i in game.accepted))
+    vs, es = dict.fromkeys(h.vertices), dict.fromkeys(h.edges)
+    for v, w in combinations(sorted(h.vertex_set), 2):
+        if thin.has_edge(v, w):
+            es[(v, w)] = None
+            continue
+        closure = game.blocker(v, w)
+        if closure is None:
+            return None
+        vs.update(dict.fromkeys(x for x in thin.vertices if x in closure))
+        es.update(dict.fromkeys(e for e in thin.edges if closure.issuperset(e)))
+    return SimpleGraph(vs, es)
+
+
+class LabelPebbleGame:
+    """Reference for sparsity.PebbleGame: the same game on dicts and sets
+    keyed by vertex label, one parent dict and blocked set per search.
+
+    Pebble digraph for one (k, l) count, built once per graph.
+
+    The game holds the edges insert kept and delete has not dropped since.
+    `accepted` still lists only the offering positions of the edges insert
+    kept; delete leaves it as it is.  admits and blocker query a pair
+    against the held edges without adding one, and may be mixed freely with
+    insertions and deletions.
+    """
+
+    def __init__(self, vertices: Iterable[int], count: SparsityCount):
+        self.l = count.l
+        self.pebbles = {v: count.k for v in vertices}
+        self.out: dict[int, list[int]] = {v: [] for v in self.pebbles}
+        self.accepted: list[int] = []
+        self._offered = 0
+
+    @classmethod
+    def over(cls, g: GraphLike, count: SparsityCount) -> "LabelPebbleGame":
+        """Game with every edge of g offered in input order."""
+        game = cls(g.vertices, count)
+        for u, w in g.edges:
+            game.insert(u, w)
+        return game
+
+    def _find_pebble(self, root: int, blocked: set[int]) -> bool:
+        """Pull one free pebble to root along a directed path, if any.
+
+        Vertices in `blocked` neither give up pebbles nor restart the search;
+        during insertion these are the two endpoints, whose pebbles are
+        already counted.
+        """
+        parent: dict[int, int] = {root: root}
+        stack = [root]
+        found = None
+        while stack and found is None:
+            v = stack.pop()
+            for w in self.out[v]:
+                if w in parent:
+                    continue
+                parent[w] = v
+                if self.pebbles[w] > 0 and w not in blocked:
+                    found = w
+                    break
+                stack.append(w)
+        if found is None:
+            return False
+        # Reverse the arcs along the path, carrying the pebble to the root.
+        w = found
+        while w != root:
+            v = parent[w]
+            self.out[v].remove(w)
+            self.out[w].append(v)
+            w = v
+        self.pebbles[found] -= 1
+        self.pebbles[root] += 1
+        return True
+
+    def admits(self, u: int, w: int) -> bool:
+        """Whether edge uw is independent of the held edges.
+
+        Gathers l + 1 pebbles on the pair {u, w}, which is possible exactly
+        when no tight subgraph contains both endpoints.
+        """
+        need = self.l + 1
+        blocked = {u, w}
+        while self.pebbles[u] + self.pebbles[w] < need:
+            if not (self._find_pebble(u, blocked) or self._find_pebble(w, blocked)):
+                return False
+        return True
+
+    def insert(self, u: int, w: int) -> bool:
+        """Offer edge uw and keep it when admitted."""
+        pos = self._offered
+        self._offered += 1
+        if not self.admits(u, w):
+            return False
+        tail, head = (u, w) if self.pebbles[u] > 0 else (w, u)
+        self.pebbles[tail] -= 1
+        self.out[tail].append(head)
+        self.accepted.append(pos)
+        return True
+
+    def delete(self, u: int, w: int) -> None:
+        """Drop a held edge uw: remove its arc and return the pebble to the
+        arc's tail.
+
+        Every vertex keeps pebbles + out-degree = k and the held edges stay
+        sparse, which is all admits and blocker rely on (Lee and Streinu,
+        Pebble game algorithms and sparse graphs, 2008).
+        """
+        for tail, head in ((u, w), (w, u)):
+            if head in self.out.get(tail, ()):
+                self.out[tail].remove(head)
+                self.pebbles[tail] += 1
+                return
+        raise InputError(f"edge ({u}, {w}) is not held by the game")
+
+    def blocker(self, u: int, w: int) -> frozenset[int] | None:
+        """Vertices of the minimal tight subgraph containing u and w.
+
+        None when edge uw is admitted.  The held edges induced on the
+        returned vertices form that subgraph.
+        """
+        if self.admits(u, w):
+            return None
+        seen = {u, w}
+        stack = [w, u]
+        while stack:
+            for x in self.out[stack.pop()]:
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        # No arc leaves the closure, so its held edges number k|V| minus
+        # the pebbles left on it.
+        if sum(self.pebbles[x] for x in seen) != self.l:
+            raise AlgorithmError("pebble closure failed to produce a tight subgraph")
+        return frozenset(seen)
+
+    def tree_path(self, u: int, w: int) -> list[int] | None:
+        """Vertices along the u-w path in the forest of a (1, 1) game, or None
+        when u and w lie in different trees: each tree keeps its one pebble on
+        its root, and every other vertex's one out-arc points toward it."""
+        out = self.out
+        depth = {u: 0}
+        x = u
+        while out[x]:
+            x = out[x][0]
+            depth[x] = len(depth)
+        down = [w]
+        while down[-1] not in depth:
+            if not out[down[-1]]:
+                return None
+            down.append(out[down[-1]][0])
+        return list(islice(depth, depth[down[-1]])) + down[::-1]
 
 
 def glued_relative_nullities(g, h, norm, seed):

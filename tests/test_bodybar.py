@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LabelPebbleGame,
     complete_bodies,
     random_multibody,
     random_tight_multigraph,
@@ -551,6 +552,31 @@ def test_a_refused_move_raises_algorithm_error(monkeypatch):
     )
     with pytest.raises(AlgorithmError, match="onto a cycle"):
         spanning_tree_layers(random_tight_multigraph(6, 3, 0), 3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_layers_match_the_label_game(monkeypatch, d):
+    # The positional forests move every pebble as the label-dict game does,
+    # so each edge lands in the same tree; labels are shuffled and sparse.
+    rng = random.Random(d)
+    cases = []
+    for n in (2, 5, 12, 30):
+        gb = random_tight_multigraph(n, d, 40 * d + n)
+        lab = dict(zip(gb.vertices, rng.sample(range(5, 500), n)))
+        cases.append(MultiGraph(lab.values(), [(lab[a], lab[b]) for a, b in gb.edges]))
+    got = [spanning_tree_layers(gb, d) for gb in cases]
+    monkeypatch.setattr(bodybar, "PebbleGame", LabelPebbleGame)
+    assert [spanning_tree_layers(gb, d) for gb in cases] == got
+
+
+@pytest.mark.parametrize("norm", [CUBIC2, CUBIC3], ids=str)
+def test_special_placement_matches_the_label_game(monkeypatch, norm):
+    m = realize_bodybar(random_tight_multigraph(6, norm.d, seed=7), norm)
+    got = special_placement(m, norm, seed=3)
+    monkeypatch.setattr(bodybar, "PebbleGame", LabelPebbleGame)
+    want = special_placement(m, norm, seed=3)
+    assert got == want
+    assert got.placement.coords == want.placement.coords
 
 
 # ---- constructed placements ----------------------------------------------

@@ -1,9 +1,12 @@
+import ast
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from helpers import grow_tight_graph, random_graph
+from helpers import LabelPebbleGame, grow_tight_graph, random_graph
+from rigidkit import sparsity
 from rigidkit.bodybar import (
     MultiBodyGraph,
     body_bar_count,
@@ -358,6 +361,100 @@ def test_delete_refuses_an_edge_not_held():
     with pytest.raises(InputError):
         game.delete(0, 1)
     assert game.admits(0, 1)
+
+
+def test_insert_refuses_a_loop():
+    # A loop would gather pebbles on one vertex counted twice, then hold an
+    # arc from the vertex to itself.
+    game = PebbleGame(range(3), LAMAN)
+    for query in (game.insert, game.admits):
+        with pytest.raises(InputError, match="loop"):
+            query(0, 0)
+    assert game.accepted == [] and game.insert(0, 1)
+
+
+def test_blocker_refuses_a_loop():
+    game = PebbleGame.over(K4, LAMAN)
+    with pytest.raises(InputError, match="loop"):
+        game.blocker(0, 0)
+
+
+def test_insert_refuses_an_unknown_label():
+    game = PebbleGame(range(3), LAMAN)
+    for query in (game.insert, game.admits, game.blocker):
+        with pytest.raises(InputError, match=r"edge \(0, 9\) has an endpoint outside"):
+            query(0, 9)
+    assert game.accepted == [] and game.insert(0, 1)
+
+
+def test_game_refuses_a_repeated_label():
+    with pytest.raises(InputError, match="vertex label 0 repeated"):
+        PebbleGame([0, 0, 1], LAMAN)
+    with pytest.raises(InputError, match="vertex label 7 repeated"):
+        PebbleGame([3, 7, 5, 7, 3], LAMAN)
+
+
+def label_arcs(game):
+    """The positional game's out-arcs and pebbles keyed by vertex label."""
+    labels = game._labels
+    out = {labels[i]: [labels[j] for j in arcs] for i, arcs in enumerate(game._out)}
+    return out, dict(zip(labels, game._pebbles))
+
+
+ORACLE_COUNTS = [SparsityCount(1, 1), QNORM_2D, LAMAN, SparsityCount(3, 3)]
+
+
+@pytest.mark.parametrize("count", ORACLE_COUNTS, ids=str)
+def test_engine_moves_every_pebble_as_the_label_game(count):
+    # Both games replay one seeded run of interleaved operations on shuffled,
+    # non-contiguous labels; every answer and every arc must agree.
+    for seed in range(16):
+        rng = random.Random(f"{count}:{seed}")
+        n = rng.randint(2, 14)
+        labels = rng.sample(range(3, 1000), n)
+        multi = seed % 2 == 1
+        m = rng.randint(0, count.k * n)
+        offered = [tuple(rng.sample(labels, 2)) for _ in range(m)]
+        g = (MultiGraph if multi else SimpleGraph)(
+            labels, offered if multi else {tuple(sorted(e)): None for e in offered}
+        )
+        game, oracle = PebbleGame.over(g, count), LabelPebbleGame.over(g, count)
+        held = [g.edges[i] for i in game.accepted]
+        for _ in range(8 * n):
+            op = rng.choice(("insert", "delete", "admits", "blocker"))
+            u, w = rng.sample(labels, 2)
+            if op == "delete":
+                if not held:
+                    continue
+                u, w = held.pop(rng.randrange(len(held)))[:: rng.choice((1, -1))]
+            elif op == "insert" and not multi and (min(u, w), max(u, w)) in held:
+                continue
+            got = getattr(game, op)(u, w)
+            assert got == getattr(oracle, op)(u, w), (count, seed, op, u, w)
+            if op == "insert" and got:
+                held.append((min(u, w), max(u, w)))
+            assert game.accepted == oracle.accepted
+            assert label_arcs(game) == (oracle.out, oracle.pebbles), (count, seed, op)
+
+
+def test_no_other_module_reads_the_games_lists():
+    # The label map, pebble counts, out-arcs and search marks of a
+    # PebbleGame are positions that only sparsity interprets.
+    internal = {
+        name
+        for name, value in vars(PebbleGame(range(2), LAMAN)).items()
+        if name.startswith("_") and isinstance(value, (list, dict))
+    }
+    assert {"_labels", "_index", "_pebbles", "_out", "_parent", "_stamp"} <= internal
+    package = Path(sparsity.__file__).parent
+    readers = [
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "sparsity.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in internal
+    ]
+    assert readers == []
 
 
 # Reference copies of the algorithms that build a fresh game for every query.

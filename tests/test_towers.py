@@ -15,6 +15,7 @@ from helpers import (
     random_graph,
     record_complete_svds,
     seeded_tight_witnesses,
+    unskipped_rigid_container_2d,
     zero_extension_graph,
 )
 import rigidkit.frameworks
@@ -900,3 +901,89 @@ def test_sequential_decision_matches_reference_loop(monkeypatch):
     assert outcomes == {"undersized", True, False}
     assert calls["new"] == calls["ref"]
     assert calls["new"]
+
+
+# ---- containers against the unskipped pair loop --------------------------
+
+
+def _container_case(idx):
+    """Graph, anchor and exponent: anchors in a rigid graph grown by moves,
+    with a few dependent edges added, or anchors spread over two rigid
+    blocks joined by one link too few (q = 2 needs three links, q = 3 two)."""
+    rng = random.Random(idx)
+    q = (2, 3)[idx % 2]
+    mode = "euclidean" if q == 2 else "qnorm"
+    if idx % 4 < 2:
+        g = grow_tight_graph(mode, rng.randint(6, 60), seed=idx)
+        extra = [e for e in combinations(g.vertices, 2) if not g.has_edge(*e)]
+        g = SimpleGraph(g.vertices, g.edges + tuple(rng.sample(extra, min(3, len(extra)))))
+        anchors = rng.sample(g.vertices, rng.randint(4, min(10, g.n_vertices)))
+    else:
+        a = grow_tight_graph(mode, rng.randint(4, 20), seed=idx)
+        b = grow_tight_graph(mode, rng.randint(4, 20), seed=idx + 1)
+        shift = max(a.vertices) + 1
+        b = SimpleGraph([v + shift for v in b.vertices], [(v + shift, w + shift) for v, w in b.edges])
+        few = 2 if q == 2 else 1
+        links = list(zip(rng.sample(a.vertices, few), rng.sample(b.vertices, few)))
+        g = SimpleGraph(a.vertices + b.vertices, a.edges + b.edges + tuple(links))
+        anchors = rng.sample(a.vertices, 2) + rng.sample(b.vertices, 2)
+    h = induced_subgraph(g, anchors)
+    if idx % 3 == 0 and h.edges:
+        h = SimpleGraph(h.vertices, h.edges[1:])
+    return g, h, q
+
+
+def test_container_skip_keeps_the_unskipped_container():
+    # Vertices and edges come out in the same order, and the negatives agree.
+    outcomes = Counter()
+    for idx in range(80):
+        g, h, q = _container_case(idx)
+        got = rigid_container_2d(g, h, q)
+        want = unskipped_rigid_container_2d(g, h, q)
+        assert _laid_out(None if got is None else [got]) == _laid_out(
+            None if want is None else [want]
+        ), idx
+        outcomes[q, got is None] += 1
+    assert set(outcomes) == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_sequential_containers_keep_the_unskipped_containers(monkeypatch):
+    cases = [
+        (_tight_tower(mode, (6, 20, 45, 80), seed), q)
+        for seed in range(3)
+        for mode, q in (("euclidean", 2), ("qnorm", 3))
+    ]
+    cases += [_random_nested_tower(idx) for idx in range(60)]
+
+    def outcomes():
+        out = []
+        for t, q in cases:
+            try:
+                out.append(_laid_out(sequential_rigidity_2d(t, q, seed=1)))
+            except InputError as err:
+                out.append(str(err))
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr("rigidkit.towers.rigid_container_2d", unskipped_rigid_container_2d)
+    assert got == outcomes()
+    assert all(isinstance(w, list) for w in got[:6]) and None in got
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_container_skips_pairs_an_earlier_closure_covers(monkeypatch, q):
+    g = grow_tight_graph("euclidean" if q == 2 else "qnorm", 160, seed=q)
+    h = induced_subgraph(g, random.Random(q).sample(g.vertices, 8))
+    calls = []
+    real = PebbleGame.blocker
+
+    def blocker(game, u, w):
+        calls.append((u, w))
+        return real(game, u, w)
+
+    monkeypatch.setattr(PebbleGame, "blocker", blocker)
+    assert rigid_container_2d(g, h, q) is not None
+    skipped = len(calls)
+    unskipped_rigid_container_2d(g, h, q)
+    # every pair but those on an edge of the thinned graph asks for a blocker
+    assert 0 < skipped < len(calls) - skipped <= len(list(combinations(h.vertices, 2))) == 28
