@@ -520,6 +520,11 @@ def rigid_container_multibody(
     the pair's insertion.  A pair with neither decides the negative, and by
     the multi-body equivalence that is exactly the failure of relative
     rigidity, in any dimension and for either norm family.
+
+    A pair whose bodies both lie in a closure already taken is skipped, as
+    in towers.rigid_container_2d: that closure is tight and holds the pair,
+    so it contains the pair's minimal tight closure, whose bodies and bars
+    are already chosen.
     """
     if not h.is_subgraph_of(g):
         raise InputError("the part is not a sub-structure of the host")
@@ -534,12 +539,16 @@ def rigid_container_multibody(
     chosen_bodies = {g.body_index[frozenset(b)] for b in h.bodies}
     chosen_bars = {bar_pos[e] for e in h.inter_body_edges}
     anchors = sorted(chosen_bodies)
+    taken: list[frozenset[int]] = []
     for a, b in combinations(anchors, 2):
+        if any(a in c and b in c for c in taken):
+            continue
         # Probing with one more parallel bar is legitimate for every pair,
         # adjacent or not, so each pair must be inside a tight subgraph.
         inside = game.blocker(a, b)
         if inside is None:
             return None
+        taken.append(inside)
         chosen_bodies |= inside
         chosen_bars.update(
             t for t in game.accepted if inside.issuperset(g.collapsed.edges[t])

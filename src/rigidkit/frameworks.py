@@ -41,7 +41,17 @@ that reaches rigid_rank(n) is the rank, which never exceeds it.  A complete
 graph, none of whose vertices has degree d or less, keeps a 0-extension
 graph on its K_{d+1} (q = 2) or K_{2d} base (Tay & Whiteley 1985).  Only
 the body certificates of multi-body structures drop rows; every other rank
-peels exactly.
+peels exactly.  A peel that leaves no row or no column calls no elimination.
+
+Nested stages, a tower's or pinned_ranks' (the anchored vertices' rows, then
+the rest), are ranked at one placement of the last stage by carrying a
+kernel basis mod PRIME up them (_Carry): a stage ranks only the rows and
+vertices it adds, against the kernel of the stage before, and the same
+forward elimination gives the rank with the old vertices pinned.  A stage's
+kernel is built only when a later stage reads it, from the core's reduced
+echelon form and back-substitution through the peel; a stage certified
+rigid reads its rigid motions mod PRIME instead, so only a stage that is not
+certified rigid holds d n nullity int64 entries.
 
 A non-integer q, and flex_report at a given placement (an intended geometry
 that float rounding perturbs, maybe degenerate), use the SVD cutoff
@@ -53,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -352,12 +362,16 @@ def _exact_values(
     columns, one row per edge (the second end's are their negations), with
     the edge ends."""
     pts, ends = _endpoints(g, p, norm)
+    return _exact_rows(pts, residues(pts), ends, norm), ends
+
+
+def _exact_rows(pts: np.ndarray, res: np.ndarray, ends: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """_exact_values from the points, their residues and the edge ends."""
     ia, ib = ends
     sign = np.sign(pts[ia] - pts[ib]).astype(np.int64)
-    res = residues(pts)
     magnitude = (res[ia] - res[ib]) * sign % PRIME
     power = _power(magnitude, norm.q_int - 1, lambda x, y: x * y % PRIME)
-    return power * sign % PRIME, ends
+    return power * sign % PRIME
 
 
 def _core(
@@ -370,29 +384,68 @@ def _core(
     return _layout(cols.size, d, ia, ib, v, -v % PRIME)[:, np.repeat(cols, d)]
 
 
-def rank_mod_p(m: np.ndarray) -> int:
-    """Rank over GF(PRIME) of an integer matrix, by int64 elimination.
-    Entries are reduced first, so a product of two stays below 2^62."""
-    a = np.array(m, dtype=np.int64) % PRIME
-    if a.shape[1] > a.shape[0]:
-        a = a.T.copy()  # one step per column: take the shorter side
+def _inverse(x: int) -> int:
+    return pow(x, -1, PRIME)
+
+
+def _echelon(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form over GF(PRIME) of an integer matrix by int64
+    elimination, pivoting on the columns in their order: its nonzero rows
+    and their pivot columns.  Entries are reduced first, so a product of two
+    stays below 2^62."""
+    a = np.ascontiguousarray(m, dtype=np.int64) % PRIME
     rows, cols = a.shape
-    rank = 0
+    pivots: list[int] = []
     for c in range(cols):
-        if rank == rows:
+        r = len(pivots)
+        if r == rows:
             break
-        nz = a[rank:, c].nonzero()[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0]:
-            a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
-        pivot = a[rank, c:] * pow(int(a[rank, c]), -1, PRIME) % PRIME
-        # The swap left a zero at rank + nz[0], so these are the rows to clear.
-        below = rank + nz[1:]
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        pivot = a[r, c:] * _inverse(int(a[r, c])) % PRIME
+        # The swap left a zero at r + nz[0], so these are the rows to clear.
+        below = r + nz[1:]
         if below.size:
             a[below, c:] = (a[below, c:] - a[below, c, None] * pivot) % PRIME
-        rank += 1
-    return rank
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def _reduce(ech: np.ndarray, piv: list[int]) -> np.ndarray:
+    """The reduced form of rows in echelon form mod PRIME with the given
+    pivot columns, cleared from the last pivot up."""
+    a = ech.copy()
+    for i in reversed(range(len(piv))):
+        c = piv[i]
+        a[i, c:] = a[i, c:] * _inverse(int(a[i, c])) % PRIME
+        above = a[:i, c].nonzero()[0]
+        if above.size:
+            a[above, c:] = (a[above, c:] - a[above, c, None] * a[i, c:]) % PRIME
+    return a
+
+
+def rank_mod_p(m: np.ndarray) -> int:
+    """Rank over GF(PRIME) of an integer matrix, by _echelon on the matrix
+    or its transpose, whichever has fewer columns (one step per column)."""
+    a = np.asarray(m, dtype=np.int64)
+    if a.shape[1] > a.shape[0]:
+        a = a.T
+    return len(_echelon(a)[1])
+
+
+def _matmul_mod_p(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod PRIME for residues.  b splits into 16-bit halves and the
+    inner dimension into chunks of 2^15, so no int64 sum passes 2^62."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    lo, hi = b & 0xFFFF, b >> 16
+    step = 1 << 15
+    for s in range(0, a.shape[1], step):
+        x = a[:, s : s + step]
+        out = (out + (x @ hi[s : s + step] % PRIME << 16) + x @ lo[s : s + step]) % PRIME
+    return out
 
 
 def _basis_rows(rows: list[list[int]]) -> list[int]:
@@ -417,33 +470,44 @@ def _basis_rows(rows: list[list[int]]) -> list[int]:
     return kept
 
 
-def _peeled_rank(
-    vals: np.ndarray, ends: np.ndarray, d: int, free: np.ndarray, budget: int = 0
-) -> tuple[int, list[int]]:
-    """Rank mod PRIME of the exact matrix (edge values and ends as from
-    _exact_values) on the columns of the vertices where free is True, over
-    the rows of the edges with a free end, and the positions of the rows it
-    dropped.  With budget 0 nothing is dropped and the result is the rank;
-    otherwise it is a lower bound.
+class _Peel(NamedTuple):
+    """What _peel took: the rank it added, the rows it dropped, each peeled
+    vertex with the rows it kept in peel order, and the live rows and free
+    vertices left for the core.  short marks an overdrawn budget."""
 
-    A free vertex with at most d such rows R whose block on its own columns
+    rank: int
+    dropped: list[int]
+    order: list[tuple[int, list[int]]]
+    rows: np.ndarray
+    cols: np.ndarray
+    short: bool = False
+
+
+def _peel(
+    vals: np.ndarray, ends: np.ndarray, d: int, free: np.ndarray, budget: int = 0
+) -> _Peel:
+    """Peel the exact matrix (edge values and ends as from _exact_values) on
+    the columns of the vertices where free is True, over the rows of the
+    edges with a free end (the live rows).  With budget 0 nothing is
+    dropped, and the rank is the peeled rank plus the core's.
+
+    A free vertex with at most d live rows R whose block on its own columns
     has full row rank adds |R| and goes with R (the module docstring gives
     the block-triangular argument); its neighbours are then tried again.
     When none is left, the free vertex of least degree k > d with
     k - d <= budget (the first on a tie) keeps the first d of its rows whose
     blocks are independent, drops the rest from the budget and goes the same
     way.  A vertex with fewer independent rows can overdraw the budget; the
-    bound can then no longer reach the row count less the budget, and it is
-    returned without eliminating.  rank_mod_p ranks the core that is left,
-    and the whole matrix when budget is 0 and no free vertex has degree d or
-    less."""
+    bound can then no longer reach the row count less the budget, and the
+    peel stops short.  When budget is 0 and no free vertex has degree d or
+    less, the core is the whole matrix."""
     n = free.size
     live = free[ends].any(axis=0)
     # Every edge at a free vertex is live, so its degree counts all edges.
     deg = np.bincount(ends.ravel(), minlength=n)
     low = free & (deg <= d)
     if not budget and not low.any():
-        return rank_mod_p(_core(vals, ends, d, live, free)), []
+        return _Peel(0, [], [], live, free)
     queue = np.flatnonzero(low).tolist()
     ia, ib = ends.tolist()
     # Negating a row keeps it independent, so vals[e] stands for row e's
@@ -454,7 +518,7 @@ def _peeled_rank(
         incident[ia[e]].append(e)
         incident[ib[e]].append(e)
     deg, alive, left = deg.tolist(), live.tolist(), free.tolist()
-    rank, dropped = 0, []
+    rank, dropped, order = 0, [], []
     while True:
         if queue:
             v = queue.pop()
@@ -472,9 +536,10 @@ def _peeled_rank(
                 continue
             budget -= len(rows) - len(kept)
             if budget < 0:
-                return rank, dropped
+                return _Peel(rank, dropped, order, live, free, short=True)
             dropped += [e for i, e in enumerate(rows) if i not in kept]
         rank += len(kept)
+        order.append((v, [rows[i] for i in kept]))
         left[v] = False
         for e in rows:
             alive[e] = False
@@ -482,8 +547,20 @@ def _peeled_rank(
             deg[u] -= 1
             if left[u] and deg[u] <= d:
                 queue.append(u)
-    core = _core(vals, ends, d, np.array(alive, dtype=bool), np.array(left, dtype=bool))
-    return rank + rank_mod_p(core), dropped
+    return _Peel(rank, dropped, order, np.array(alive, dtype=bool), np.array(left, dtype=bool))
+
+
+def _peeled_rank(
+    vals: np.ndarray, ends: np.ndarray, d: int, free: np.ndarray, budget: int = 0
+) -> tuple[int, list[int]]:
+    """Rank mod PRIME of the matrix _peel takes, and the positions of the
+    rows it dropped: with budget 0 the rank, otherwise a lower bound, which
+    a short peel returns without eliminating.  rank_mod_p ranks the core
+    that is left, unless it has no row or no column."""
+    peel = _peel(vals, ends, d, free, budget)
+    if peel.short or not peel.rows.any() or not peel.cols.any():
+        return peel.rank, peel.dropped
+    return peel.rank + rank_mod_p(_core(vals, ends, d, peel.rows, peel.cols)), peel.dropped
 
 
 def placement_rank(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
@@ -502,30 +579,247 @@ def placement_rank(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
     return _peeled_rank(vals, ends, norm.d, np.ones(g.n_vertices, dtype=bool))[0]
 
 
+# ---- one flex space up a tower --------------------------------------------
+
+
+def _solve_block(block: list[list[int]], d: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """For r independent rows of d residues (a peeled vertex's kept rows on
+    its own columns): their pivot columns piv and, by Gauss-Jordan mod
+    PRIME, the r x r matrix T with E = T block reduced, E[:, piv] = I.  So
+    y with y[piv] = T b and 0 elsewhere solves block y = b, and each other
+    column f gives a null vector: 1 at f and -E[:, f] at piv."""
+    r = len(block)
+    rows = [list(b) + [int(i == j) for j in range(r)] for i, b in enumerate(block)]
+    piv: list[int] = []
+    for c in range(d):
+        k = len(piv)
+        i = next((i for i in range(k, r) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        inv = _inverse(rows[k][c])
+        rows[k] = [x * inv % PRIME for x in rows[k]]
+        for i in range(r):
+            f = rows[i][c]
+            if i != k and f:
+                rows[i] = [(x - f * y) % PRIME for x, y in zip(rows[i], rows[k])]
+        piv.append(c)
+    a = np.array(rows, dtype=np.int64).reshape(r, d + r)
+    return piv, a[:, d:], a[:, :d]
+
+
+# A core with no old columns and more entries than this is ranked by
+# rank_mod_p, on its shorter side: 5.3 against 7.5 ms on the 233 x 236 core of
+# a 200-vertex Laman graph, 6.7 against 15 ms on the 297 x 303 core of
+# banana_tower(32).  Smaller ones keep their echelon for the kernel.
+_LARGE_CORE = 1 << 14
+
+
+class _Once:
+    """build() on the first call, then its result.  build goes once it has
+    run, and with it the step data and the stage before, so a tower holds
+    no kernel that no later stage can read."""
+
+    def __init__(self, build: Callable[[], np.ndarray]):
+        self.build: Callable[[], np.ndarray] | None = build
+
+    def __call__(self) -> np.ndarray:
+        if self.build is not None:
+            self.value, self.build = self.build(), None
+        return self.value
+
+
+class _Stage(NamedTuple):
+    """A stage of a _Carry: its index, its vertex and edge counts, its rank
+    mod PRIME, and its kernel basis read by vertex: kernel(idx) is the
+    (len(idx), d, nullity) array of the basis vectors' rows at the vertex
+    positions idx."""
+
+    index: int
+    n: int
+    m: int
+    rank: int
+    kernel: Callable[[np.ndarray], np.ndarray]
+
+
+class _Carry:
+    """Ranks mod PRIME of nested stages at one placement p of the last.
+
+    Vertices and edges are numbered in the order the stages bring them, so
+    stage k holds the first n_k vertices and m_k edges, and its matrix M_k
+    has a kernel basis K_k mod PRIME.  A later stage j adds the rows [A | B],
+    A on stage k's columns and B on the new vertices'.  Stage k's rows are
+    zero on the new columns, so ker M_j = {(K_k c, y) : A K_k c + B y = 0},
+    and rank M_j = rank M_k + rank [B | A K_k], while rank B is the pinned
+    rank: that of M_j with stage k's columns deleted.  step peels the new
+    vertices on the new rows (_peel: a peeled vertex's columns meet only its
+    rows, in [B | A K_k] too) and forward-eliminates the core [B | A K_k]
+    with B's columns first, so its pivots in B add to the pinned rank and
+    all its pivots to the rank.  A K_k is read at the old ends of the
+    core's rows only.
+
+    K_j is built when a later step first reads it.  The core's reduced
+    echelon form gives its kernel; then each peeled vertex, in reverse peel
+    order, solves its kept rows for its own d coordinates (_solve_block),
+    and each coordinate they leave free adds a null vector.  K_k c gives the
+    old vertices' rows.  A stage whose rank reaches rigid_rank(n) with at
+    least d vertices reads its rigid motions instead (_motions), which lie
+    in the kernel mod PRIME as polynomial identities, once a rank_mod_p
+    check finds them independent on the first d vertices.  So only a stage
+    that is not certified rigid holds d n nullity int64 entries."""
+
+    def __init__(self, stages: Sequence[SimpleGraph], p: Placement, norm: NormSpec):
+        order: dict[int, None] = {}
+        edges: dict[tuple[int, int], None] = {}
+        self.sizes = []
+        for s in stages:
+            order.update(dict.fromkeys(s.vertices))
+            edges.update(dict.fromkeys(s.edges))
+            self.sizes.append((len(order), len(edges)))
+        pts = _endpoints(SimpleGraph(order), p, norm)[0]
+        index = {v: i for i, v in enumerate(order)}
+        self.ends = np.array([index[v] for e in edges for v in e], dtype=np.intp).reshape(-1, 2).T
+        self.norm, self.d, self.res = norm, norm.d, residues(pts)
+        self.vals = _exact_rows(pts, self.res, self.ends, norm)
+
+    def first(self) -> _Stage:
+        """Stage 0, stepped to from no vertex."""
+        none = _Stage(-1, 0, 0, 0, lambda idx: np.zeros((len(idx), self.d, 0), dtype=np.int64))
+        return self.step(none, 0)[1]
+
+    def step(self, small: _Stage, j: int) -> tuple[int, _Stage]:
+        """The pinned rank of stage j at the vertices that small lacks, and
+        stage j."""
+        d, n0, m0 = self.d, small.n, small.m
+        n1, m1 = self.sizes[j]
+        vals, ends = self.vals[m0:m1], self.ends[:, m0:m1]
+        t = n1 - n0
+        # Old ends share one spare vertex t, which is not free.
+        local = np.where(ends >= n0, ends - n0, t)
+        peel = _peel(vals, local, d, np.arange(t + 1) < t)
+        rows = peel.rows | (local == t).all(axis=0)
+        width = d * int(peel.cols.sum())
+        core = np.zeros((0, width + d * n0 - small.rank), dtype=np.int64)
+        if rows.any() and core.shape[1]:
+            b = _core(vals, local, d, rows, peel.cols)
+            core = np.hstack([b, self._restricted(small, vals[rows], ends[:, rows])])
+        echelon = None
+        if core.shape[1] == width and core.size > _LARGE_CORE:
+            # No old columns, so every pivot is pinned, and rank_mod_p may
+            # take the shorter side; the kernel, if read, eliminates again.
+            gain = pinned = rank_mod_p(core)
+        else:
+            echelon = _echelon(core)
+            gain, pinned = len(echelon[1]), sum(c < width for c in echelon[1])
+        pinned += peel.rank
+        rank = small.rank + peel.rank + gain
+        if n1 >= d and rank == self.norm.rigid_rank(n1) and self._motions_independent:
+            return pinned, _Stage(j, n1, m1, rank, self._motions)
+        full = _Once(lambda: self._kernel(small, vals, ends, local, peel, core, echelon, width))
+        return pinned, _Stage(j, n1, m1, rank, lambda idx: full()[idx])
+
+    def _restricted(self, small: _Stage, vals: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """A K for the rows with the given values and ends, K small's kernel
+        basis: each row's d values times K's rows at its first end, less
+        those at its second, where the end is old."""
+        out = np.zeros((len(vals), self.d * small.n - small.rank), dtype=np.int64)
+        side, at = np.nonzero(ends < small.n)
+        if out.size and at.size:
+            term = (vals[at, :, None] * small.kernel(ends[side, at]) % PRIME).sum(axis=1)
+            first = side == 0
+            out[at[first]] += term[first]
+            out[at[~first]] -= term[~first]
+        return out % PRIME
+
+    def _kernel(self, small, vals, ends, local, peel, core, echelon, width) -> np.ndarray:
+        """The kernel basis of the stage a step reached, as an
+        (n, d, nullity) array (see the class docstring)."""
+        d, n0 = self.d, small.n
+        ak = self._restricted(small, vals, ends)
+        c, t = ak.shape[1], int(peel.cols.size) - 1
+        ech, piv = echelon or _echelon(core)
+        red = _reduce(ech, piv)
+        free = np.ones(core.shape[1], dtype=bool)
+        free[piv] = False
+        free = np.flatnonzero(free)
+        f0 = free.size
+        nullity = f0 + sum(d - len(rows) for _, rows in peel.order)
+        y = np.zeros((t + 1, d, nullity), dtype=np.int64)  # the spare row t stays 0
+        coef = np.zeros((c, nullity), dtype=np.int64)
+        z = np.zeros((core.shape[1], f0), dtype=np.int64)
+        z[free, np.arange(f0)] = 1
+        z[piv] = -red[:, free] % PRIME
+        left = np.flatnonzero(peel.cols)
+        y[left, :, :f0] = z[:width].reshape(left.size, d, f0)
+        coef[:, :f0] = z[width:]
+        akc = _matmul_mod_p(ak, coef)
+        blocks, nxt = vals.tolist(), f0
+        for v, rows in reversed(peel.order):
+            piv_v, tr, red_v = _solve_block([blocks[e] for e in rows], d)
+            ia, ib = local[:, rows]
+            # Row e is vals_e on its first end's columns and -vals_e on its
+            # second's, and A K_k coef beside: so vals_e y_v is vals_e y_u of
+            # the other end u, less akc_e when v is the first end, plus it
+            # when v is the second.  The spare row of y stands for old ends.
+            rhs = (vals[rows, :, None] * y[ia + ib - v] % PRIME).sum(axis=1)
+            rhs = (rhs + np.where(ia == v, -1, 1)[:, None] * akc[rows]) % PRIME
+            y[v, piv_v] = (tr[:, :, None] * rhs[None] % PRIME).sum(axis=1) % PRIME
+            for f in range(d):
+                if f not in piv_v:
+                    y[v, f, nxt] = 1
+                    y[v, piv_v, nxt] = -red_v[:, f] % PRIME
+                    nxt += 1
+        old = small.kernel(np.arange(n0)).reshape(n0 * d, c)
+        return np.concatenate([_matmul_mod_p(old, coef).reshape(n0, d, nullity), y[:t]])
+
+    def _motions(self, idx: np.ndarray) -> np.ndarray:
+        """The rigid motions mod PRIME at the vertex positions idx, in the
+        order of _motion_generators: the d translations, then for q = 2 the
+        rotation -x_j e_i + x_i e_j in each coordinate plane i < j."""
+        d = self.d
+        out = np.zeros((len(idx), d, self.norm.trivial_dim_generic), dtype=np.int64)
+        out[:, range(d), range(d)] = 1
+        if self.norm.euclidean:
+            x, col = self.res[idx], d
+            for i in range(d):
+                for j in range(i + 1, d):
+                    out[:, i, col], out[:, j, col] = -x[:, j] % PRIME, x[:, i]
+                    col += 1
+        return out
+
+    @cached_property
+    def _motions_independent(self) -> bool:
+        """Whether the motions are independent on the first d vertices, and
+        so on every stage that holds them."""
+        m = self._motions(np.arange(self.d))
+        return rank_mod_p(m.reshape(self.d * self.d, -1)) == m.shape[2]
+
+
 def pinned_ranks(
     g: SimpleGraph, p: Placement, norm: NormSpec, free: np.ndarray
 ) -> tuple[int, int]:
-    """Ranks at p, by placement_rank's route, of the rigidity matrix and of
-    its columns at the vertices where free is True (in g.vertices order).
-    Rows that the deleted columns leave all zero are dropped before the
-    second rank.
+    """Ranks at p of the rigidity matrix and of its columns at the vertices
+    where free is True (in g.vertices order): exact mod PRIME for an integer
+    q, by the SVD cutoff otherwise.  Rows that the deleted columns leave
+    all zero are dropped before the second rank.
 
-    The exact anchored rank peels free vertices only, as placement_rank
-    does: a free vertex v with at most d edges R left (edges to the anchor
-    included) whose block on v's columns has full row rank adds |R|.  v's
-    columns are zero outside R, so the anchored matrix is block triangular
-    and its rank is |R| + the rank without R and v's columns.  Anchored
-    vertices have no columns, so they are never peeled."""
+    The exact ranks are one _Carry step over two stages at p: the anchored
+    vertices with the edges among them, then g.  The step's pinned rank is
+    the anchored rank, and rank g = rank of the first stage + rank
+    [B | A K], with K the first stage's kernel basis mod PRIME, which holds
+    d |h| nullity int64 entries unless the first stage is certified rigid
+    (then K is its rigid motions).  Each rank falls short of its generic
+    value with probability at most r(q-1)/PRIME, as placement_rank's."""
     if not norm.q_is_integer:
         m = rigidity_matrix(g, p, norm)
         part = m[:, np.repeat(free, norm.d)]
         return matrix_rank(m), matrix_rank(part[part.any(axis=1)])
-    vals, ends = _exact_values(g, p, norm)
-    every = np.ones(g.n_vertices, dtype=bool)
-    return (
-        _peeled_rank(vals, ends, norm.d, every)[0],
-        _peeled_rank(vals, ends, norm.d, free)[0],
-    )
+    anchor = [v for v, f in zip(g.vertices, free.tolist()) if not f]
+    held = set(anchor)
+    h = SimpleGraph(anchor, [e for e in g.edges if e[0] in held and e[1] in held])
+    carry = _Carry([h, g], p, norm)
+    pinned, stage = carry.step(carry.first(), 1)
+    return stage.rank, pinned
 
 
 def _certified_rank(

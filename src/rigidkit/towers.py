@@ -7,6 +7,11 @@ presented as a finite tower of stages is certified rigid through relative
 rigidity of every consecutive stage pair plus vertex completeness; in the
 plane each certified pair additionally yields an explicit rigid container
 subgraph, so a sequential certificate of nested rigid pieces can be built.
+For an integer q a tower's pairs are decided at one placement of its final
+stage, restricted to each stage, through the restriction maps between the
+stages' flex spaces: one kernel basis mod PRIME is carried up the tower
+(frameworks._Carry), so each stage ranks only the rows and vertices it adds,
+and the error bound is the union of the pairs' bounds.
 No container construction is offered in higher dimensions, where relative
 rigidity no longer implies a rigid container (the double-banana obstruction);
 a capped exhaustive search is provided instead to exhibit such failures.
@@ -119,6 +124,29 @@ def _witness_flex(
     return {v: vec[i].copy() for i, v in enumerate(g.vertices)}
 
 
+def _check_anchor(h: SimpleGraph, norm: NormSpec) -> None:
+    need = anchor_threshold(norm)
+    if h.n_vertices < need:
+        raise InputError(
+            f"relative rigidity for {norm} needs at least {need} anchor "
+            f"vertices, got {h.n_vertices}"
+        )
+
+
+def _nullities(
+    norm: NormSpec, n_h: int, n_g: int, rank_g: int, rank_pinned: int
+) -> tuple[int, int]:
+    """g's nullity and its anchored nullity (see relative_rigidity), from
+    g's rank and its rank with h's columns deleted."""
+    nullity_g = norm.d * n_g - rank_g
+    nullity_a = norm.trivial_dim_at(n_h) + norm.d * (n_g - n_h) - rank_pinned
+    if nullity_a > nullity_g:
+        raise InconsistencyError(
+            f"anchored nullity {nullity_a} exceeds graph nullity {nullity_g}"
+        )
+    return nullity_g, nullity_a
+
+
 def relative_rigidity(
     g: SimpleGraph, h: SimpleGraph, norm: NormSpec, seed: int = 0
 ) -> RelativeRigidityVerdict:
@@ -131,14 +159,15 @@ def relative_rigidity(
     nullity_anchored = dim(T restricted to h) + d(n - |h|) - r_pinned,
     where r_pinned is the rank of g's rigidity matrix with h's columns
     deleted, and the norm gives dim(T restricted to h) at a sampled
-    placement.  Both ranks come from one seeded random placement: exact mod
-    PRIME for an integer q, by the SVD cutoff otherwise.  Each falls below
-    its generic value with probability at most r(q-1)/PRIME, r that value,
-    so for an integer q either verdict is wrong with probability at most
-    (r_g + r_pinned)(q-1)/PRIME.  Since the anchored kernel lies inside g's,
-    an anchored nullity above g's can only come from such a shortfall and
-    raises InconsistencyError.  A failing verdict's witness is built on first
-    read, from g's flex report at the same placement and rank.
+    placement.  Both ranks come from one seeded random placement, by
+    pinned_ranks: exact mod PRIME for an integer q, by the SVD cutoff
+    otherwise.  Each falls below its generic value with probability at most
+    r(q-1)/PRIME, r that value, so for an integer q either verdict is wrong
+    with probability at most (r_g + r_pinned)(q-1)/PRIME.  Since the
+    anchored kernel lies inside g's, an anchored nullity above g's can only
+    come from such a shortfall and raises InconsistencyError.  A failing
+    verdict's witness is built on first read, from g's flex report at the
+    same placement and rank.
     """
     import numpy as np
 
@@ -146,25 +175,11 @@ def relative_rigidity(
 
     if not h.is_subgraph_of(g):
         raise InputError("h must be a subgraph of g")
-    need = anchor_threshold(norm)
-    if h.n_vertices < need:
-        raise InputError(
-            f"relative rigidity for {norm} needs at least {need} anchor "
-            f"vertices, got {h.n_vertices}"
-        )
+    _check_anchor(h, norm)
     p = random_placement(g, norm, seed)
     free = np.array([v not in h.vertex_set for v in g.vertices], dtype=bool)
     rank_g, rank_pinned = pinned_ranks(g, p, norm, free)
-    nullity_g = norm.d * g.n_vertices - rank_g
-    nullity_a = (
-        norm.trivial_dim_at(h.n_vertices)
-        + norm.d * (g.n_vertices - h.n_vertices)
-        - rank_pinned
-    )
-    if nullity_a > nullity_g:
-        raise InconsistencyError(
-            f"anchored nullity {nullity_a} exceeds graph nullity {nullity_g}"
-        )
+    nullity_g, nullity_a = _nullities(norm, h.n_vertices, g.n_vertices, rank_g, rank_pinned)
     return RelativeRigidityVerdict(
         relatively_rigid=nullity_a == nullity_g,
         nullity_graph=nullity_g,
@@ -245,15 +260,62 @@ class TowerVerdict:
     vertex_complete: bool
 
 
-def _consecutive_pairs(t: Tower) -> list[tuple[SimpleGraph, SimpleGraph]]:
+def _consecutive_pairs(t: Tower) -> list[tuple[int, int]]:
     # A finite presentation (one stage, or a final stage equal to the declared
     # target) is read as the constant tower from its final stage on, so that
     # stage is also tested against its own completion rather than waved
     # through vacuously.
-    pairs = list(zip(t.stages, t.stages[1:]))
+    pairs = [(k, k + 1) for k in range(t.depth - 1)]
     if t.depth == 1 or t.stages[-1] == t.target:
-        pairs.append((t.stages[-1], t.stages[-1]))
+        pairs.append((t.depth - 1, t.depth - 1))
     return pairs
+
+
+class _CarriedTower:
+    """Relative rigidity of stage pairs (k, j), k <= j, of a tower at an
+    integer q, on one _Carry at one seeded placement of the final stage.
+    Each test steps from stage k, which must be the stage the last passing
+    test reached (stage 0 at first)."""
+
+    def __init__(self, t: Tower, norm: NormSpec, seed: int):
+        from .frameworks import _Carry, random_placement
+
+        self.norm = norm
+        self.carry = _Carry(t.stages, random_placement(t.stages[-1], norm, seed), norm)
+        self.at = self.carry.first()
+
+    def passes(self, k: int, j: int) -> bool:
+        assert self.at.index == k
+        pinned, large = self.carry.step(self.at, j)
+        nullity_g, nullity_a = _nullities(self.norm, self.at.n, large.n, large.rank, pinned)
+        if nullity_a == nullity_g:
+            self.at = large
+        return nullity_a == nullity_g
+
+    def final_rigid(self) -> bool:
+        """Whether the final stage is rigid, stepping on to it."""
+        last = len(self.carry.sizes) - 1
+        stage = self.at if self.at.index == last else self.carry.step(self.at, last)[1]
+        return stage.rank == self.norm.rigid_rank(stage.n)
+
+
+class _SampledTower:
+    """The same tests for a non-integer q: one relative_rigidity verdict per
+    pair at its own seeded placement, and is_rigid_generic on the final
+    stage, as decided by the SVD cutoff."""
+
+    def __init__(self, t: Tower, norm: NormSpec, seed: int, pair_seed: Callable[[int, int], int]):
+        self.t, self.norm, self.seed, self.pair_seed = t, norm, seed, pair_seed
+
+    def passes(self, k: int, j: int) -> bool:
+        small, large = self.t.stages[k], self.t.stages[j]
+        seed = self.seed + self.pair_seed(k, j)
+        return relative_rigidity(large, small, self.norm, seed=seed).relatively_rigid
+
+    def final_rigid(self) -> bool:
+        from .frameworks import is_rigid_generic
+
+        return is_rigid_generic(self.t.stages[-1], self.norm, seed=self.seed + 5077).rigid
 
 
 def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
@@ -264,6 +326,20 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
     presentation (one stage, or a final stage equal to the declared target)
     also pairs its final stage with itself, so that stage must be rigid.
 
+    For an integer q every pair is decided at one seeded placement of the
+    final stage, restricted to each stage (a generic placement of the union
+    restricts to a generic placement of every stage), by one _Carry up the
+    tower: each stage ranks only the rows and vertices it adds, against the
+    kernel mod PRIME of the stage before (see relative_rigidity for the
+    nullities).  Each pair's verdict is wrong with probability at most
+    (r_g + r_pinned)(q-1)/PRIME, so the tower's with at most the sum of
+    these over its pairs.  The Flexible check reads the final stage's
+    nullity from the same carry.  Memory stays at d n nullity int64 entries
+    for the stages that are not certified rigid; a rigid stage reads its
+    rigid motions.  A non-integer q decides each pair at its own placement
+    (seed + 101 k for the pair from stage k) and the final stage by
+    is_rigid_generic (seed + 5077), by the SVD cutoff.
+
     A tower with no declared target has two readings, one per verdict.  For
     Rigid it is a truncated presentation of the countable graph it builds:
     the final stage is not tested against itself, so flexible stages each
@@ -273,29 +349,28 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
     Tower([C4, C4, K4]), whose final stage is rigid, stays Undecided.  With
     a declared target beyond the final stage a failing pair always leaves
     the verdict Undecided."""
-    from .frameworks import is_rigid_generic
-
     validate_tower(t)
-    pairs = _consecutive_pairs(t)
+    try:
+        _check_anchor(t.stages[0], norm)
+    except InputError as err:
+        raise InputError(f"stage 1: {err}") from None
+    if norm.q_is_integer:
+        pairs = _CarriedTower(t, norm, seed)
+    else:
+        pairs = _SampledTower(t, norm, seed, lambda k, j: 101 * k)
     prefix = 1
     all_rigid = True
-    for k, (small, large) in enumerate(pairs):
-        try:
-            verdict = relative_rigidity(large, small, norm, seed=seed + 101 * k)
-        except InputError as err:
-            raise InputError(f"stage {k + 1}: {err}") from None
-        if not verdict.relatively_rigid:
+    for k, j in _consecutive_pairs(t):
+        if not pairs.passes(k, j):
             all_rigid = False
             break
-        prefix = min(k + 2, t.depth)
+        prefix = j + 1
     vc = t.vertex_complete
     if all_rigid and vc:
         return TowerVerdict(TOWER_RIGID, prefix, t.depth, vc)
     finite = t.target is None or t.stages[-1] == t.target
-    if not all_rigid and finite:
-        final = t.stages[-1]
-        if not is_rigid_generic(final, norm, seed=seed + 5077).rigid:
-            return TowerVerdict(TOWER_FLEXIBLE, prefix, t.depth, vc)
+    if not all_rigid and finite and not pairs.final_rigid():
+        return TowerVerdict(TOWER_FLEXIBLE, prefix, t.depth, vc)
     return TowerVerdict(TOWER_UNDECIDED, prefix, t.depth, vc)
 
 
@@ -333,7 +408,7 @@ def sequential_rigidity_2d(
     validate_tower(t)
     norm = NormSpec(2, q)
     return _containers(
-        _consecutive_pairs(t),
+        [(t.stages[k], t.stages[j]) for k, j in _consecutive_pairs(t)],
         lambda small, large: rigid_container_2d(large, small, q),
         lambda k, small, large: relative_rigidity(
             large, small, norm, seed=seed + 31 * k + 7
@@ -441,23 +516,30 @@ def relatively_rigid_subsequence(
 ) -> tuple[int, ...]:
     """Greedy forward scan for stage indices forming a relatively rigid
     subsequence.  Returns 0-based indices into t.stages starting at 0; no
-    minimality of the gaps is claimed.  Stages too small to anchor are
-    skipped over."""
+    minimality of the gaps is claimed.  A first stage too small to anchor
+    ends the scan there; any other InputError reaches the caller.
+
+    For an integer q every pair is decided at one seeded placement of the
+    final stage, on one _Carry as in tower_rigidity: each stage j tried from
+    stage k ranks the rows and vertices it adds against k's kernel mod
+    PRIME, built once.  The result is wrong with probability at most the sum
+    of the tried pairs' bounds (r_g + r_pinned)(q-1)/PRIME, and only stages
+    that are not certified rigid hold d n nullity int64 entries.  A
+    non-integer q decides the pair ending at stage j at its own placement
+    (seed + 13 j), by the SVD cutoff."""
     validate_tower(t)
+    # The stages nest, so stage 0 anchors worst.
+    if t.stages[0].n_vertices < anchor_threshold(norm):
+        return (0,)
+    if norm.q_is_integer:
+        pairs = _CarriedTower(t, norm, seed)
+    else:
+        pairs = _SampledTower(t, norm, seed, lambda k, j: 13 * j)
     chosen = [0]
-    k = 0
-    while k < t.depth - 1:
-        advanced = False
-        for j in range(k + 1, t.depth):
-            try:
-                v = relative_rigidity(t.stages[j], t.stages[k], norm, seed=seed + 13 * j)
-            except InputError:
-                continue
-            if v.relatively_rigid:
-                chosen.append(j)
-                k = j
-                advanced = True
-                break
-        if not advanced:
+    while chosen[-1] < t.depth - 1:
+        k = chosen[-1]
+        j = next((j for j in range(k + 1, t.depth) if pairs.passes(k, j)), None)
+        if j is None:
             break
+        chosen.append(j)
     return tuple(chosen)

@@ -9,9 +9,16 @@ from typing import Iterable
 
 import numpy as np
 
-from rigidkit.bodybar import body_bar_count, validate_multibody
+from rigidkit.bodybar import (
+    MultiBodyGraph,
+    _independence_threshold,
+    body_bar_count,
+    validate_multibody,
+)
 from rigidkit.frameworks import (
     RANK_EPS,
+    _exact_values,
+    _peeled_rank,
     kernel_basis,
     placement_rank,
     random_placement,
@@ -369,6 +376,57 @@ def unskipped_rigid_container_2d(g, h, q):
         vs.update(dict.fromkeys(x for x in thin.vertices if x in closure))
         es.update(dict.fromkeys(e for e in thin.edges if closure.issuperset(e)))
     return SimpleGraph(vs, es)
+
+
+def unskipped_rigid_container_multibody(g, h, norm):
+    """Reference for bodybar.rigid_container_multibody that asks the game for
+    the blocker of every pair of h's bodies, covered by an earlier closure
+    or not."""
+    if not h.is_subgraph_of(g):
+        raise InputError("the part is not a sub-structure of the host")
+    need = _independence_threshold(norm)
+    if h.underlying.n_vertices < need:
+        raise InputError(
+            f"the anchored part needs at least {need} vertices for {norm}, "
+            f"got {h.underlying.n_vertices}"
+        )
+    game = PebbleGame.over(g.collapsed, body_bar_count(norm))
+    bar_pos = {e: t for t, e in enumerate(g.inter_body_edges)}
+    chosen_bodies = {g.body_index[frozenset(b)] for b in h.bodies}
+    chosen_bars = {bar_pos[e] for e in h.inter_body_edges}
+    anchors = sorted(chosen_bodies)
+    for a, b in combinations(anchors, 2):
+        inside = game.blocker(a, b)
+        if inside is None:
+            return None
+        chosen_bodies |= inside
+        chosen_bars.update(
+            t for t in game.accepted if inside.issuperset(g.collapsed.edges[t])
+        )
+    bodies = tuple(g.bodies[i] for i in sorted(chosen_bodies))
+    bars = set(g.inter_body_edges[t] for t in sorted(chosen_bars))
+    keep_vs = {v for b in bodies for v in b}
+    owner = g.body_of
+    vs = tuple(v for v in g.underlying.vertices if v in keep_vs)
+    es = tuple(
+        e
+        for e in g.underlying.edges
+        if e in bars
+        or (e[0] in keep_vs and e[1] in keep_vs and owner[e[0]] == owner[e[1]])
+    )
+    return MultiBodyGraph(SimpleGraph(vs, es), bodies, tuple(sorted(bars)))
+
+
+def two_peel_pinned_ranks(g, p, norm, free):
+    """Reference for frameworks.pinned_ranks at an integer q: the rank of g's
+    exact matrix mod PRIME and of its columns at the free vertices, each by
+    its own peel and elimination."""
+    vals, ends = _exact_values(g, p, norm)
+    every = np.ones(g.n_vertices, dtype=bool)
+    return (
+        _peeled_rank(vals, ends, norm.d, every)[0],
+        _peeled_rank(vals, ends, norm.d, free)[0],
+    )
 
 
 class LabelPebbleGame:

@@ -15,6 +15,7 @@ from helpers import (
     random_tight_multigraph,
     realize_bodybar,
     seeded_tight_witnesses,
+    unskipped_rigid_container_multibody,
 )
 from rigidkit import bodybar, frameworks, jsonio
 from rigidkit.bodybar import (
@@ -52,7 +53,7 @@ from rigidkit.graphs import (
     induced_subgraph,
     validate_tower,
 )
-from rigidkit.sparsity import SparsityCount, is_sparse
+from rigidkit.sparsity import PebbleGame, SparsityCount, is_sparse
 from rigidkit.towers import LAMAN_TOWER_NOT, LAMAN_TOWER_RIGID, relative_rigidity
 
 EUCLID2 = NormSpec(2, 2)
@@ -803,6 +804,60 @@ def test_container_matches_relative_rigidity(idx):
             assert tay_decide(container, norm, seed=idx + 1).rigid
         else:
             assert is_rigid_generic(container.underlying, norm).rigid
+
+
+def _many_anchor_case(idx):
+    """A tight body-and-bar host, or one with a few bars cut, and 8 to 12 of
+    its bodies with the bars among them."""
+    rng = random.Random(idx)
+    norm = (NormSpec(2, 2), NormSpec(2, 3), NormSpec(3, 3))[idx % 3]
+    gb = random_tight_multigraph(rng.randint(12, 30), body_bar_count(norm).k, idx)
+    edges = list(gb.edges)
+    for _ in range(idx % 3):
+        edges.pop(rng.randrange(len(edges)))
+    m = realize_bodybar(MultiGraph(gb.vertices, edges), norm)
+    ids = tuple(sorted(rng.sample(range(m.n_bodies), rng.randint(8, 12))))
+    return m, induced_multibody(m, ids), norm
+
+
+def _laid_out_multibody(c):
+    if c is None:
+        return None
+    return c.underlying.vertices, c.underlying.edges, c.bodies, c.inter_body_edges
+
+
+def test_multibody_container_skip_keeps_the_unskipped_container():
+    outcomes = set()
+    for idx in range(36):
+        m, h, norm = _many_anchor_case(idx)
+        got = rigid_container_multibody(m, h, norm)
+        want = unskipped_rigid_container_multibody(m, h, norm)
+        assert _laid_out_multibody(got) == _laid_out_multibody(want)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_multibody_container_skips_pairs_an_earlier_closure_covers(monkeypatch, seed):
+    # 40 bodies joined along three spanning trees in cubic 3-space, with 8
+    # anchor bodies: one blocker per pair is 28 calls.
+    norm = NormSpec(3, 3)
+    m = realize_bodybar(random_tight_multigraph(40, 3, seed), norm)
+    h = induced_multibody(m, sorted(random.Random(seed).sample(range(40), 8)))
+    calls = []
+    real = PebbleGame.blocker
+
+    def blocker(game, a, b):
+        calls.append((a, b))
+        return real(game, a, b)
+
+    monkeypatch.setattr(PebbleGame, "blocker", blocker)
+    want = unskipped_rigid_container_multibody(m, h, norm)
+    assert len(calls) == 28
+    calls.clear()
+    got = rigid_container_multibody(m, h, norm)
+    assert _laid_out_multibody(got) == _laid_out_multibody(want)
+    assert 0 < len(calls) < 28
 
 
 # ---- staged certification ------------------------------------------------

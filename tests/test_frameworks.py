@@ -441,12 +441,12 @@ def test_peel_with_drops_bounds_the_rank(q, d, seed):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_complete_graphs_certify_on_a_spanning_subgraph(q, d, monkeypatch):
     # K_n keeps a 0-extension graph on its K_{d+1} (q = 2) or K_{2d} base.
-    # A Euclidean base peels too, so the elimination receives no columns; a
+    # A Euclidean base peels too, so nothing is left to eliminate; a
     # non-Euclidean one is what the elimination receives.
     rng = random.Random(10 * q + d)
     norm = NormSpec(d, q)
     base = d + 1 if q == 2 else 2 * d
-    core = (0, 0) if q == 2 else (base * (base - 1) // 2, d * base)
+    core = [] if q == 2 else [(base * (base - 1) // 2, d * base)]
     shapes = []
 
     def recording(m):
@@ -461,7 +461,7 @@ def test_complete_graphs_certify_on_a_spanning_subgraph(q, d, monkeypatch):
         rank, dropped = frameworks._certified_rank(g, p, norm)
         kept = sorted(set(range(g.n_edges)) - set(dropped))
         assert rank == norm.rigid_rank(n) == len(kept) == g.n_edges - len(dropped)
-        assert shapes == [core]
+        assert shapes == core
         assert rank_mod_p(rigidity_matrix_mod_p(g, p, norm)[kept]) == rank
 
 
@@ -729,7 +729,8 @@ def _power_nodes(tree):
 
 def test_frameworks_has_one_power_routine():
     # The only ** are _power's pow and PRIME's definition, and the builtin
-    # pow serves only rank_mod_p's modular inverse.
+    # pow serves only the modular inverse of _inverse, which the eliminations
+    # (_echelon, _solve_block) call.
     tree = ast.parse(inspect.getsource(frameworks))
     allowed = []
     for node in tree.body:
@@ -737,7 +738,7 @@ def test_frameworks_has_one_power_routine():
             allowed += [n for n in _power_nodes(node) if isinstance(n, ast.BinOp)]
         elif isinstance(node, ast.Assign) and ast.unparse(node) == "PRIME = 2 ** 31 - 1":
             allowed += list(_power_nodes(node))
-        elif isinstance(node, ast.FunctionDef) and node.name == "rank_mod_p":
+        elif isinstance(node, ast.FunctionDef) and node.name == "_inverse":
             allowed += [
                 n for n in _power_nodes(node)
                 if isinstance(n, ast.Call) and ast.unparse(n.args[1]) == "-1"
@@ -773,7 +774,9 @@ def test_one_kernel_per_sampled_framework():
         and node.module in ("frameworks", "rigidkit.frameworks")
         for alias in node.names
     ]
-    assert imported and [n for n in imported if n.startswith("_")] == []
+    # The one private name is the tower carry, whose ranks mod PRIME are
+    # not a float kernel.
+    assert imported and [n for n in imported if n.startswith("_")] == ["_Carry"]
 
 
 @pytest.mark.parametrize(
@@ -815,3 +818,63 @@ def test_growth_profile_checks_nesting_as_towers_do():
     with pytest.raises(NestingError, match="stage 2 does not contain stage 1") as err:
         flex_growth_profile([c4, braced, c4], [p, p, p], EUCLID2)
     assert err.value.index == 2
+
+
+def _rank_families():
+    """Calls like those of the benchmark's generic, relative-towers and
+    multibody workloads: generic verdicts on 0-extension and Laman graphs,
+    rigid, one edge short and one over; deep, prefix and two-block towers;
+    and body-and-bar validation, decisions, placements and towers."""
+    from helpers import random_tight_multigraph, realize_bodybar
+    from rigidkit import bodybar
+    from rigidkit.catalog import banana_tower
+    from rigidkit.graphs import Tower, graph_union, induced_subgraph
+
+    calls = []
+    for d, q in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        norm = NormSpec(d, q)
+        base = d + 1 if q == 2 else 2 * d
+        full = zero_extension_graph(30, d, base, d + q)
+        missing = next((a, b) for a in range(30) for b in range(a) if not full.has_edge(a, b))
+        cut = SimpleGraph(full.vertices, full.edges[:-1])
+        braced = SimpleGraph(full.vertices, full.edges + (missing,))
+        for g in (full, cut, braced):
+            calls.append(lambda g=g, norm=norm: is_rigid_generic(g, norm, seed=1))
+        prefix = Tower([induced_subgraph(full, range(m)) for m in (base, base + 4, base + 8, 30)])
+        calls.append(lambda t=prefix, norm=norm: towers.tower_rigidity(t, norm, seed=1))
+        calls.append(lambda t=prefix, norm=norm: towers.relatively_rigid_subsequence(t, norm, seed=1))
+        shifted = SimpleGraph(
+            [v + 100 for v in full.vertices], [(a + 100, b + 100) for a, b in full.edges]
+        )
+        apart = graph_union(full, shifted)
+        joined = SimpleGraph(apart.vertices, apart.edges + ((0, 100), (1, 101)))
+        calls.append(lambda g=joined, h=apart, norm=norm: towers.relative_rigidity(g, h, norm, seed=1))
+        two = Tower([full, apart, joined])
+        calls.append(lambda t=two, norm=norm: towers.tower_rigidity(t, norm, seed=1))
+        calls.append(lambda t=two, norm=norm: towers.relatively_rigid_subsequence(t, norm, seed=1))
+        m = realize_bodybar(random_tight_multigraph(5, norm.trivial_dim_generic, d + q), norm)
+        calls.append(lambda m=m, norm=norm: bodybar.tay_decide(m, norm, seed=1))
+        calls.append(lambda m=m, norm=norm: bodybar.validate_multibody(m.underlying, m.bodies, norm))
+        if not norm.euclidean:
+            calls.append(lambda m=m, norm=norm: bodybar.special_placement(m, norm, seed=1))
+    laman = grow_tight_graph("euclidean", 60, 3)
+    calls.append(lambda: is_rigid_generic(laman, EUCLID2, seed=1))
+    bananas = Tower([banana_tower(k) for k in range(1, 5)])
+    calls.append(lambda: towers.tower_rigidity(bananas, NormSpec(3, 2), seed=1))
+    calls.append(lambda: towers.relatively_rigid_subsequence(bananas, NormSpec(3, 2), seed=1))
+    return calls
+
+
+def test_no_empty_matrix_reaches_the_elimination(monkeypatch):
+    # A peel that leaves no live row or no free column has nothing left to
+    # rank, so rank_mod_p is not called on it.
+    shapes = []
+
+    def recording(m):
+        shapes.append(m.shape)
+        return rank_mod_p(m)
+
+    monkeypatch.setattr(frameworks, "rank_mod_p", recording)
+    for call in _rank_families():
+        call()
+    assert shapes and [s for s in shapes if 0 in s] == []

@@ -1,7 +1,9 @@
 import json
 import random
+import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -15,11 +17,13 @@ from helpers import (
     random_graph,
     record_complete_svds,
     seeded_tight_witnesses,
+    two_peel_pinned_ranks,
     unskipped_rigid_container_2d,
     zero_extension_graph,
 )
 import rigidkit.frameworks
-from rigidkit import jsonio
+from rigidkit import jsonio, towers
+from rigidkit.catalog import banana_tower
 from rigidkit.cli import run
 from rigidkit.errors import InconsistencyError, InputError
 from rigidkit.frameworks import (
@@ -987,3 +991,238 @@ def test_container_skips_pairs_an_earlier_closure_covers(monkeypatch, q):
     unskipped_rigid_container_2d(g, h, q)
     # every pair but those on an edge of the thinned graph asks for a blocker
     assert 0 < skipped < len(calls) - skipped <= len(list(combinations(h.vertices, 2))) == 28
+
+
+# ---- one kernel carried up a tower ---------------------------------------
+
+
+def _nested_tower(g, rng, depth):
+    """Stages of g: its vertices arrive in depth shuffled blocks, some with no
+    edge yet, and each edge at or after the stage holding both its ends, so
+    some stages add only edges between old vertices."""
+    order = rng.sample(g.vertices, g.n_vertices)
+    cuts = sorted(rng.sample(range(1, g.n_vertices), depth - 1)) + [g.n_vertices]
+    arrive = {v: sum(i >= c for c in cuts) for i, v in enumerate(order)}
+    due = {e: max(arrive[e[0]], arrive[e[1]]) + rng.choice((0, 0, 1, 2)) for e in g.edges}
+    edges = rng.sample(g.edges, g.n_edges)
+    return Tower(
+        SimpleGraph(
+            [v for v in order if arrive[v] <= k], [e for e in edges if due[e] <= k]
+        )
+        for k in range(depth)
+    )
+
+
+def _two_blocks(norm, seed):
+    """A rigid block, two disjoint blocks, and the two joined by fewer bars
+    than the rigid motions need: the last pair fails."""
+    base = norm.d + 1 if norm.euclidean else 2 * norm.d
+    a = zero_extension_graph(base + 3, norm.d, base, seed)
+    b = SimpleGraph(
+        [v + 100 for v in a.vertices], [(u + 100, v + 100) for u, v in a.edges]
+    )
+    apart = graph_union(a, b)
+    links = [(i, 100 + (i + seed) % a.n_vertices) for i in range(2)]
+    return Tower([a, apart, SimpleGraph(apart.vertices, apart.edges + tuple(links))])
+
+
+def _carry_towers():
+    """(tower, norm) pairs over d in {2, 3} and q in {2, 3, 4}: prefixes of
+    0-extension graphs (the first stage flexible when it is short of the
+    base), nested stages of random and complete graphs with isolated
+    vertices and edge-only stages, two blocks with a failing pair, and in
+    3-space the banana towers."""
+    out = []
+    for d in (2, 3):
+        for q in (2, 3, 4):
+            norm = NormSpec(d, q)
+            base = d + 1 if q == 2 else 2 * d
+            for seed in range(2):
+                rng = random.Random(100 * d + 10 * q + seed)
+                full = zero_extension_graph(base + 10, d, base, seed)
+                sizes = (base - 2 + seed, base + 2, base + 5, base + 10)
+                found = [
+                    Tower([induced_subgraph(full, range(m)) for m in sizes]),
+                    _nested_tower(full, rng, 4),
+                    _nested_tower(random_graph(12, 0.5, seed), rng, 4),
+                    _nested_tower(complete_graph(base + 3), rng, 3),
+                    _two_blocks(norm, seed),
+                ]
+                if d == 3:
+                    found.append(Tower([banana_tower(k) for k in range(1, 4 + seed)]))
+                out += [(t, norm) for t in found]
+    # A first stage whose core is large enough for rank_mod_p's orientation.
+    out.append((Tower([banana_tower(k) for k in (16, 17, 18)]), NormSpec(3, 2)))
+    return out
+
+
+CARRY_TOWERS = _carry_towers()
+
+
+def _relative_pair(small, large, p, norm):
+    """(nullity_graph, nullity_anchored) of small in large at p, by the
+    two-peel reference."""
+    free = np.array([v not in small.vertex_set for v in large.vertices])
+    rank_g, rank_pinned = two_peel_pinned_ranks(large, p, norm, free)
+    nullity_a = norm.trivial_dim_at(small.n_vertices) + norm.d * (
+        large.n_vertices - small.n_vertices
+    ) - rank_pinned
+    return norm.d * large.n_vertices - rank_g, nullity_a
+
+
+@pytest.mark.parametrize("idx", range(len(CARRY_TOWERS)))
+def test_carried_pairs_match_two_peel_ranks(idx):
+    # Every pair (k, j), k <= j, stepped from stage k's carried kernel gives
+    # the nullities the two-peel reference finds at the same placement.
+    t, norm = CARRY_TOWERS[idx]
+    p = random_placement(t.stages[-1], norm, idx)
+    carry = rigidkit.frameworks._Carry(t.stages, p, norm)
+    at = [carry.first()]
+    for j in range(1, t.depth):
+        at.append(carry.step(at[-1], j)[1])
+    for k in range(t.depth):
+        for j in range(k, t.depth):
+            small, large = t.stages[k], t.stages[j]
+            pinned, stage = carry.step(at[k], j)
+            got = towers._nullities(norm, small.n_vertices, large.n_vertices, stage.rank, pinned)
+            assert got == _relative_pair(small, large, p, norm), (k, j)
+
+
+@pytest.mark.parametrize("idx", range(len(CARRY_TOWERS)))
+def test_carried_kernels_span_each_stages_kernel(idx):
+    # Each stage's kernel basis, in the carry's vertex order, is annihilated
+    # by the stage's exact matrix and has rank nullity mod PRIME.
+    t, norm = CARRY_TOWERS[idx]
+    p = random_placement(t.stages[-1], norm, idx)
+    carry = rigidkit.frameworks._Carry(t.stages, p, norm)
+    stage = carry.first()
+    order = list(dict.fromkeys(v for s in t.stages for v in s.vertices))
+    for j in range(t.depth):
+        if j:
+            stage = carry.step(stage, j)[1]
+        n, d = stage.n, norm.d
+        kern = stage.kernel(np.arange(n)).reshape(n * d, -1)
+        assert kern.shape[1] == d * n - stage.rank
+        g = SimpleGraph(order[:n], t.stages[j].edges)
+        m = rigidkit.frameworks.rigidity_matrix_mod_p(g, p, norm)
+        product = m.astype(object) @ kern.astype(object) % rigidkit.frameworks.PRIME
+        assert not product.any()
+        assert rigidkit.frameworks.rank_mod_p(kern) == kern.shape[1]
+
+
+def test_carry_keeps_no_kernel_a_later_stage_cannot_read():
+    # banana_tower(1..128): every stage is flexible, so every kernel is
+    # built.  Each is freed once the next stage has read it (2.1 MB peak);
+    # holding all of them took 6.7 MB.
+    top = banana_tower(128)
+    t = Tower([SimpleGraph(range(3 * k + 5), top.edges[: 9 * k + 9]) for k in range(1, 129)])
+    tracemalloc.start()
+    try:
+        verdict = tower_rigidity(t, NormSpec(3, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == TOWER_RIGID
+    assert peak < 4 * 2**20
+
+
+def _reference_tower(t, norm, seed):
+    """tower_rigidity's status and prefix, each pair by the two-peel
+    reference at one placement of the final stage."""
+    p = random_placement(t.stages[-1], norm, seed)
+    prefix, failed = 1, False
+    for k, j in towers._consecutive_pairs(t):
+        graph, anchored = _relative_pair(t.stages[k], t.stages[j], p, norm)
+        if graph != anchored:
+            failed = True
+            break
+        prefix = j + 1
+    if not failed and t.vertex_complete:
+        return TOWER_RIGID, prefix
+    final = t.stages[-1]
+    final_nullity = norm.d * final.n_vertices - two_peel_pinned_ranks(
+        final, p, norm, np.ones(final.n_vertices, dtype=bool)
+    )[0]
+    if failed and final_nullity > norm.trivial_dim_at(final.n_vertices):
+        return TOWER_FLEXIBLE, prefix
+    return TOWER_UNDECIDED, prefix
+
+
+def _reference_subsequence(t, norm, seed):
+    p = random_placement(t.stages[-1], norm, seed)
+    chosen, k = [0], 0
+    while k < t.depth - 1 and t.stages[k].n_vertices >= anchor_threshold(norm):
+        j = next(
+            (
+                j
+                for j in range(k + 1, t.depth)
+                if len(set(_relative_pair(t.stages[k], t.stages[j], p, norm))) == 1
+            ),
+            None,
+        )
+        if j is None:
+            break
+        chosen.append(j)
+        k = j
+    return tuple(chosen)
+
+
+def test_tower_decisions_match_the_two_peel_reference():
+    statuses = set()
+    for idx, (t, norm) in enumerate(CARRY_TOWERS):
+        if t.stages[0].n_vertices < anchor_threshold(norm):
+            with pytest.raises(InputError, match="stage 1"):
+                tower_rigidity(t, norm, seed=idx)
+        else:
+            v = tower_rigidity(t, norm, seed=idx)
+            assert (v.status, v.relatively_rigid_prefix) == _reference_tower(t, norm, idx)
+            statuses.add(v.status)
+        got = relatively_rigid_subsequence(t, norm, seed=idx)
+        assert got == _reference_subsequence(t, norm, idx)
+    assert statuses == {TOWER_RIGID, TOWER_FLEXIBLE, TOWER_UNDECIDED}
+
+
+def test_tower_places_once_and_reads_the_final_nullity(monkeypatch):
+    # At an integer q a tower draws one placement, and its Flexible check
+    # reads the carried nullity instead of calling is_rigid_generic.
+    placed, generic = [], []
+    real = rigidkit.frameworks.random_placement
+
+    def placement(g, norm, seed):
+        placed.append(seed)
+        return real(g, norm, seed)
+
+    monkeypatch.setattr(rigidkit.frameworks, "random_placement", placement)
+    monkeypatch.setattr(
+        rigidkit.frameworks, "is_rigid_generic", lambda *a, **k: generic.append(a)
+    )
+    cases = [
+        (Tower([C4, C4]), TOWER_FLEXIBLE),
+        (Tower([complete_graph(3), K3_PENDANT], target=K3_PENDANT), TOWER_FLEXIBLE),
+        (Tower([C4, C4, complete_graph(4)]), TOWER_UNDECIDED),
+        (Tower([banana_tower(k) for k in range(1, 5)]), TOWER_RIGID),
+    ]
+    for t, status in cases:
+        placed.clear()
+        norm = NormSpec(3, 2) if t.depth == 4 else EUCLID2
+        assert tower_rigidity(t, norm, seed=5).status == status
+        assert placed == [5]
+        placed.clear()
+        relatively_rigid_subsequence(t, norm, seed=5)
+        assert placed == [5]
+    assert generic == []
+
+
+def test_subsequence_lets_other_input_errors_through(monkeypatch):
+    # A stage too small to anchor ends the scan; any other InputError from a
+    # pair's verdict is the caller's to see.
+    t = Tower([complete_graph(4), complete_graph(5), complete_graph(6)])
+    norm = NormSpec(2, Fraction(5, 2))
+    assert relatively_rigid_subsequence(t, norm) == (0, 1, 2)
+
+    def refuse(*args, **kwargs):
+        raise InputError("placement refused")
+
+    monkeypatch.setattr(towers, "relative_rigidity", refuse)
+    with pytest.raises(InputError, match="placement refused"):
+        relatively_rigid_subsequence(t, norm)
