@@ -43,15 +43,17 @@ graph on its K_{d+1} (q = 2) or K_{2d} base (Tay & Whiteley 1985).  Only
 the body certificates of multi-body structures drop rows; every other rank
 peels exactly.  A peel that leaves no row or no column calls no elimination.
 
-Nested stages, a tower's or pinned_ranks' (the anchored vertices' rows, then
-the rest), are ranked at one placement of the last stage by carrying a
-kernel basis mod PRIME up them (_Carry): a stage ranks only the rows and
-vertices it adds, against the kernel of the stage before, and the same
-forward elimination gives the rank with the old vertices pinned.  A stage's
-kernel is built only when a later stage reads it, from the core's reduced
-echelon form and back-substitution through the peel; a stage certified
-rigid reads its rigid motions mod PRIME instead, so only a stage that is not
-certified rigid holds d n nullity int64 entries.
+The nested stages of a tower are ranked at one placement of the last stage
+by carrying a kernel basis mod PRIME up them (_Carry): a stage ranks only
+the rows and vertices it adds, against the kernel of the stage before, and
+the same forward elimination gives the rank with the old vertices pinned.
+A stage's kernel is built only when a later stage reads it, from the core's
+reduced echelon form and back-substitution through the peel; a stage
+certified rigid reads its rigid motions mod PRIME instead, so only a stage
+that is not certified rigid holds d n nullity int64 entries.  A stage whose
+flexes outweigh what the next one adds is not carried: the next stage is
+ranked afresh, and the pinned rank by the peel, as pinned_ranks ranks a
+lone pair.
 
 A non-integer q, and flex_report at a given placement (an intended geometry
 that float rounding perturbs, maybe degenerate), use the SVD cutoff
@@ -558,9 +560,15 @@ def _peeled_rank(
     a short peel returns without eliminating.  rank_mod_p ranks the core
     that is left, unless it has no row or no column."""
     peel = _peel(vals, ends, d, free, budget)
-    if peel.short or not peel.rows.any() or not peel.cols.any():
-        return peel.rank, peel.dropped
-    return peel.rank + rank_mod_p(_core(vals, ends, d, peel.rows, peel.cols)), peel.dropped
+    return (peel.rank if peel.short else _rank_after(vals, ends, d, peel)), peel.dropped
+
+
+def _rank_after(vals: np.ndarray, ends: np.ndarray, d: int, peel: _Peel) -> int:
+    """The rank peel took plus that of the core it left, by rank_mod_p
+    unless the core has no row or no column."""
+    if not peel.rows.any() or not peel.cols.any():
+        return peel.rank
+    return peel.rank + rank_mod_p(_core(vals, ends, d, peel.rows, peel.cols))
 
 
 def placement_rank(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
@@ -579,40 +587,36 @@ def placement_rank(g: SimpleGraph, p: Placement, norm: NormSpec) -> int:
     return _peeled_rank(vals, ends, norm.d, np.ones(g.n_vertices, dtype=bool))[0]
 
 
+def pinned_ranks(
+    g: SimpleGraph, p: Placement, norm: NormSpec, free: np.ndarray
+) -> tuple[int, int]:
+    """Ranks at p, by placement_rank's route, of the rigidity matrix and of
+    its columns at the vertices where free is True (in g.vertices order).
+    Rows that the deleted columns leave all zero are dropped before the
+    second rank.
+
+    The exact anchored rank peels free vertices only, as placement_rank
+    does: a free vertex v with at most d edges R left (edges to the anchor
+    included) whose block on v's columns has full row rank adds |R|.  v's
+    columns are zero outside R, so the anchored matrix is block triangular
+    and its rank is |R| + the rank without R and v's columns.  Anchored
+    vertices have no columns, so they are never peeled.  Nested stages of a
+    tower go through _Carry instead, which reads each stage's kernel in the
+    next step; a lone pair has no next step, and the anchor's kernel would
+    cost more than the two peels."""
+    if not norm.q_is_integer:
+        m = rigidity_matrix(g, p, norm)
+        part = m[:, np.repeat(free, norm.d)]
+        return matrix_rank(m), matrix_rank(part[part.any(axis=1)])
+    vals, ends = _exact_values(g, p, norm)
+    every = np.ones(g.n_vertices, dtype=bool)
+    return (
+        _peeled_rank(vals, ends, norm.d, every)[0],
+        _peeled_rank(vals, ends, norm.d, free)[0],
+    )
+
+
 # ---- one flex space up a tower --------------------------------------------
-
-
-def _solve_block(block: list[list[int]], d: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """For r independent rows of d residues (a peeled vertex's kept rows on
-    its own columns): their pivot columns piv and, by Gauss-Jordan mod
-    PRIME, the r x r matrix T with E = T block reduced, E[:, piv] = I.  So
-    y with y[piv] = T b and 0 elsewhere solves block y = b, and each other
-    column f gives a null vector: 1 at f and -E[:, f] at piv."""
-    r = len(block)
-    rows = [list(b) + [int(i == j) for j in range(r)] for i, b in enumerate(block)]
-    piv: list[int] = []
-    for c in range(d):
-        k = len(piv)
-        i = next((i for i in range(k, r) if rows[i][c]), None)
-        if i is None:
-            continue
-        rows[k], rows[i] = rows[i], rows[k]
-        inv = _inverse(rows[k][c])
-        rows[k] = [x * inv % PRIME for x in rows[k]]
-        for i in range(r):
-            f = rows[i][c]
-            if i != k and f:
-                rows[i] = [(x - f * y) % PRIME for x, y in zip(rows[i], rows[k])]
-        piv.append(c)
-    a = np.array(rows, dtype=np.int64).reshape(r, d + r)
-    return piv, a[:, d:], a[:, :d]
-
-
-# A core with no old columns and more entries than this is ranked by
-# rank_mod_p, on its shorter side: 5.3 against 7.5 ms on the 233 x 236 core of
-# a 200-vertex Laman graph, 6.7 against 15 ms on the 297 x 303 core of
-# banana_tower(32).  Smaller ones keep their echelon for the kernel.
-_LARGE_CORE = 1 << 14
 
 
 class _Once:
@@ -642,6 +646,26 @@ class _Stage(NamedTuple):
     kernel: Callable[[np.ndarray], np.ndarray]
 
 
+class _Added(NamedTuple):
+    """The rows a stage adds to the first n0 vertices and m0 edges: their
+    values and ends, the ends counted from the first new vertex (an old end
+    is the spare vertex t, which is not free), the peel of the new vertices
+    on these rows, the core's rows (live, or with two old ends) and its
+    width, d per free vertex."""
+
+    vals: np.ndarray
+    ends: np.ndarray
+    local: np.ndarray
+    peel: _Peel
+    rows: np.ndarray
+    width: int
+
+
+def _work(rows: int, cols: int) -> int:
+    """Entry updates that eliminating a dense rows x cols matrix can take."""
+    return rows * cols * min(rows, cols)
+
+
 class _Carry:
     """Ranks mod PRIME of nested stages at one placement p of the last.
 
@@ -658,15 +682,30 @@ class _Carry:
     all its pivots to the rank.  A K_k is read at the old ends of the
     core's rows only.
 
+    The core's old columns are the nullity of stage k.  Rigid motions add
+    only the trivial dimension, but the flexes of a large flexible stage,
+    or one that stage j extends by edges alone, can outweigh all that stage
+    j adds.  So when stage k has a flex and writing K_k (d n_k nullity
+    entries) and eliminating [B | A K_k] (_work, the dense bound) can take
+    more work than eliminating B and reading stage j's rows, which ranking
+    stage j afresh must do, step also peels stage j whole.  When
+    eliminating B and the core that peel leaves takes less work than
+    carrying, it ranks B alone and stage j from no vertex, as two peels
+    would, and never builds K_k.  A tower of stages that each add a block
+    that does not peel, as the banana tower's, carries K_k, since peeling
+    its stages whole leaves them whole.
+
     K_j is built when a later step first reads it.  The core's reduced
     echelon form gives its kernel; then each peeled vertex, in reverse peel
-    order, solves its kept rows for its own d coordinates (_solve_block),
-    and each coordinate they leave free adds a null vector.  K_k c gives the
-    old vertices' rows.  A stage whose rank reaches rigid_rank(n) with at
-    least d vertices reads its rigid motions instead (_motions), which lie
-    in the kernel mod PRIME as polynomial identities, once a rank_mod_p
-    check finds them independent on the first d vertices.  So only a stage
-    that is not certified rigid holds d n nullity int64 entries."""
+    order, solves its kept rows for its own d coordinates (the reduced form
+    of [block | I], whose pivots all fall in the block's independent rows'
+    d columns), and each coordinate they leave free adds a null vector.
+    K_k c gives the old vertices' rows.  A stage whose rank reaches
+    rigid_rank(n) with at least d vertices reads its rigid motions instead
+    (_motions), which lie in the kernel mod PRIME as polynomial identities,
+    once a rank_mod_p check finds them independent on the first d vertices.
+    So only a stage that is not certified rigid holds d n nullity int64
+    entries."""
 
     def __init__(self, stages: Sequence[SimpleGraph], p: Placement, norm: NormSpec):
         order: dict[int, None] = {}
@@ -681,42 +720,66 @@ class _Carry:
         self.ends = np.array([index[v] for e in edges for v in e], dtype=np.intp).reshape(-1, 2).T
         self.norm, self.d, self.res = norm, norm.d, residues(pts)
         self.vals = _exact_rows(pts, self.res, self.ends, norm)
+        self.empty = _Stage(
+            -1, 0, 0, 0, lambda idx: np.zeros((len(idx), self.d, 0), dtype=np.int64)
+        )
 
     def first(self) -> _Stage:
         """Stage 0, stepped to from no vertex."""
-        none = _Stage(-1, 0, 0, 0, lambda idx: np.zeros((len(idx), self.d, 0), dtype=np.int64))
-        return self.step(none, 0)[1]
+        return self.step(self.empty, 0)[1]
 
     def step(self, small: _Stage, j: int) -> tuple[int, _Stage]:
         """The pinned rank of stage j at the vertices that small lacks, and
         stage j."""
-        d, n0, m0 = self.d, small.n, small.m
+        new = self._added(small, j)
+        old = self.d * small.n - small.rank
+        if old > self.norm.trivial_dim_at(small.n):
+            # Carried, K_k is written and [B | A K_k] eliminated; afresh, B
+            # is eliminated and stage j's d m_j values are read.
+            carried = self.d * small.n * old + _work(int(new.rows.sum()), new.width + old)
+            alone = _work(int(new.peel.rows.sum()), new.width)
+            if carried > alone + self.d * self.sizes[j][1]:
+                whole = self._added(self.empty, j)
+                if alone + _work(int(whole.rows.sum()), whole.width) < carried:
+                    pinned = _rank_after(new.vals, new.local, self.d, new.peel)
+                    return pinned, self._reach(self.empty, whole, j)[1]
+        return self._reach(small, new, j)
+
+    def _added(self, small: _Stage, j: int) -> _Added:
+        """What stage j adds to small, peeled."""
+        n0, m0 = small.n, small.m
         n1, m1 = self.sizes[j]
-        vals, ends = self.vals[m0:m1], self.ends[:, m0:m1]
+        ends = self.ends[:, m0:m1]
         t = n1 - n0
-        # Old ends share one spare vertex t, which is not free.
         local = np.where(ends >= n0, ends - n0, t)
-        peel = _peel(vals, local, d, np.arange(t + 1) < t)
+        peel = _peel(self.vals[m0:m1], local, self.d, np.arange(t + 1) < t)
         rows = peel.rows | (local == t).all(axis=0)
-        width = d * int(peel.cols.sum())
-        core = np.zeros((0, width + d * n0 - small.rank), dtype=np.int64)
-        if rows.any() and core.shape[1]:
-            b = _core(vals, local, d, rows, peel.cols)
-            core = np.hstack([b, self._restricted(small, vals[rows], ends[:, rows])])
-        echelon = None
-        if core.shape[1] == width and core.size > _LARGE_CORE:
-            # No old columns, so every pivot is pinned, and rank_mod_p may
-            # take the shorter side; the kernel, if read, eliminates again.
-            gain = pinned = rank_mod_p(core)
-        else:
-            echelon = _echelon(core)
-            gain, pinned = len(echelon[1]), sum(c < width for c in echelon[1])
-        pinned += peel.rank
-        rank = small.rank + peel.rank + gain
+        width = self.d * int(peel.cols.sum())
+        return _Added(self.vals[m0:m1], ends, local, peel, rows, width)
+
+    def _reach(self, small: _Stage, new: _Added, j: int) -> tuple[int, _Stage]:
+        """step from small with what stage j adds to it."""
+        d, rows = self.d, new.rows
+        n1, m1 = self.sizes[j]
+        core = np.zeros((0, new.width + d * small.n - small.rank), dtype=np.int64)
+        if rows.any():
+            b = _core(new.vals, new.local, d, rows, new.peel.cols)
+            core = np.hstack([b, self._restricted(small, new.vals[rows], new.ends[:, rows])])
+        ech, piv = _echelon(core)
+        pinned = new.peel.rank + sum(c < new.width for c in piv)
+        rank = small.rank + new.peel.rank + len(piv)
         if n1 >= d and rank == self.norm.rigid_rank(n1) and self._motions_independent:
             return pinned, _Stage(j, n1, m1, rank, self._motions)
-        full = _Once(lambda: self._kernel(small, vals, ends, local, peel, core, echelon, width))
+        full = _Once(lambda: self._kernel(small, new, ech, piv))
         return pinned, _Stage(j, n1, m1, rank, lambda idx: full()[idx])
+
+    def rigid(self, stage: _Stage, g: SimpleGraph) -> bool:
+        """Whether stage, whose graph is g, reaches rigid_rank.  In the plane
+        the tight-spanning count must agree, as in is_rigid_generic: a rank
+        that falls short at p raises InconsistencyError (_plane_cross_check)."""
+        rigid = stage.rank == self.norm.rigid_rank(stage.n)
+        _plane_cross_check(g, self.norm, rigid, stage.rank)
+        return rigid
 
     def _restricted(self, small: _Stage, vals: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """A K for the rows with the given values and ends, K small's kernel
@@ -731,31 +794,36 @@ class _Carry:
             out[at[~first]] -= term[~first]
         return out % PRIME
 
-    def _kernel(self, small, vals, ends, local, peel, core, echelon, width) -> np.ndarray:
-        """The kernel basis of the stage a step reached, as an
-        (n, d, nullity) array (see the class docstring)."""
+    def _kernel(self, small: _Stage, new: _Added, ech: np.ndarray, piv: list[int]) -> np.ndarray:
+        """The kernel basis of the stage a step reached from small, from the
+        rows it added and the core's echelon form, as an (n, d, nullity)
+        array (see the class docstring)."""
         d, n0 = self.d, small.n
-        ak = self._restricted(small, vals, ends)
+        vals, local, peel, width = new.vals, new.local, new.peel, new.width
+        ak = self._restricted(small, vals, new.ends)
         c, t = ak.shape[1], int(peel.cols.size) - 1
-        ech, piv = echelon or _echelon(core)
         red = _reduce(ech, piv)
-        free = np.ones(core.shape[1], dtype=bool)
+        free = np.ones(width + c, dtype=bool)
         free[piv] = False
         free = np.flatnonzero(free)
         f0 = free.size
         nullity = f0 + sum(d - len(rows) for _, rows in peel.order)
         y = np.zeros((t + 1, d, nullity), dtype=np.int64)  # the spare row t stays 0
         coef = np.zeros((c, nullity), dtype=np.int64)
-        z = np.zeros((core.shape[1], f0), dtype=np.int64)
+        z = np.zeros((width + c, f0), dtype=np.int64)
         z[free, np.arange(f0)] = 1
         z[piv] = -red[:, free] % PRIME
         left = np.flatnonzero(peel.cols)
         y[left, :, :f0] = z[:width].reshape(left.size, d, f0)
         coef[:, :f0] = z[width:]
         akc = _matmul_mod_p(ak, coef)
-        blocks, nxt = vals.tolist(), f0
+        nxt = f0
         for v, rows in reversed(peel.order):
-            piv_v, tr, red_v = _solve_block([blocks[e] for e in rows], d)
+            # The kept rows are independent on v's columns, so every pivot of
+            # [block | I] falls there: reduced, it is [E | T], T block = E.
+            block = np.hstack([vals[rows], np.eye(len(rows), dtype=np.int64)])
+            ech_v, piv_v = _echelon(block)
+            red_v, tr = np.hsplit(_reduce(ech_v, piv_v), [d])
             ia, ib = local[:, rows]
             # Row e is vals_e on its first end's columns and -vals_e on its
             # second's, and A K_k coef beside: so vals_e y_v is vals_e y_u of
@@ -793,33 +861,6 @@ class _Carry:
         so on every stage that holds them."""
         m = self._motions(np.arange(self.d))
         return rank_mod_p(m.reshape(self.d * self.d, -1)) == m.shape[2]
-
-
-def pinned_ranks(
-    g: SimpleGraph, p: Placement, norm: NormSpec, free: np.ndarray
-) -> tuple[int, int]:
-    """Ranks at p of the rigidity matrix and of its columns at the vertices
-    where free is True (in g.vertices order): exact mod PRIME for an integer
-    q, by the SVD cutoff otherwise.  Rows that the deleted columns leave
-    all zero are dropped before the second rank.
-
-    The exact ranks are one _Carry step over two stages at p: the anchored
-    vertices with the edges among them, then g.  The step's pinned rank is
-    the anchored rank, and rank g = rank of the first stage + rank
-    [B | A K], with K the first stage's kernel basis mod PRIME, which holds
-    d |h| nullity int64 entries unless the first stage is certified rigid
-    (then K is its rigid motions).  Each rank falls short of its generic
-    value with probability at most r(q-1)/PRIME, as placement_rank's."""
-    if not norm.q_is_integer:
-        m = rigidity_matrix(g, p, norm)
-        part = m[:, np.repeat(free, norm.d)]
-        return matrix_rank(m), matrix_rank(part[part.any(axis=1)])
-    anchor = [v for v, f in zip(g.vertices, free.tolist()) if not f]
-    held = set(anchor)
-    h = SimpleGraph(anchor, [e for e in g.edges if e[0] in held and e[1] in held])
-    carry = _Carry([h, g], p, norm)
-    pinned, stage = carry.step(carry.first(), 1)
-    return stage.rank, pinned
 
 
 def _certified_rank(

@@ -10,8 +10,9 @@ subgraph, so a sequential certificate of nested rigid pieces can be built.
 For an integer q a tower's pairs are decided at one placement of its final
 stage, restricted to each stage, through the restriction maps between the
 stages' flex spaces: one kernel basis mod PRIME is carried up the tower
-(frameworks._Carry), so each stage ranks only the rows and vertices it adds,
-and the error bound is the union of the pairs' bounds.
+(frameworks._Carry), so each stage ranks only the rows and vertices it adds
+unless the flexes of the stage before would cost more to carry, and the
+error bound is the union of the pairs' bounds.
 No container construction is offered in higher dimensions, where relative
 rigidity no longer implies a rigid container (the double-banana obstruction);
 a capped exhaustive search is provided instead to exhibit such failures.
@@ -280,8 +281,8 @@ class _CarriedTower:
     def __init__(self, t: Tower, norm: NormSpec, seed: int):
         from .frameworks import _Carry, random_placement
 
-        self.norm = norm
-        self.carry = _Carry(t.stages, random_placement(t.stages[-1], norm, seed), norm)
+        self.norm, self.final = norm, t.stages[-1]
+        self.carry = _Carry(t.stages, random_placement(self.final, norm, seed), norm)
         self.at = self.carry.first()
 
     def passes(self, k: int, j: int) -> bool:
@@ -293,10 +294,11 @@ class _CarriedTower:
         return nullity_a == nullity_g
 
     def final_rigid(self) -> bool:
-        """Whether the final stage is rigid, stepping on to it."""
+        """Whether the final stage is rigid, stepping on to it; in the plane
+        cross-checked as is_rigid_generic is."""
         last = len(self.carry.sizes) - 1
         stage = self.at if self.at.index == last else self.carry.step(self.at, last)[1]
-        return stage.rank == self.norm.rigid_rank(stage.n)
+        return self.carry.rigid(stage, self.final)
 
 
 class _SampledTower:
@@ -331,14 +333,20 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
     restricts to a generic placement of every stage), by one _Carry up the
     tower: each stage ranks only the rows and vertices it adds, against the
     kernel mod PRIME of the stage before (see relative_rigidity for the
-    nullities).  Each pair's verdict is wrong with probability at most
-    (r_g + r_pinned)(q-1)/PRIME, so the tower's with at most the sum of
-    these over its pairs.  The Flexible check reads the final stage's
-    nullity from the same carry.  Memory stays at d n nullity int64 entries
-    for the stages that are not certified rigid; a rigid stage reads its
-    rigid motions.  A non-integer q decides each pair at its own placement
-    (seed + 101 k for the pair from stage k) and the final stage by
-    is_rigid_generic (seed + 5077), by the SVD cutoff.
+    nullities), unless that stage's flexes would cost more to carry than
+    ranking the next stage afresh.  Each pair's verdict is wrong with
+    probability at most (r_g + r_pinned)(q-1)/PRIME, so the tower's with at
+    most the sum of these over its pairs.  The Flexible check reads the
+    final stage's nullity from the same carry, at that one placement; in
+    the plane it is cross-checked against the tight-spanning count, as
+    is_rigid_generic's verdict is, and a disagreement (a rank that fell
+    short at the placement) raises InconsistencyError, where
+    is_rigid_generic would first have tried up to five placements.  Memory
+    stays at d n nullity int64 entries for the stages that are not
+    certified rigid; a rigid stage reads its rigid motions.  A non-integer q
+    decides each pair at its own placement (seed + 101 k for the pair from
+    stage k) and the final stage by is_rigid_generic (seed + 5077), by the
+    SVD cutoff.
 
     A tower with no declared target has two readings, one per verdict.  For
     Rigid it is a truncated presentation of the countable graph it builds:
@@ -522,7 +530,8 @@ def relatively_rigid_subsequence(
     For an integer q every pair is decided at one seeded placement of the
     final stage, on one _Carry as in tower_rigidity: each stage j tried from
     stage k ranks the rows and vertices it adds against k's kernel mod
-    PRIME, built once.  The result is wrong with probability at most the sum
+    PRIME, built once (or afresh, when k's flexes would cost more).  The
+    result is wrong with probability at most the sum
     of the tried pairs' bounds (r_g + r_pinned)(q-1)/PRIME, and only stages
     that are not certified rigid hold d n nullity int64 entries.  A
     non-integer q decides the pair ending at stage j at its own placement

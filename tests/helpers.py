@@ -17,8 +17,6 @@ from rigidkit.bodybar import (
 )
 from rigidkit.frameworks import (
     RANK_EPS,
-    _exact_values,
-    _peeled_rank,
     kernel_basis,
     placement_rank,
     random_placement,
@@ -415,18 +413,6 @@ def unskipped_rigid_container_multibody(g, h, norm):
         or (e[0] in keep_vs and e[1] in keep_vs and owner[e[0]] == owner[e[1]])
     )
     return MultiBodyGraph(SimpleGraph(vs, es), bodies, tuple(sorted(bars)))
-
-
-def two_peel_pinned_ranks(g, p, norm, free):
-    """Reference for frameworks.pinned_ranks at an integer q: the rank of g's
-    exact matrix mod PRIME and of its columns at the free vertices, each by
-    its own peel and elimination."""
-    vals, ends = _exact_values(g, p, norm)
-    every = np.ones(g.n_vertices, dtype=bool)
-    return (
-        _peeled_rank(vals, ends, norm.d, every)[0],
-        _peeled_rank(vals, ends, norm.d, free)[0],
-    )
 
 
 class LabelPebbleGame:

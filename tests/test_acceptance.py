@@ -76,6 +76,7 @@ from rigidkit.towers import (
     TOWER_RIGID,
     exhaustive_rigid_container,
     relative_rigidity,
+    relatively_rigid_subsequence,
     rigid_container_2d,
     sequential_rigidity_2d,
     tower_rigidity,
@@ -615,3 +616,38 @@ def test_23_deep_prefix_tower():
         verdict = tower_rigidity(Tower(stages), NormSpec(3, 2), seed=0)
     assert verdict.status == TOWER_RIGID
     assert verdict.relatively_rigid_prefix == 400
+
+
+def test_24_flexible_first_stages_cost_two_peels(monkeypatch):
+    # A 1200-vertex Laman 0-extension graph g over three flexible first
+    # stages: a spanning tree (so g adds only edges), g less a degree-3
+    # vertex, and the subgraph that half of g's vertices induce.  Their
+    # flexes outweigh what g adds, so neither a pair nor a lone verdict
+    # builds a kernel; carrying one took 0.49, 0.05 and 0.23 s per tower
+    # against 0.007, 0.007 and 0.06 s for two peels.
+    euclid = NormSpec(2, 2)
+    g = zero_extension_graph(1200, 2, 3, seed=7)
+    tree, seen = [], {0}
+    for a, b in g.edges:  # each vertex after the base joins earlier ones
+        for v, w in ((a, b), (b, a)):
+            if v in seen and w not in seen:
+                seen.add(w)
+                tree.append((a, b))
+    assert len(tree) == g.n_vertices - 1
+    degree = Counter(v for e in g.edges for v in e)
+    cut = next(v for v in g.vertices if degree[v] == 3)
+    firsts = [
+        SimpleGraph(g.vertices, tree),
+        induced_subgraph(g, [v for v in g.vertices if v != cut]),
+        induced_subgraph(g, sorted(random.Random(3).sample(g.vertices, 600))),
+    ]
+    built = []
+    real = frameworks._Carry._kernel
+    monkeypatch.setattr(frameworks._Carry, "_kernel", lambda *a: built.append(a) or real(*a))
+    with budget(1):
+        for h in firsts:
+            t = Tower([h, g])
+            assert tower_rigidity(t, euclid, seed=1).status == TOWER_RIGID
+            assert relatively_rigid_subsequence(t, euclid, seed=1) == (0, 1)
+            assert relative_rigidity(g, h, euclid, seed=1).relatively_rigid
+    assert built == []

@@ -730,7 +730,7 @@ def _power_nodes(tree):
 def test_frameworks_has_one_power_routine():
     # The only ** are _power's pow and PRIME's definition, and the builtin
     # pow serves only the modular inverse of _inverse, which the eliminations
-    # (_echelon, _solve_block) call.
+    # (_echelon, _reduce) call.
     tree = ast.parse(inspect.getsource(frameworks))
     allowed = []
     for node in tree.body:

@@ -17,7 +17,6 @@ from helpers import (
     random_graph,
     record_complete_svds,
     seeded_tight_witnesses,
-    two_peel_pinned_ranks,
     unskipped_rigid_container_2d,
     zero_extension_graph,
 )
@@ -31,6 +30,7 @@ from rigidkit.frameworks import (
     flex_report,
     is_rigid_generic,
     kernel_basis,
+    pinned_ranks,
     random_placement,
     rigidity_matrix,
     trivial_motion_basis,
@@ -1051,7 +1051,7 @@ def _carry_towers():
                 if d == 3:
                     found.append(Tower([banana_tower(k) for k in range(1, 4 + seed)]))
                 out += [(t, norm) for t in found]
-    # A first stage whose core is large enough for rank_mod_p's orientation.
+    # A first stage that leaves a large core, carried up the next two.
     out.append((Tower([banana_tower(k) for k in (16, 17, 18)]), NormSpec(3, 2)))
     return out
 
@@ -1060,10 +1060,10 @@ CARRY_TOWERS = _carry_towers()
 
 
 def _relative_pair(small, large, p, norm):
-    """(nullity_graph, nullity_anchored) of small in large at p, by the
-    two-peel reference."""
+    """(nullity_graph, nullity_anchored) of small in large at p, by
+    pinned_ranks' two peels."""
     free = np.array([v not in small.vertex_set for v in large.vertices])
-    rank_g, rank_pinned = two_peel_pinned_ranks(large, p, norm, free)
+    rank_g, rank_pinned = pinned_ranks(large, p, norm, free)
     nullity_a = norm.trivial_dim_at(small.n_vertices) + norm.d * (
         large.n_vertices - small.n_vertices
     ) - rank_pinned
@@ -1074,6 +1074,27 @@ def _relative_pair(small, large, p, norm):
 def test_carried_pairs_match_two_peel_ranks(idx):
     # Every pair (k, j), k <= j, stepped from stage k's carried kernel gives
     # the nullities the two-peel reference finds at the same placement.
+    _check_carried_pairs(idx)
+
+
+def test_carry_sweep_takes_both_routes(monkeypatch):
+    # The sweep reaches stages both ways: carried from the stage before, and
+    # afresh from no vertex when the flexes of the stage before outweigh
+    # what the stage adds.
+    routes = Counter()
+    real = rigidkit.frameworks._Carry._reach
+
+    def reach(carry, small, new, j):
+        routes["afresh" if small.index < 0 and j else "carried"] += 1
+        return real(carry, small, new, j)
+
+    monkeypatch.setattr(rigidkit.frameworks._Carry, "_reach", reach)
+    for idx in range(len(CARRY_TOWERS)):
+        _check_carried_pairs(idx)
+    assert routes["afresh"] > 0 and routes["carried"] > 0
+
+
+def _check_carried_pairs(idx):
     t, norm = CARRY_TOWERS[idx]
     p = random_placement(t.stages[-1], norm, idx)
     carry = rigidkit.frameworks._Carry(t.stages, p, norm)
@@ -1140,7 +1161,7 @@ def _reference_tower(t, norm, seed):
     if not failed and t.vertex_complete:
         return TOWER_RIGID, prefix
     final = t.stages[-1]
-    final_nullity = norm.d * final.n_vertices - two_peel_pinned_ranks(
+    final_nullity = norm.d * final.n_vertices - pinned_ranks(
         final, p, norm, np.ones(final.n_vertices, dtype=bool)
     )[0]
     if failed and final_nullity > norm.trivial_dim_at(final.n_vertices):
@@ -1211,6 +1232,23 @@ def test_tower_places_once_and_reads_the_final_nullity(monkeypatch):
         relatively_rigid_subsequence(t, norm, seed=5)
         assert placed == [5]
     assert generic == []
+
+
+def test_plane_flexible_check_agrees_with_the_count(monkeypatch):
+    # In the plane the carried Flexible check is cross-checked against the
+    # tight-spanning count: a final rank that falls short at the placement
+    # raises instead of reading Flexible.
+    t = Tower([C4, C4, complete_graph(4)])
+    assert tower_rigidity(t, EUCLID2).status == TOWER_UNDECIDED
+    real = rigidkit.frameworks._Carry.step
+
+    def short_at_the_top(carry, small, j):
+        pinned, stage = real(carry, small, j)
+        return pinned, stage._replace(rank=stage.rank - 1) if j == t.depth - 1 else stage
+
+    monkeypatch.setattr(rigidkit.frameworks._Carry, "step", short_at_the_top)
+    with pytest.raises(InconsistencyError, match="combinatorial verdict True"):
+        tower_rigidity(t, EUCLID2)
 
 
 def test_subsequence_lets_other_input_errors_through(monkeypatch):
