@@ -38,6 +38,7 @@ from .frameworks import (
     Placement,
     _best_placement,
     _certified_rank,
+    _check_seed,
     _plane_cross_check,
     is_rigid_generic,
     placement_rank,
@@ -52,7 +53,6 @@ from .towers import (
     LAMAN_TOWER_RIGID,
     _containers,
     _nested_witnesses,
-    relative_rigidity,
 )
 
 __all__ = [
@@ -457,7 +457,7 @@ def special_placement(
     d = norm.d
     g = m.underlying
     layers = spanning_tree_layers(m.collapsed, d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     pts = dict(zip(g.vertices, rng.uniform(-1.0, 1.0, size=(g.n_vertices, d))))
     for (v, w), layer in zip(m.inter_body_edges, layers):
         pts[w] = pts[v].copy()
@@ -599,13 +599,13 @@ def bodybar_tower_decide(
 
     Runs the planar tower decision on the collapsed multigraphs: each
     stage's collapsed multigraph must admit a (k, k)-tight spanning subgraph
-    extending the previous witness.  A witness covering every body certifies Rigid, and
-    EssentiallyMinimallyRigid when it also exhausts the reference bars, so
-    that no bar could be spared.  When some stage has no tight spanning
-    subgraph the decision falls back on rigid containers of consecutive
-    pairs, which certify Rigid exactly when relative rigidity holds stage by
-    stage and the containers reach every body.
-    """
+    extending the previous witness.  A witness covering every body certifies
+    Rigid, and EssentiallyMinimallyRigid when it also exhausts the reference
+    bars, so that no bar could be spared.  When some stage has no tight
+    spanning subgraph the decision falls back on rigid containers of
+    consecutive pairs, which certify Rigid exactly when relative rigidity
+    holds stage by stage and the containers reach every body; a missing
+    container is confirmed at the final stage's seeded placement."""
     validate_tower(t)
     status, tight = _nested_witnesses(
         (labeled_body_bar(s) for s in t.stages),
@@ -620,9 +620,10 @@ def bodybar_tower_decide(
         containers = _containers(
             zip(t.stages, t.stages[1:]),
             lambda small, large: rigid_container_multibody(large, small, norm),
-            lambda i, small, large: relative_rigidity(
-                large.underlying, small.underlying, norm, seed=seed + 17 * i
-            ),
+            t.stages[-1],
+            norm,
+            seed,
+            graph=lambda s: s.underlying,
         )
     except InputError:
         containers = None

@@ -325,11 +325,18 @@ def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> F
 # ---- placement sampling ------------------------------------------------
 
 
+def _check_seed(seed: int) -> int:
+    """The seed, if the CLI's --seed would take it; numpy would misread a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, int | np.integer) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def random_placement(g: SimpleGraph, norm: NormSpec, seed: int) -> Placement:
     """Uniform in [-1, 1]^d, drawn once.  An edge with an equal coordinate
     pair has probability below |E| d 2^-53, one more degenerate placement
     inside the per-placement error bound of the module docstring."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     return Placement.from_array(g, rng.uniform(-1.0, 1.0, size=(g.n_vertices, norm.d)))
 
 
@@ -600,10 +607,10 @@ def pinned_ranks(
     included) whose block on v's columns has full row rank adds |R|.  v's
     columns are zero outside R, so the anchored matrix is block triangular
     and its rank is |R| + the rank without R and v's columns.  Anchored
-    vertices have no columns, so they are never peeled.  Nested stages of a
-    tower go through _Carry instead, which reads each stage's kernel in the
-    next step; a lone pair has no next step, and the anchor's kernel would
-    cost more than the two peels."""
+    vertices have no columns, so they are never peeled.  At an integer q a
+    tower's pairs go through _Carry instead, which reads each stage's kernel
+    in the next step; a lone pair has no next step, and the anchor's kernel
+    would cost more than the two peels."""
     if not norm.q_is_integer:
         m = rigidity_matrix(g, p, norm)
         part = m[:, np.repeat(free, norm.d)]
@@ -898,6 +905,7 @@ def _best_placement(
     every rank; a caller that knows the generic rank passes that instead."""
     if trials < 1:
         raise InputError("generic rank sampling needs at least one trial")
+    _check_seed(seed)
     if target is None:
         target = g.n_edges
     stop = min(target, norm.rigid_rank(g.n_vertices))
@@ -1172,9 +1180,10 @@ def flex_growth_profile(
     validate_tower(Tower(stages))
     for k in range(len(stages) - 1):
         for v in stages[k].vertices:
-            a = np.asarray(placements[k][v])
-            b = np.asarray(placements[k + 1][v])
-            if not np.allclose(a, b, atol=1e-12, rtol=0.0):
+            missing = next((s for s in (k, k + 1) if v not in placements[s]), None)
+            if missing is not None:
+                raise PlacementError(f"the placement of stage {missing + 1} misses vertex {v}")
+            if not np.allclose(placements[k][v], placements[k + 1][v], atol=1e-12, rtol=0.0):
                 raise InputError(f"placements disagree on vertex {v} at stage {k + 1}")
     if base_flex is None:
         rep = flex_report(stages[0], placements[0].restrict(stages[0].vertices), norm)

@@ -158,6 +158,9 @@ def placement_from_json(obj) -> Placement:
             v = int(key)
         except ValueError as exc:
             raise InputError(f"placement key {key!r} is not a vertex label") from exc
+        if v in coords:
+            first = next(k for k in obj if int(k) == v)
+            raise InputError(f"placement keys {first!r} and {key!r} both name vertex {v}")
         if not isinstance(val, list) or not val:
             raise InputError(f"placement of vertex {v} must be a coordinate list")
         pt = tuple(parse_number(c) for c in val)

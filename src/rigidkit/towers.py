@@ -7,8 +7,9 @@ presented as a finite tower of stages is certified rigid through relative
 rigidity of every consecutive stage pair plus vertex completeness; in the
 plane each certified pair additionally yields an explicit rigid container
 subgraph, so a sequential certificate of nested rigid pieces can be built.
-For an integer q a tower's pairs are decided at one placement of its final
-stage, restricted to each stage, through the restriction maps between the
+Every relative-rigidity decision a tower makes, at every q, is judged at one
+seeded placement of its final stage, restricted to each stage.  For an
+integer q its pairs are decided through the restriction maps between the
 stages' flex spaces: one kernel basis mod PRIME is carried up the tower
 (frameworks._Carry), so each stage ranks only the rows and vertices it adds
 unless the flexes of the stage before would cost more to carry, and the
@@ -148,6 +149,23 @@ def _nullities(
     return nullity_g, nullity_a
 
 
+def _relative_at(
+    g: SimpleGraph, h: SimpleGraph, p: Placement, norm: NormSpec
+) -> RelativeRigidityVerdict:
+    """relative_rigidity at p, a placement of g or of a graph containing g."""
+    import numpy as np
+
+    from .frameworks import pinned_ranks
+
+    _check_anchor(h, norm)
+    free = np.array([v not in h.vertex_set for v in g.vertices], dtype=bool)
+    rank_g, rank_pinned = pinned_ranks(g, p, norm, free)
+    nullity_g, nullity_a = _nullities(norm, h.n_vertices, g.n_vertices, rank_g, rank_pinned)
+    return RelativeRigidityVerdict(
+        nullity_a == nullity_g, nullity_g, nullity_a, p, lambda: _witness_flex(g, h, p, norm, rank_g)
+    )
+
+
 def relative_rigidity(
     g: SimpleGraph, h: SimpleGraph, norm: NormSpec, seed: int = 0
 ) -> RelativeRigidityVerdict:
@@ -160,7 +178,7 @@ def relative_rigidity(
     nullity_anchored = dim(T restricted to h) + d(n - |h|) - r_pinned,
     where r_pinned is the rank of g's rigidity matrix with h's columns
     deleted, and the norm gives dim(T restricted to h) at a sampled
-    placement.  Both ranks come from one seeded random placement, by
+    placement.  Both ranks come from one seeded random placement of g, by
     pinned_ranks: exact mod PRIME for an integer q, by the SVD cutoff
     otherwise.  Each falls below its generic value with probability at most
     r(q-1)/PRIME, r that value, so for an integer q either verdict is wrong
@@ -170,24 +188,11 @@ def relative_rigidity(
     verdict's witness is built on first read, from g's flex report at the
     same placement and rank.
     """
-    import numpy as np
-
-    from .frameworks import pinned_ranks, random_placement
+    from .frameworks import random_placement
 
     if not h.is_subgraph_of(g):
         raise InputError("h must be a subgraph of g")
-    _check_anchor(h, norm)
-    p = random_placement(g, norm, seed)
-    free = np.array([v not in h.vertex_set for v in g.vertices], dtype=bool)
-    rank_g, rank_pinned = pinned_ranks(g, p, norm, free)
-    nullity_g, nullity_a = _nullities(norm, h.n_vertices, g.n_vertices, rank_g, rank_pinned)
-    return RelativeRigidityVerdict(
-        relatively_rigid=nullity_a == nullity_g,
-        nullity_graph=nullity_g,
-        nullity_anchored=nullity_a,
-        placement=p,
-        _witness=lambda: _witness_flex(g, h, p, norm, rank_g),
-    )
+    return _relative_at(g, h, random_placement(g, norm, seed), norm)
 
 
 # ---- planar rigid containers --------------------------------------------
@@ -273,19 +278,22 @@ def _consecutive_pairs(t: Tower) -> list[tuple[int, int]]:
 
 
 class _CarriedTower:
-    """Relative rigidity of stage pairs (k, j), k <= j, of a tower at an
-    integer q, on one _Carry at one seeded placement of the final stage.
-    Each test steps from stage k, which must be the stage the last passing
-    test reached (stage 0 at first)."""
+    """Relative rigidity of stage pairs (k, j), k <= j, of a tower at one
+    seeded placement p of the final stage: by _relative_at, or at an integer
+    q on one _Carry at p, each test stepping from stage k, which must be the
+    stage the last passing test reached (stage 0 at first)."""
 
     def __init__(self, t: Tower, norm: NormSpec, seed: int):
         from .frameworks import _Carry, random_placement
 
-        self.norm, self.final = norm, t.stages[-1]
-        self.carry = _Carry(t.stages, random_placement(self.final, norm, seed), norm)
-        self.at = self.carry.first()
+        self.stages, self.norm, self.seed = t.stages, norm, seed
+        self.p = random_placement(t.stages[-1], norm, seed)
+        self.carry = _Carry(t.stages, self.p, norm) if norm.q_is_integer else None
+        self.at = None if self.carry is None else self.carry.first()
 
     def passes(self, k: int, j: int) -> bool:
+        if self.carry is None:
+            return _relative_at(self.stages[j], self.stages[k], self.p, self.norm).relatively_rigid
         assert self.at.index == k
         pinned, large = self.carry.step(self.at, j)
         nullity_g, nullity_a = _nullities(self.norm, self.at.n, large.n, large.rank, pinned)
@@ -294,30 +302,15 @@ class _CarriedTower:
         return nullity_a == nullity_g
 
     def final_rigid(self) -> bool:
-        """Whether the final stage is rigid, stepping on to it; in the plane
-        cross-checked as is_rigid_generic is."""
+        """Whether the final stage is rigid: off the carry, cross-checked in the
+        plane as is_rigid_generic is, else by is_rigid_generic at the seed."""
+        if self.carry is None:
+            from .frameworks import is_rigid_generic
+
+            return is_rigid_generic(self.stages[-1], self.norm, seed=self.seed).rigid
         last = len(self.carry.sizes) - 1
         stage = self.at if self.at.index == last else self.carry.step(self.at, last)[1]
-        return self.carry.rigid(stage, self.final)
-
-
-class _SampledTower:
-    """The same tests for a non-integer q: one relative_rigidity verdict per
-    pair at its own seeded placement, and is_rigid_generic on the final
-    stage, as decided by the SVD cutoff."""
-
-    def __init__(self, t: Tower, norm: NormSpec, seed: int, pair_seed: Callable[[int, int], int]):
-        self.t, self.norm, self.seed, self.pair_seed = t, norm, seed, pair_seed
-
-    def passes(self, k: int, j: int) -> bool:
-        small, large = self.t.stages[k], self.t.stages[j]
-        seed = self.seed + self.pair_seed(k, j)
-        return relative_rigidity(large, small, self.norm, seed=seed).relatively_rigid
-
-    def final_rigid(self) -> bool:
-        from .frameworks import is_rigid_generic
-
-        return is_rigid_generic(self.t.stages[-1], self.norm, seed=self.seed + 5077).rigid
+        return self.carry.rigid(stage, self.stages[-1])
 
 
 def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
@@ -328,25 +321,24 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
     presentation (one stage, or a final stage equal to the declared target)
     also pairs its final stage with itself, so that stage must be rigid.
 
-    For an integer q every pair is decided at one seeded placement of the
-    final stage, restricted to each stage (a generic placement of the union
-    restricts to a generic placement of every stage), by one _Carry up the
-    tower: each stage ranks only the rows and vertices it adds, against the
-    kernel mod PRIME of the stage before (see relative_rigidity for the
-    nullities), unless that stage's flexes would cost more to carry than
-    ranking the next stage afresh.  Each pair's verdict is wrong with
-    probability at most (r_g + r_pinned)(q-1)/PRIME, so the tower's with at
-    most the sum of these over its pairs.  The Flexible check reads the
-    final stage's nullity from the same carry, at that one placement; in
+    Every pair, at every q, is decided at one seeded placement of the final
+    stage, restricted to each stage (a generic placement of the union
+    restricts to a generic placement of every stage).  For an integer q the
+    pairs run on one _Carry up the tower: each stage ranks only the rows and
+    vertices it adds, against the kernel mod PRIME of the stage before (see
+    relative_rigidity for the nullities), unless that stage's flexes would
+    cost more to carry than ranking the next stage afresh.  Each pair's
+    verdict is wrong with probability at most (r_g + r_pinned)(q-1)/PRIME,
+    so the tower's with at most the sum of these over its pairs.  The
+    Flexible check reads the final stage's nullity from the same carry; in
     the plane it is cross-checked against the tight-spanning count, as
     is_rigid_generic's verdict is, and a disagreement (a rank that fell
     short at the placement) raises InconsistencyError, where
     is_rigid_generic would first have tried up to five placements.  Memory
     stays at d n nullity int64 entries for the stages that are not
-    certified rigid; a rigid stage reads its rigid motions.  A non-integer q
-    decides each pair at its own placement (seed + 101 k for the pair from
-    stage k) and the final stage by is_rigid_generic (seed + 5077), by the
-    SVD cutoff.
+    certified rigid; a rigid stage reads its rigid motions.  Any other q
+    ranks each pair by the SVD cutoff, and the Flexible check runs
+    is_rigid_generic at the same seed, whose first placement is that one.
 
     A tower with no declared target has two readings, one per verdict.  For
     Rigid it is a truncated presentation of the countable graph it builds:
@@ -362,10 +354,7 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
         _check_anchor(t.stages[0], norm)
     except InputError as err:
         raise InputError(f"stage 1: {err}") from None
-    if norm.q_is_integer:
-        pairs = _CarriedTower(t, norm, seed)
-    else:
-        pairs = _SampledTower(t, norm, seed, lambda k, j: 101 * k)
+    pairs = _CarriedTower(t, norm, seed)
     prefix = 1
     all_rigid = True
     for k, j in _consecutive_pairs(t):
@@ -382,19 +371,21 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
     return TowerVerdict(TOWER_UNDECIDED, prefix, t.depth, vc)
 
 
-def _containers(pairs, container, confirm) -> tuple | None:
+def _containers(pairs, container, final, norm, seed, graph=lambda s: s) -> tuple | None:
     """Rigid containers of the (small, large) stage pairs, or None.
 
     container(small, large) builds one or returns None.  A missing container
-    is confirmed by confirm(k, small, large), a relative rigidity verdict on
-    the k-th pair: containers exist exactly when the pair is relatively
-    rigid, so a relatively rigid pair without one raises InconsistencyError.
-    """
+    is confirmed at the seeded placement of graph(final): containers exist
+    exactly when graph(small) is relatively rigid in graph(large), so a
+    relatively rigid pair without one raises InconsistencyError."""
     out = []
     for k, (small, large) in enumerate(pairs):
         c = container(small, large)
         if c is None:
-            if confirm(k, small, large).relatively_rigid:
+            from .frameworks import random_placement
+
+            p = random_placement(graph(final), norm, seed)
+            if _relative_at(graph(large), graph(small), p, norm).relatively_rigid:
                 raise InconsistencyError(
                     f"stage {k + 1}: relatively rigid but no container found"
                 )
@@ -409,18 +400,17 @@ def sequential_rigidity_2d(
     """Nested rigid subgraphs H_k with G_k inside H_k inside G_{k+1}.
 
     The stage pairs are those of tower_rigidity, so a finite presentation
-    ends with its final stage as its own container.
-    Returns None when some tested pair is not relatively rigid; if a
-    pair is relatively rigid yet no container can be built, the planar
-    equivalence itself has been violated and the failure escalates."""
+    ends with its final stage as its own container.  Returns None when some
+    tested pair is not relatively rigid at the final stage's seeded
+    placement; a relatively rigid pair with no container violates the planar
+    equivalence itself, and the failure escalates."""
     validate_tower(t)
-    norm = NormSpec(2, q)
     return _containers(
         [(t.stages[k], t.stages[j]) for k, j in _consecutive_pairs(t)],
         lambda small, large: rigid_container_2d(large, small, q),
-        lambda k, small, large: relative_rigidity(
-            large, small, norm, seed=seed + 31 * k + 7
-        ),
+        t.stages[-1],
+        NormSpec(2, q),
+        seed,
     )
 
 
@@ -527,23 +517,19 @@ def relatively_rigid_subsequence(
     minimality of the gaps is claimed.  A first stage too small to anchor
     ends the scan there; any other InputError reaches the caller.
 
-    For an integer q every pair is decided at one seeded placement of the
-    final stage, on one _Carry as in tower_rigidity: each stage j tried from
-    stage k ranks the rows and vertices it adds against k's kernel mod
-    PRIME, built once (or afresh, when k's flexes would cost more).  The
-    result is wrong with probability at most the sum
-    of the tried pairs' bounds (r_g + r_pinned)(q-1)/PRIME, and only stages
-    that are not certified rigid hold d n nullity int64 entries.  A
-    non-integer q decides the pair ending at stage j at its own placement
-    (seed + 13 j), by the SVD cutoff."""
+    Every pair, at every q, is decided at one seeded placement of the final
+    stage, as in tower_rigidity.  For an integer q the pairs run on one
+    _Carry: each stage j tried from stage k ranks the rows and vertices it
+    adds against k's kernel mod PRIME, built once (or afresh, when k's
+    flexes would cost more).  The result is wrong with probability at most
+    the sum of the tried pairs' bounds (r_g + r_pinned)(q-1)/PRIME, and only
+    stages that are not certified rigid hold d n nullity int64 entries.  Any
+    other q ranks each pair at the same placement by the SVD cutoff."""
     validate_tower(t)
     # The stages nest, so stage 0 anchors worst.
     if t.stages[0].n_vertices < anchor_threshold(norm):
         return (0,)
-    if norm.q_is_integer:
-        pairs = _CarriedTower(t, norm, seed)
-    else:
-        pairs = _SampledTower(t, norm, seed, lambda k, j: 13 * j)
+    pairs = _CarriedTower(t, norm, seed)
     chosen = [0]
     while chosen[-1] < t.depth - 1:
         k = chosen[-1]

@@ -17,7 +17,7 @@ from helpers import (
     seeded_tight_witnesses,
     unskipped_rigid_container_multibody,
 )
-from rigidkit import bodybar, frameworks, jsonio
+from rigidkit import bodybar, frameworks, jsonio, towers
 from rigidkit.bodybar import (
     BODYBAR_TOWER_MINIMAL,
     MultiBodyGraph,
@@ -660,6 +660,14 @@ def test_special_placement_needs_rigid_bodies():
         special_placement(m, CUBIC3)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_special_placement_refuses_a_bad_seed(seed):
+    g, bodies = build((4, 4), [(0, 4), (1, 5)])
+    m = validate_multibody(g, bodies, CUBIC2)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        special_placement(m, CUBIC2, seed=seed)
+
+
 @pytest.mark.parametrize("case", range(8))
 def test_special_placement_kernel_is_translations(case):
     d = 2 if case % 2 == 0 else 3
@@ -943,21 +951,48 @@ def test_target_missing_a_body_of_the_final_stage_is_not_nested():
     assert err.value.index == 1
 
 
-def test_fallback_certifies_late_pinning():
+def _late_pinning_tower():
     # The middle stage starves a body, the final stage pins it, so the tight
     # extraction fails yet consecutive containers still certify.
     g1, bodies1 = build((4, 4), [(0, 4), (1, 5)])
     g2, bodies2 = build((4, 4, 4), [(0, 4), (1, 5), (6, 8)])
     g3, bodies3 = build((4, 4, 4), [(0, 4), (1, 5), (6, 8), (3, 9)])
-    stages = [
-        validate_multibody(g1, bodies1, CUBIC2),
-        validate_multibody(g2, bodies2, CUBIC2),
-        validate_multibody(g3, bodies3, CUBIC2),
-    ]
-    verdict = bodybar_tower_decide(MultiBodyTower(stages), CUBIC2)
+    return MultiBodyTower(
+        [
+            validate_multibody(g1, bodies1, CUBIC2),
+            validate_multibody(g2, bodies2, CUBIC2),
+            validate_multibody(g3, bodies3, CUBIC2),
+        ]
+    )
+
+
+def test_fallback_certifies_late_pinning():
+    verdict = bodybar_tower_decide(_late_pinning_tower(), CUBIC2)
     assert verdict.status == LAMAN_TOWER_RIGID
     assert verdict.tight_witness is None
     assert len(verdict.container_witness) == 2
+
+
+def test_missing_container_is_confirmed_at_the_final_placement(monkeypatch):
+    # A pair whose container is missing is confirmed at the final stage's
+    # placement, drawn once at the caller's seed: here it is relatively
+    # rigid, so the missing container is an inconsistency.
+    t = _late_pinning_tower()
+    placed = []
+    real = frameworks.random_placement
+
+    def placement(g, norm, seed):
+        placed.append((g.vertices, seed))
+        return real(g, norm, seed)
+
+    def container(g, h, norm):
+        return None if h == t.stages[1] else rigid_container_multibody(g, h, norm)
+
+    monkeypatch.setattr(frameworks, "random_placement", placement)
+    monkeypatch.setattr(bodybar, "rigid_container_multibody", container)
+    with pytest.raises(InconsistencyError, match="stage 2"):
+        bodybar_tower_decide(t, CUBIC2, seed=7)
+    assert placed == [(t.stages[-1].underlying.vertices, 7)]
 
 
 def test_dangling_floppy_body_is_not_waved_through():
@@ -1018,8 +1053,8 @@ def _bodybar_reference(t, norm, seed, confirm):
         except InputError:
             return (LAMAN_TOWER_NOT, None, None), "undersized"
         if c is None:
-            seed_i = seed + 17 * i
-            check = confirm(large.underlying, small.underlying, norm, seed=seed_i)
+            p = random_placement(t.stages[-1].underlying, norm, seed)
+            check = confirm(large.underlying, small.underlying, p, norm)
             if check.relatively_rigid:
                 raise InconsistencyError("relatively rigid but no container found")
             return (LAMAN_TOWER_NOT, None, None), "missing"
@@ -1077,16 +1112,16 @@ def _verdict_fields(status, tight, containers):
 
 def test_bodybar_decision_matches_reference_loop(monkeypatch):
     calls = {"new": [], "ref": []}
-    real = relative_rigidity
+    real = towers._relative_at
 
     def recorder(log):
-        def confirm(g, h, norm, seed=0):
-            calls[log].append((g.vertices, g.edges, h.vertices, h.edges, seed))
-            return real(g, h, norm, seed=seed)
+        def confirm(g, h, p, norm):
+            calls[log].append((g.vertices, g.edges, h.vertices, h.edges, p))
+            return real(g, h, p, norm)
 
         return confirm
 
-    monkeypatch.setattr(bodybar, "relative_rigidity", recorder("new"))
+    monkeypatch.setattr(towers, "_relative_at", recorder("new"))
     routes = Counter()
     for idx in range(240):
         t, norm = _random_multibody_tower(idx)
@@ -1152,7 +1187,7 @@ def test_bodybar_stages_adding_parallel_bars_match_reference_loop():
     for idx in range(90):
         t, norm = _parallel_bar_tower(idx)
         v = bodybar_tower_decide(t, norm, seed=idx)
-        want, route = _bodybar_reference(t, norm, idx, relative_rigidity)
+        want, route = _bodybar_reference(t, norm, idx, towers._relative_at)
         got = (v.status, v.tight_witness, v.container_witness)
         assert _verdict_fields(*got) == _verdict_fields(*want), idx
         assert route == "tight"

@@ -147,6 +147,16 @@ def test_analyze_needs_placement_or_generic(invoke):
     assert "placement" in err
 
 
+@pytest.mark.parametrize("keys", [("1", "01"), ("10", "1_0")])
+def test_analyze_refuses_two_placement_keys_for_one_vertex(invoke, keys):
+    g, p = fig_k3()
+    doc = jsonio.framework_to_json(g, p, NormSpec(2, 2))
+    doc["placement"].update({k: [0.5, 0.5] for k in keys})
+    code, out, err = invoke("analyze", stdin=json.dumps(doc))
+    assert (code, out) == (1, "")
+    assert f"placement keys {keys[0]!r} and {keys[1]!r} both name vertex {int(keys[0])}" in err
+
+
 def test_analyze_needs_a_norm(invoke):
     text = json.dumps(jsonio.graph_to_json(complete_graph(3)))
     code, _, err = invoke("analyze", "--generic", stdin=text)

@@ -801,6 +801,21 @@ def test_bases_read_on_demand_match_the_eager_formula(d, q, seed):
     assert all(np.array_equal(a, b) for a, b in zip(rep.nontrivial_flex_basis, want))
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "1"])
+def test_seeds_must_be_non_negative_integers(seed):
+    # numpy would raise its own ValueError or TypeError, or read True as 1.
+    k4 = complete_graph(4)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        random_placement(k4, EUCLID2, seed)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        is_rigid_generic(k4, EUCLID2, seed=seed)
+
+
+def test_numpy_integer_seeds_draw_as_ints():
+    k4 = complete_graph(4)
+    assert random_placement(k4, EUCLID2, np.int64(3)) == random_placement(k4, EUCLID2, 3)
+
+
 def test_growth_profile_cancels_when_bracing_appears():
     c4 = cycle_graph(4)
     braced = SimpleGraph(c4.vertices, c4.edges + ((0, 2),))
@@ -809,6 +824,14 @@ def test_growth_profile_cancels_when_bracing_appears():
     assert prof.cancellation_stage == 1
     assert len(prof.speeds) == 1
     assert prof.speeds[0] == 1.0
+
+
+def test_growth_profile_names_a_vertex_a_placement_misses():
+    c4 = cycle_graph(4)
+    pendant = SimpleGraph(range(5), c4.edges + ((3, 4),))
+    p = random_placement(pendant, EUCLID2, seed=9)
+    with pytest.raises(PlacementError, match="placement of stage 1 misses vertex 3"):
+        flex_growth_profile([c4, pendant], [p.restrict([0, 1, 2]), p], EUCLID2)
 
 
 def test_growth_profile_checks_nesting_as_towers_do():

@@ -678,10 +678,11 @@ def _sequential_reference(t, q, seed, confirm):
     if t.depth == 1 or t.stages[-1] == t.target:
         pairs.append((t.stages[-1], t.stages[-1]))
     witness = []
-    for k, (small, large) in enumerate(pairs):
+    for small, large in pairs:
         container = rigid_container_2d(large, small, q)
         if container is None:
-            check = confirm(large, small, NormSpec(2, q), seed=seed + 31 * k + 7)
+            norm = NormSpec(2, q)
+            check = confirm(large, small, random_placement(t.stages[-1], norm, seed), norm)
             if check.relatively_rigid:
                 raise InconsistencyError("relatively rigid but no container found")
             return None
@@ -878,16 +879,16 @@ def test_laman_tower_inserts_each_edge_once(monkeypatch):
 
 def test_sequential_decision_matches_reference_loop(monkeypatch):
     calls = {"new": [], "ref": []}
-    real = relative_rigidity
+    real = towers._relative_at
 
     def recorder(log):
-        def confirm(g, h, norm, seed=0):
-            calls[log].append((g.vertices, g.edges, h.vertices, h.edges, seed))
-            return real(g, h, norm, seed=seed)
+        def confirm(g, h, p, norm):
+            calls[log].append((g.vertices, g.edges, h.vertices, h.edges, p))
+            return real(g, h, p, norm)
 
         return confirm
 
-    monkeypatch.setattr("rigidkit.towers.relative_rigidity", recorder("new"))
+    monkeypatch.setattr(towers, "_relative_at", recorder("new"))
     outcomes = set()
     for idx in range(240):
         t, q = _random_nested_tower(idx)
@@ -1026,19 +1027,19 @@ def _two_blocks(norm, seed):
     return Tower([a, apart, SimpleGraph(apart.vertices, apart.edges + tuple(links))])
 
 
-def _carry_towers():
-    """(tower, norm) pairs over d in {2, 3} and q in {2, 3, 4}: prefixes of
+def _sample_towers(qs):
+    """(tower, norm) pairs over d in {2, 3} and the given q: prefixes of
     0-extension graphs (the first stage flexible when it is short of the
     base), nested stages of random and complete graphs with isolated
     vertices and edge-only stages, two blocks with a failing pair, and in
     3-space the banana towers."""
     out = []
     for d in (2, 3):
-        for q in (2, 3, 4):
+        for q in qs:
             norm = NormSpec(d, q)
             base = d + 1 if q == 2 else 2 * d
             for seed in range(2):
-                rng = random.Random(100 * d + 10 * q + seed)
+                rng = random.Random(100 * d + int(10 * q) + seed)
                 full = zero_extension_graph(base + 10, d, base, seed)
                 sizes = (base - 2 + seed, base + 2, base + 5, base + 10)
                 found = [
@@ -1051,12 +1052,16 @@ def _carry_towers():
                 if d == 3:
                     found.append(Tower([banana_tower(k) for k in range(1, 4 + seed)]))
                 out += [(t, norm) for t in found]
-    # A first stage that leaves a large core, carried up the next two.
-    out.append((Tower([banana_tower(k) for k in (16, 17, 18)]), NormSpec(3, 2)))
     return out
 
 
-CARRY_TOWERS = _carry_towers()
+CARRY_TOWERS = _sample_towers((2, 3, 4)) + [
+    # A first stage that leaves a large core, carried up the next two.
+    (Tower([banana_tower(k) for k in (16, 17, 18)]), NormSpec(3, 2))
+]
+# _Carry runs at an integer q only; these towers rank each pair by the SVD
+# cutoff at the same one placement.
+HALF_TOWERS = _sample_towers((Fraction(5, 2),))
 
 
 def _relative_pair(small, large, p, norm):
@@ -1149,7 +1154,9 @@ def test_carry_keeps_no_kernel_a_later_stage_cannot_read():
 
 def _reference_tower(t, norm, seed):
     """tower_rigidity's status and prefix, each pair by the two-peel
-    reference at one placement of the final stage."""
+    reference at one placement of the final stage.  The Flexible check
+    reads the final nullity at that placement for an integer q; any other q
+    keeps is_rigid_generic's retries at the same seed."""
     p = random_placement(t.stages[-1], norm, seed)
     prefix, failed = 1, False
     for k, j in towers._consecutive_pairs(t):
@@ -1161,10 +1168,14 @@ def _reference_tower(t, norm, seed):
     if not failed and t.vertex_complete:
         return TOWER_RIGID, prefix
     final = t.stages[-1]
-    final_nullity = norm.d * final.n_vertices - pinned_ranks(
-        final, p, norm, np.ones(final.n_vertices, dtype=bool)
-    )[0]
-    if failed and final_nullity > norm.trivial_dim_at(final.n_vertices):
+    if norm.q_is_integer:
+        final_nullity = norm.d * final.n_vertices - pinned_ranks(
+            final, p, norm, np.ones(final.n_vertices, dtype=bool)
+        )[0]
+        flexible = final_nullity > norm.trivial_dim_at(final.n_vertices)
+    else:
+        flexible = not is_rigid_generic(final, norm, seed=seed).rigid
+    if failed and flexible:
         return TOWER_FLEXIBLE, prefix
     return TOWER_UNDECIDED, prefix
 
@@ -1189,49 +1200,85 @@ def _reference_subsequence(t, norm, seed):
 
 
 def test_tower_decisions_match_the_two_peel_reference():
-    statuses = set()
-    for idx, (t, norm) in enumerate(CARRY_TOWERS):
-        if t.stages[0].n_vertices < anchor_threshold(norm):
-            with pytest.raises(InputError, match="stage 1"):
-                tower_rigidity(t, norm, seed=idx)
-        else:
-            v = tower_rigidity(t, norm, seed=idx)
-            assert (v.status, v.relatively_rigid_prefix) == _reference_tower(t, norm, idx)
-            statuses.add(v.status)
-        got = relatively_rigid_subsequence(t, norm, seed=idx)
-        assert got == _reference_subsequence(t, norm, idx)
-    assert statuses == {TOWER_RIGID, TOWER_FLEXIBLE, TOWER_UNDECIDED}
+    for sample in (CARRY_TOWERS, HALF_TOWERS):
+        statuses = set()
+        for idx, (t, norm) in enumerate(sample):
+            if t.stages[0].n_vertices < anchor_threshold(norm):
+                with pytest.raises(InputError, match="stage 1"):
+                    tower_rigidity(t, norm, seed=idx)
+            else:
+                v = tower_rigidity(t, norm, seed=idx)
+                assert (v.status, v.relatively_rigid_prefix) == _reference_tower(t, norm, idx)
+                statuses.add(v.status)
+            got = relatively_rigid_subsequence(t, norm, seed=idx)
+            assert got == _reference_subsequence(t, norm, idx)
+        assert statuses == {TOWER_RIGID, TOWER_FLEXIBLE, TOWER_UNDECIDED}
 
 
 def test_tower_places_once_and_reads_the_final_nullity(monkeypatch):
-    # At an integer q a tower draws one placement, and its Flexible check
-    # reads the carried nullity instead of calling is_rigid_generic.
+    # Every pair is judged at one placement of the final stage, at the
+    # caller's seed.  At an integer q that is the only draw, and the
+    # Flexible check reads the carried nullity instead of calling
+    # is_rigid_generic; any other q runs is_rigid_generic on the final stage
+    # at the same seed, whose draws are that placement and its retries.
     placed, generic = [], []
+    real = rigidkit.frameworks.random_placement
+    real_generic = rigidkit.frameworks.is_rigid_generic
+
+    def placement(g, norm, seed):
+        placed.append((g.vertices, seed))
+        return real(g, norm, seed)
+
+    def is_rigid(g, norm, seed=0):
+        generic.append((g.vertices, seed))
+        return real_generic(g, norm, seed=seed)
+
+    monkeypatch.setattr(rigidkit.frameworks, "random_placement", placement)
+    monkeypatch.setattr(rigidkit.frameworks, "is_rigid_generic", is_rigid)
+    half = NormSpec(2, Fraction(5, 2))
+    cases = [
+        (Tower([C4, C4]), EUCLID2, TOWER_FLEXIBLE),
+        (Tower([complete_graph(3), K3_PENDANT], target=K3_PENDANT), EUCLID2, TOWER_FLEXIBLE),
+        (Tower([C4, C4, complete_graph(4)]), EUCLID2, TOWER_UNDECIDED),
+        (Tower([banana_tower(k) for k in range(1, 5)]), NormSpec(3, 2), TOWER_RIGID),
+        (Tower([C4, C4]), half, TOWER_FLEXIBLE),
+        (Tower([C4, C4, complete_graph(4)]), half, TOWER_UNDECIDED),
+        (Tower([C4, complete_graph(4), complete_graph(5)]), half, TOWER_RIGID),
+    ]
+    for t, norm, status in cases:
+        final = t.stages[-1].vertices
+        placed.clear()
+        generic.clear()
+        assert tower_rigidity(t, norm, seed=5).status == status
+        checked = status != TOWER_RIGID and not norm.q_is_integer
+        assert generic == ([(final, 5)] if checked else [])
+        assert placed == [(final, 5)] + [(final, 5 + i) for i in range(len(placed) - 1)]
+        assert (len(placed) > 1) == checked
+        placed.clear()
+        relatively_rigid_subsequence(t, norm, seed=5)
+        assert placed == [(final, 5)]
+
+
+def test_missing_container_is_confirmed_at_the_final_placement(monkeypatch):
+    # A pair whose container is missing is confirmed at the final stage's
+    # placement, drawn once at the caller's seed: here it is relatively
+    # rigid, so the missing container is an inconsistency.
+    t = _tight_tower("euclidean", (4, 6, 8), seed=11)
+    placed = []
     real = rigidkit.frameworks.random_placement
 
     def placement(g, norm, seed):
-        placed.append(seed)
+        placed.append((g.vertices, seed))
         return real(g, norm, seed)
 
+    def container(g, h, q):
+        return None if h == t.stages[0] else rigid_container_2d(g, h, q)
+
     monkeypatch.setattr(rigidkit.frameworks, "random_placement", placement)
-    monkeypatch.setattr(
-        rigidkit.frameworks, "is_rigid_generic", lambda *a, **k: generic.append(a)
-    )
-    cases = [
-        (Tower([C4, C4]), TOWER_FLEXIBLE),
-        (Tower([complete_graph(3), K3_PENDANT], target=K3_PENDANT), TOWER_FLEXIBLE),
-        (Tower([C4, C4, complete_graph(4)]), TOWER_UNDECIDED),
-        (Tower([banana_tower(k) for k in range(1, 5)]), TOWER_RIGID),
-    ]
-    for t, status in cases:
-        placed.clear()
-        norm = NormSpec(3, 2) if t.depth == 4 else EUCLID2
-        assert tower_rigidity(t, norm, seed=5).status == status
-        assert placed == [5]
-        placed.clear()
-        relatively_rigid_subsequence(t, norm, seed=5)
-        assert placed == [5]
-    assert generic == []
+    monkeypatch.setattr(towers, "rigid_container_2d", container)
+    with pytest.raises(InconsistencyError, match="stage 1"):
+        sequential_rigidity_2d(t, 2, seed=11)
+    assert placed == [(t.stages[-1].vertices, 11)]
 
 
 def test_plane_flexible_check_agrees_with_the_count(monkeypatch):
@@ -1261,6 +1308,6 @@ def test_subsequence_lets_other_input_errors_through(monkeypatch):
     def refuse(*args, **kwargs):
         raise InputError("placement refused")
 
-    monkeypatch.setattr(towers, "relative_rigidity", refuse)
+    monkeypatch.setattr(towers, "_relative_at", refuse)
     with pytest.raises(InputError, match="placement refused"):
         relatively_rigid_subsequence(t, norm)
