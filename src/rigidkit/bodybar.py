@@ -38,7 +38,6 @@ from .frameworks import (
     Placement,
     _best_placement,
     _certified_rank,
-    _check_seed,
     _plane_cross_check,
     is_rigid_generic,
     placement_rank,
@@ -435,12 +434,12 @@ def special_placement(
 ) -> SpecialPlacementResult:
     """Explicit rigid placement for a tight structure, non-Euclidean norms.
 
-    The structure itself is placed: every vertex is drawn uniformly from
-    [-1, 1]^d, the collapsed multigraph is split into d spanning trees, and
-    each bar (v, w) then gets p[w] = p[v] + eps along the coordinate axis of
-    its tree.  No vertex carries two bars, so every body's points stay
-    independent continuous draws (some shifted by a constant), and a
-    generically rigid body keeps only the d translations.  Each bar row is
+    The structure itself is placed: random_placement draws every vertex
+    uniformly from [-1, 1]^d, the collapsed multigraph is split into d
+    spanning trees, and each bar (v, w) then gets p[w] = p[v] + eps along the
+    coordinate axis of its tree.  No vertex carries two bars, so every
+    body's points stay independent continuous draws (some shifted by a
+    constant), and a generically rigid body keeps only the d translations.  Each bar row is
     supported on one coordinate, and the d trees tie those translations
     together, which forces the kernel down to the d translations.
     placement_rank certifies the rank as the placement is built (exactly mod
@@ -457,12 +456,14 @@ def special_placement(
     d = norm.d
     g = m.underlying
     layers = spanning_tree_layers(m.collapsed, d)
-    rng = np.random.default_rng(_check_seed(seed))
-    pts = dict(zip(g.vertices, rng.uniform(-1.0, 1.0, size=(g.n_vertices, d))))
-    for (v, w), layer in zip(m.inter_body_edges, layers):
-        pts[w] = pts[v].copy()
-        pts[w][layer] += eps
-    p = Placement(d, pts)
+    pts = random_placement(g, norm, seed).array_for(g).copy()
+    # No vertex carries two bars, so the shifts can go in any order.
+    idx = g.index_of
+    ends = np.array([(idx[v], idx[w]) for v, w in m.inter_body_edges], dtype=np.intp)
+    v, w = ends.reshape(-1, 2).T
+    pts[w] = pts[v]
+    pts[w, np.asarray(layers, dtype=np.intp)] += eps
+    p = Placement.from_array(g, pts)
     rank, top = placement_rank(g, p, norm), norm.rigid_rank(g.n_vertices)
     if rank != top:
         raise PlacementError(

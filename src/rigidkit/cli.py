@@ -346,13 +346,14 @@ def _cmd_catalog(args) -> None:
 def _cmd_render(args) -> None:
     from . import jsonio
     from .frameworks import flex_report
-    from .svg import render_svg
+    from .svg import check_plane, render_svg
 
     if args.flex is None:
         _refuse_unread("without --flex", norm=args.norm, tol=args.tol)
     g, p, file_norm = jsonio.loose_input_from_json(_load(args.input))
     if p is None:
         raise InputError("render needs a placement")
+    check_plane(p)
     flex = None
     if args.flex is not None:
         norm = _resolve_norm(args, file_norm)

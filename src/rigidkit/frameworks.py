@@ -58,6 +58,9 @@ lone pair.
 A non-integer q, and flex_report at a given placement (an intended geometry
 that float rounding perturbs, maybe degenerate), use the SVD cutoff
 sigma > eps * sigma_max * max(rows, cols) with eps = 1e-9 by default.
+flex_report counts the singular values above it from the values alone
+(LAPACK's dqds route, accurate to high relative precision: Demmel & Kahan
+1990) and computes singular vectors only when its flex basis is read.
 """
 
 from __future__ import annotations
@@ -286,15 +289,34 @@ def _report(
 def flex_report(
     g: SimpleGraph, p: Placement, norm: NormSpec, tol: float = RANK_EPS
 ) -> FlexReport:
-    """Flex report at a given placement, ranked by the SVD cutoff tol.  The
-    placement may be degenerate, so its rigid motions are evaluated and
-    ranked by the same cutoff.  The flex basis is built on first read."""
+    """Flex report at a given placement, ranked by the SVD cutoff tol from
+    singular values alone.  The placement may be degenerate, so its rigid
+    motions are evaluated and ranked by the same cutoff.
+
+    The flex basis is built on first read, from kernel_basis and
+    trivial_motion_basis at tol, which take singular vectors: a report
+    whose basis is never read computes none.  The two SVD drivers can
+    differ in the last bits of a singular value, so a basis whose row
+    counts differ from the reported nullity or motion count raises
+    InconsistencyError with both counts."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"rank tolerance must be finite and non-negative, got {tol!r}")
-    kern = kernel_basis(rigidity_matrix(g, p, norm), tol)
-    rank = norm.d * g.n_vertices - kern.shape[0]
-    triv = trivial_motion_basis(g, p, norm, tol)
-    return _report(g, norm, rank, triv.shape[0], lambda: (kern, triv))
+    rank = matrix_rank(rigidity_matrix(g, p, norm), tol)
+    trivial_dim = matrix_rank(_motion_generators(g, p, norm), tol)
+    nullity = norm.d * g.n_vertices - rank
+
+    def kernel() -> tuple[np.ndarray, np.ndarray]:
+        kern = kernel_basis(rigidity_matrix(g, p, norm), tol)
+        triv = trivial_motion_basis(g, p, norm, tol)
+        for what, rows, count in (("kernel", kern, nullity), ("motion", triv, trivial_dim)):
+            if rows.shape[0] != count:
+                raise InconsistencyError(
+                    f"{what} basis has {rows.shape[0]} rows, but singular values "
+                    f"alone counted {count} at tolerance {tol:g}"
+                )
+        return kern, triv
+
+    return _report(g, norm, rank, trivial_dim, kernel)
 
 
 def report_at_rank(g: SimpleGraph, p: Placement, norm: NormSpec, rank: int) -> FlexReport:

@@ -13,7 +13,7 @@ from .errors import InputError
 from .frameworks import Placement
 from .graphs import SimpleGraph
 
-__all__ = ["render_svg"]
+__all__ = ["check_plane", "render_svg"]
 
 _W, _H, _MARGIN = 480, 480, 48
 # longest velocity arrow relative to the drawing's bounding box
@@ -26,6 +26,12 @@ def _fmt(x: float) -> str:
     return "0" if out == "-0" else out
 
 
+def check_plane(p: Placement) -> None:
+    """Raise InputError unless p is a placement in the plane."""
+    if p.dim != 2:
+        raise InputError(f"render supports plane frameworks only, got d={p.dim}")
+
+
 def render_svg(
     g: SimpleGraph,
     p: Placement,
@@ -34,8 +40,7 @@ def render_svg(
 ) -> str:
     """Draw a 2D framework; velocities (a vertex-to-vector map) become
     arrows scaled so the fastest vertex gets 15% of the bounding box."""
-    if p.dim != 2:
-        raise InputError(f"render supports plane frameworks only, got d={p.dim}")
+    check_plane(p)
     missing = [v for v in g.vertices if v not in p]
     if missing:
         raise InputError(f"placement misses vertices {missing}")

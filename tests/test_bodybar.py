@@ -649,6 +649,12 @@ def test_special_placement_places_the_given_structure():
         diff = np.subtract(res.placement[w], res.placement[v])
         assert diff[layer] == pytest.approx(res.eps)
         assert np.count_nonzero(diff) == 1
+    # The points are random_placement's draw, each bar's far end shifted.
+    drawn = random_placement(m.underlying, CUBIC2, 1)
+    want = dict(drawn.coords)
+    for (v, w), layer in zip(m.inter_body_edges, res.layers):
+        want[w] = tuple(x + res.eps * (i == layer) for i, x in enumerate(drawn[v]))
+    assert res.placement.coords == want
 
 
 def test_special_placement_needs_rigid_bodies():

@@ -610,6 +610,21 @@ def test_render_rejects_3d(invoke, tmp_path):
     assert "plane" in err
 
 
+def test_render_flex_refuses_3d_before_ranking(invoke, tmp_path, monkeypatch):
+    # A rigid tetrahedron: ranked first, it would fail on the flex index.
+    from rigidkit import frameworks
+
+    def unread(*args):
+        raise AssertionError("flex_report ran")
+
+    monkeypatch.setattr(frameworks, "flex_report", unread)
+    g = complete_graph(4)
+    p = Placement(3, {v: tuple(float(v == i + 1) for i in range(3)) for v in g.vertices})
+    path = write_json(tmp_path / "f.json", jsonio.framework_to_json(g, p, NormSpec(3, 2)))
+    code, out, err = invoke("render", "--flex", "0", path)
+    assert (code, out, err) == (1, "", "rigidkit: render supports plane frameworks only, got d=3\n")
+
+
 def test_render_needs_a_placement(invoke):
     graph = json.dumps(jsonio.jsonable(jsonio.graph_to_json(complete_graph(3))))
     code, out, err = invoke("render", stdin=graph)

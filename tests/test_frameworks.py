@@ -10,7 +10,13 @@ import pytest
 
 from helpers import eager_flex_basis, grow_tight_graph, shuffled_copy, zero_extension_graph
 from rigidkit import frameworks, towers
-from rigidkit.errors import ContinuationError, InputError, NestingError, PlacementError
+from rigidkit.errors import (
+    ContinuationError,
+    InconsistencyError,
+    InputError,
+    NestingError,
+    PlacementError,
+)
 from rigidkit.frameworks import (
     PRIME,
     ExtensionResult,
@@ -799,6 +805,76 @@ def test_bases_read_on_demand_match_the_eager_formula(d, q, seed):
     want = eager_flex_basis(g, p, norm)
     assert len(rep.nontrivial_flex_basis) == len(want) == rep.flex_dim > 0
     assert all(np.array_equal(a, b) for a, b in zip(rep.nontrivial_flex_basis, want))
+
+
+def _flexible_framework():
+    """A 0-extension graph less two edges at a uniform placement: flexible
+    in 3-space."""
+    norm = NormSpec(3, 2)
+    full = zero_extension_graph(20, 3, 4, 5)
+    g = SimpleGraph(full.vertices, full.edges[:-2])
+    return g, random_placement(g, norm, 5), norm
+
+
+def test_flex_report_takes_singular_vectors_only_for_its_basis(monkeypatch):
+    # Ranked from singular values alone; kernel_basis and
+    # trivial_motion_basis take vectors when the basis is read, and the
+    # basis itself the thin SVD of the projected kernel.
+    g, p, norm = _flexible_framework()
+    svd, callers = np.linalg.svd, []
+
+    def recorded(a, full_matrices=True, compute_uv=True, **kw):
+        if compute_uv:
+            callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    rep = flex_report(g, p, norm)
+    assert rep.flex_dim == 2 and callers == []
+    assert len(rep.nontrivial_flex_basis) == 2
+    assert callers == ["kernel_basis", "trivial_motion_basis", "nontrivial_flex_basis"]
+
+
+def test_flex_report_basis_must_match_its_counts(monkeypatch):
+    g, p, norm = _flexible_framework()
+    real = frameworks.kernel_basis
+    monkeypatch.setattr(frameworks, "kernel_basis", lambda m, eps: real(m, eps)[1:])
+    rep = flex_report(g, p, norm)
+    assert (rep.nullity, rep.trivial_dim, rep.flex_dim) == (8, 6, 2)
+    with pytest.raises(InconsistencyError, match="kernel basis has 7 rows, .* counted 8"):
+        rep.nontrivial_flex_basis
+
+
+def test_array_placements_equal_their_mapping_twins():
+    g = SimpleGraph([4, 1, 7], [(1, 4), (4, 7)])
+    arr = np.array([[0.5, -1.0], [2.0, 0.25], [-0.0, 3.0]])
+    p = Placement.from_array(g, arr)
+    twin = Placement(2, {4: (0.5, -1.0), 1: (2.0, 0.25), 7: (-0.0, 3.0)})
+    assert p == twin and repr(p) == repr(twin)
+    arr[0, 0] = 9.0  # the placement keeps a copy
+    kept = p.array_for(g)
+    assert kept is p.array_for(g) and not kept.flags.writeable
+    assert kept.dtype == np.float64 and np.array_equal(kept, twin.array_for(g))
+    assert np.array_equal(kept[0], [0.5, -1.0])
+    other = SimpleGraph([7, 4], [(4, 7)])
+    assert np.array_equal(p.array_for(other), [[-0.0, 3.0], [0.5, -1.0]])
+    assert np.array_equal(twin.array_for(other), p.array_for(other))
+    part = p.restrict([1, 7]).array_for(SimpleGraph([1, 7]))
+    assert np.array_equal(part, [[2.0, 0.25], [-0.0, 3.0]])
+    with pytest.raises(PlacementError, match=r"placement misses vertices \[2\]"):
+        p.array_for(SimpleGraph([1, 2]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_array_placements_name_the_first_non_finite_vertex(bad):
+    g = SimpleGraph([3, 8, 5])
+    arr = np.zeros((3, 2))
+    arr[1, 1] = arr[2, 0] = bad
+    message = "^vertex 8 has a coordinate that is not a finite float$"
+    with pytest.raises(PlacementError, match=message):
+        Placement.from_array(g, arr)
+    with pytest.raises(PlacementError, match="row count"):
+        Placement.from_array(g, arr[:2])
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.5, "1"])
