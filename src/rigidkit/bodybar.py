@@ -44,7 +44,7 @@ from .frameworks import (
     random_placement,
     report_at_rank,
 )
-from .graphs import MultiGraph, SimpleGraph, Tower, normalize_edge, validate_tower
+from .graphs import MultiGraph, SimpleGraph, Tower, normalize_edge
 from .sparsity import PebbleGame, SparsityCount, is_sparse
 from .towers import (
     LAMAN_TOWER_MINIMAL,
@@ -52,6 +52,7 @@ from .towers import (
     LAMAN_TOWER_RIGID,
     _containers,
     _nested_witnesses,
+    _require_kind,
 )
 
 __all__ = [
@@ -211,8 +212,8 @@ def validate_multibody(
 ) -> MultiBodyGraph:
     """Build a multi-body structure, reporting every violated rule at once.
 
-    The partition and bar rules are checked first; only a structurally sound
-    input proceeds to the per-body generic rigidity checks.  One random
+    Building the structure checks the partition and bar rules first; only a
+    sound one ranks its bodies, in the order listed.  One random
     placement of g ranks every body's slice, as essentially_independent
     does.  Each body first peels with |E_i| - norm.rigid_rank(n_i) rows to
     drop: the kept rows are rows of the body's matrix, so their rank is a
@@ -226,11 +227,12 @@ def validate_multibody(
     own, and reported if it stays short.
     """
     bs = tuple(tuple(sorted(int(v) for v in b)) for b in bodies)
-    problems = _structure_problems(g, bs)
-    if problems:
-        raise InputError("; ".join(problems))
+    owner = {v: i for i, b in enumerate(bs) for v in b}
+    m = MultiBodyGraph(g, bs, (e for e in g.edges if owner.get(e[0]) != owner.get(e[1])))
     p = random_placement(g, norm, 0)
-    for i, (b, part) in enumerate(zip(bs, _body_subgraphs(g, bs))):
+    problems = []
+    for i, b in enumerate(bs):
+        part = m.body_subgraphs[m.body_index[frozenset(b)]]
         rank, dropped = _certified_rank(part, p, norm)
         if rank >= norm.rigid_rank(len(b)):
             if norm.d == 2:  # the one reader of the kept edges
@@ -244,9 +246,7 @@ def validate_multibody(
             )
     if problems:
         raise InputError("; ".join(problems))
-    owner = {v: i for i, b in enumerate(bs) for v in b}
-    bars = tuple(e for e in g.edges if owner[e[0]] != owner[e[1]])
-    return MultiBodyGraph(g, bs, bars)
+    return m
 
 
 def labeled_body_bar(m: MultiBodyGraph) -> MultiGraph:
@@ -607,7 +607,7 @@ def bodybar_tower_decide(
     consecutive pairs, which certify Rigid exactly when relative rigidity
     holds stage by stage and the containers reach every body; a missing
     container is confirmed at the final stage's seeded placement."""
-    validate_tower(t)
+    _require_kind(t, MultiBodyGraph, "bodybar_tower_decide", "tower_rigidity or laman_tower_decide")
     status, tight = _nested_witnesses(
         (labeled_body_bar(s) for s in t.stages),
         labeled_body_bar(t.reference),

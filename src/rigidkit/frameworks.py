@@ -78,7 +78,7 @@ from .errors import (
     InputError,
     PlacementError,
 )
-from .graphs import SimpleGraph, Tower, validate_tower
+from .graphs import SimpleGraph, Tower
 from .norms import RANK_EPS, NormSpec
 from .placements import Placement
 from . import sparsity
@@ -1124,6 +1124,8 @@ def continuation_track(
     """
     if steps < 1:
         raise InputError("need at least one step")
+    if not math.isfinite(step_length):
+        raise InputError(f"step_length must be finite, got {step_length}")
     qf = float(norm.q)
     pts = p0.array_for(g)
     lengths0 = _lq_lengths(pts, g, qf)
@@ -1199,7 +1201,7 @@ def flex_growth_profile(
     """
     if len(stages) != len(placements):
         raise InputError("stage and placement counts differ")
-    validate_tower(Tower(stages))
+    Tower(stages)  # refuses stages that do not nest
     for k in range(len(stages) - 1):
         for v in stages[k].vertices:
             missing = next((s for s in (k, k + 1) if v not in placements[s]), None)

@@ -27,7 +27,6 @@ __all__ = [
     "induced_subgraph",
     "normalize_edge",
     "path_graph",
-    "validate_tower",
 ]
 
 
@@ -214,11 +213,12 @@ class Tower:
     """Increasing sequence of stages, optionally with a declared target.
 
     Stages are simple graphs, or multi-body structures for the staged
-    body-bar decision (bodybar.MultiBodyTower names this class); either
-    kind answers is_subgraph_of, which is all validate_tower asks.  The
-    reference is the declared target, or else the final stage, which for
-    a nested tower (see validate_tower) is the union of all stages;
-    vertex completeness is measured against it.
+    body-bar decision (bodybar.MultiBodyTower names this class), all of one
+    kind.  Construction checks nesting by the stages' own is_subgraph_of
+    (NestingError names the first stage not containing its predecessor, or
+    depth - 1 for the target), so the reference, the declared target or
+    else the final stage, holds every stage; vertex completeness is
+    measured against it.
     """
 
     stages: tuple[SimpleGraph, ...]
@@ -229,6 +229,14 @@ class Tower:
         object.__setattr__(self, "target", target)
         if not self.stages:
             raise InputError("a tower needs at least one stage")
+        kinds = {type(s).__name__ for s in self.stages + (() if target is None else (target,))}
+        if len(kinds) > 1:
+            raise InputError(f"a tower's stages and target mix {' and '.join(sorted(kinds))}")
+        for k in range(self.depth - 1):
+            if not self.stages[k].is_subgraph_of(self.stages[k + 1]):
+                raise NestingError(k + 1, f"stage {k + 1} does not contain stage {k}")
+        if target is not None and not self.stages[-1].is_subgraph_of(target):
+            raise NestingError(self.depth - 1, "final stage is not contained in the target")
 
     @property
     def depth(self) -> int:
@@ -242,19 +250,3 @@ class Tower:
     @property
     def vertex_complete(self) -> bool:
         return self.stages[-1].vertex_set == self.reference.vertex_set
-
-
-def validate_tower(t: Tower) -> None:
-    """Check stage nesting (and target containment when declared) by the
-    stages' own is_subgraph_of.
-
-    Raises NestingError carrying the index of the first stage that fails to
-    contain its predecessor, or depth - 1 for the target.
-    """
-    for k in range(t.depth - 1):
-        if not t.stages[k].is_subgraph_of(t.stages[k + 1]):
-            raise NestingError(
-                k + 1, f"stage {k + 1} does not contain stage {k}"
-            )
-    if t.target is not None and not t.stages[-1].is_subgraph_of(t.target):
-        raise NestingError(t.depth - 1, "final stage is not contained in the target")

@@ -28,12 +28,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Callable
 
 from .errors import AlgorithmError, InconsistencyError, InputError
-from .graphs import (
-    SimpleGraph,
-    Tower,
-    induced_subgraph,
-    validate_tower,
-)
+from .graphs import SimpleGraph, Tower, induced_subgraph
 from .norms import NormSpec
 from .sparsity import PebbleGame, SparsityCount, planar_count
 
@@ -224,22 +219,23 @@ def rigid_container_2d(g: SimpleGraph, h: SimpleGraph, q) -> SimpleGraph | None:
             f"got {h.n_vertices}"
         )
     game = PebbleGame.over(g, planar_count(norm))
-    thin = SimpleGraph(g.vertices, tuple(g.edges[i] for i in game.accepted))
-    # Ordered sets: the container lists h first, then each link as it comes.
+    # Ordered sets: the accepted edges in game order, and the container,
+    # which lists h first, then each link as it comes.
+    kept = dict.fromkeys(g.edges[i] for i in game.accepted)
     vs, es = dict.fromkeys(h.vertices), dict.fromkeys(h.edges)
     taken: list[frozenset[int]] = []
     for v, w in combinations(sorted(h.vertex_set), 2):
         if any(v in c and w in c for c in taken):
             continue
-        if thin.has_edge(v, w):
+        if (v, w) in kept:
             es[(v, w)] = None
             continue
         closure = game.blocker(v, w)
         if closure is None:
             return None
         taken.append(closure)
-        vs.update(dict.fromkeys(x for x in thin.vertices if x in closure))
-        es.update(dict.fromkeys(e for e in thin.edges if closure.issuperset(e)))
+        vs.update(dict.fromkeys(x for x in g.vertices if x in closure))
+        es.update(dict.fromkeys(e for e in kept if closure.issuperset(e)))
     return SimpleGraph(vs, es)
 
 
@@ -264,6 +260,12 @@ class TowerVerdict:
     relatively_rigid_prefix: int
     stage_count: int
     vertex_complete: bool
+
+
+def _require_kind(t: Tower, kind: type, name: str, instead: str) -> None:
+    # A tower's stages are of one kind, so its first stage names it.
+    if not isinstance(t.stages[0], kind):
+        raise InputError(f"{name} takes a tower of {kind.__name__} stages; use {instead}")
 
 
 def _consecutive_pairs(t: Tower) -> list[tuple[int, int]]:
@@ -349,7 +351,7 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
     Tower([C4, C4, K4]), whose final stage is rigid, stays Undecided.  With
     a declared target beyond the final stage a failing pair always leaves
     the verdict Undecided."""
-    validate_tower(t)
+    _require_kind(t, SimpleGraph, "tower_rigidity", "bodybar_tower_decide")
     try:
         _check_anchor(t.stages[0], norm)
     except InputError as err:
@@ -404,7 +406,7 @@ def sequential_rigidity_2d(
     tested pair is not relatively rigid at the final stage's seeded
     placement; a relatively rigid pair with no container violates the planar
     equivalence itself, and the failure escalates."""
-    validate_tower(t)
+    _require_kind(t, SimpleGraph, "sequential_rigidity_2d", "bodybar_tower_decide")
     return _containers(
         [(t.stages[k], t.stages[j]) for k, j in _consecutive_pairs(t)],
         lambda small, large: rigid_container_2d(large, small, q),
@@ -471,7 +473,7 @@ def laman_tower_decide(t: Tower, q) -> LamanTowerVerdict:
     Euclidean exponent and (2,2) otherwise.  A nested witness spanning every
     stage certifies Rigid, and MinimallyRigid when the witnesses also
     exhaust the reference edge set."""
-    validate_tower(t)
+    _require_kind(t, SimpleGraph, "laman_tower_decide", "bodybar_tower_decide")
     count = planar_count(NormSpec(2, q))
     return LamanTowerVerdict(*_nested_witnesses(t.stages, t.reference, count))
 
@@ -525,7 +527,7 @@ def relatively_rigid_subsequence(
     the sum of the tried pairs' bounds (r_g + r_pinned)(q-1)/PRIME, and only
     stages that are not certified rigid hold d n nullity int64 entries.  Any
     other q ranks each pair at the same placement by the SVD cutoff."""
-    validate_tower(t)
+    _require_kind(t, SimpleGraph, "relatively_rigid_subsequence", "bodybar_tower_decide")
     # The stages nest, so stage 0 anchors worst.
     if t.stages[0].n_vertices < anchor_threshold(norm):
         return (0,)

@@ -51,7 +51,6 @@ from rigidkit.graphs import (
     SimpleGraph,
     complete_graph,
     induced_subgraph,
-    validate_tower,
 )
 from rigidkit.sparsity import PebbleGame, SparsityCount, is_sparse
 from rigidkit.towers import LAMAN_TOWER_NOT, LAMAN_TOWER_RIGID, relative_rigidity
@@ -260,6 +259,14 @@ def test_flexible_cross_check_stops_at_the_predicted_rank(monkeypatch):
     assert len(ranks) == 1
     assert not is_rigid_generic(g, EUCLID3, seed=3).rigid
     assert len(ranks) == 1 + 5
+
+
+def test_validation_checks_the_structure_once(monkeypatch):
+    g, bodies = build((4, 4), [(0, 4), (1, 5), (2, 6)])
+    checks = counting(monkeypatch, bodybar, "_structure_problems")
+    m = validate_multibody(g, bodies, EUCLID2)
+    assert len(checks) == 1
+    assert m == MultiBodyGraph(g, bodies, [(0, 4), (1, 5), (2, 6)])
 
 
 @pytest.mark.parametrize("norm", [EUCLID3, CUBIC3])
@@ -944,7 +951,7 @@ def _split_body_stages():
 def test_stage_that_splits_a_body_is_not_nested():
     first, whole, split = _split_body_stages()
     assert split.underlying == whole.underlying
-    validate_tower(MultiBodyTower([first, whole], target=whole))
+    MultiBodyTower([first, whole], target=whole)
     with pytest.raises(NestingError, match="stage 2 does not contain stage 1") as err:
         bodybar_tower_decide(MultiBodyTower([first, whole, split]), CUBIC2)
     assert err.value.index == 2
@@ -955,6 +962,46 @@ def test_target_missing_a_body_of_the_final_stage_is_not_nested():
     with pytest.raises(NestingError, match="not contained in the target") as err:
         bodybar_tower_decide(MultiBodyTower([first, whole], target=split), CUBIC2)
     assert err.value.index == 1
+
+
+def test_multibody_tower_checks_nesting_when_built():
+    first, whole, split = _split_body_stages()
+    for stages, target, index, message in (
+        ([first, whole, split], None, 2, "stage 2 does not contain stage 1"),
+        ([first, whole], split, 1, "final stage is not contained in the target"),
+    ):
+        with pytest.raises(NestingError) as err:
+            MultiBodyTower(stages, target=target)
+        assert (err.value.index, str(err.value)) == (index, message)
+
+
+def test_tower_of_mixed_kinds_is_refused_when_built():
+    first, whole, _ = _split_body_stages()
+    k4 = first.underlying
+    for stages, target in (
+        ([k4, whole], None),
+        ([first, k4], None),
+        ([first], k4),
+        ([k4], whole),
+    ):
+        with pytest.raises(InputError, match="MultiBodyGraph and SimpleGraph"):
+            MultiBodyTower(stages, target=target)
+
+
+def test_tower_decisions_name_the_stage_kind_they_take():
+    first, whole, _ = _split_body_stages()
+    bodies = MultiBodyTower([first, whole])
+    graphs = MultiBodyTower([complete_graph(4)])
+    for call in (
+        lambda: towers.tower_rigidity(bodies, EUCLID2),
+        lambda: towers.relatively_rigid_subsequence(bodies, EUCLID2),
+        lambda: towers.sequential_rigidity_2d(bodies, 2),
+        lambda: towers.laman_tower_decide(bodies, 2),
+    ):
+        with pytest.raises(InputError, match="tower of SimpleGraph stages; use bodybar_tower_decide"):
+            call()
+    with pytest.raises(InputError, match="tower of MultiBodyGraph stages; use tower_rigidity"):
+        bodybar_tower_decide(graphs, EUCLID2)
 
 
 def _late_pinning_tower():

@@ -393,6 +393,16 @@ def test_tower_rejects_unnested_stages(invoke):
     assert err
 
 
+def test_tower_reports_unnested_stages_before_the_norm(invoke):
+    # The tower is checked as it is read, so neither a missing norm nor a
+    # planar mode in space is reported first.
+    raw = json.dumps({"stages": [jsonio.graph_to_json(complete_graph(n)) for n in (4, 3)]})
+    for argv in (["tower"], ["tower", "--mode", "laman", "--norm", "d=3,q=2"]):
+        code, out, err = invoke(*argv, stdin=raw)
+        assert (code, out) == (1, "")
+        assert err == "rigidkit: stage 1 does not contain stage 0\n"
+
+
 # ---- bodybar --------------------------------------------------------------
 
 

@@ -627,6 +627,17 @@ def test_continuation_cubic_triangle_moves():
     assert moved > 1e-3
 
 
+@pytest.mark.parametrize("step_length", [math.nan, math.inf, -math.inf])
+def test_continuation_refuses_a_non_finite_step(step_length):
+    square = Placement(2, {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0)})
+    c4 = cycle_graph(4)
+    flex = flex_report(c4, square, EUCLID2).flex_field(0)
+    with pytest.raises(InputError, match="step_length must be finite"):
+        continuation_track(c4, square, EUCLID2, flex, steps=2, step_length=step_length)
+    for finite in (-0.05, 0.0):
+        assert len(continuation_track(c4, square, EUCLID2, flex, steps=2, step_length=finite)) == 2
+
+
 # The products of repeated squaring for whole exponents up to 4.
 _PRODUCTS = {
     1: lambda x: x,

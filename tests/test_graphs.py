@@ -2,8 +2,15 @@
 
 import pytest
 
-from rigidkit.errors import InputError
-from rigidkit.graphs import MultiGraph, SimpleGraph, complete_graph, complete_graph_on
+from rigidkit.errors import InputError, NestingError
+from rigidkit.graphs import (
+    MultiGraph,
+    SimpleGraph,
+    Tower,
+    complete_graph,
+    complete_graph_on,
+    cycle_graph,
+)
 
 V = (0, 1, 2)
 E = ((0, 1), (2, 1))
@@ -35,3 +42,19 @@ def test_complete_graph_at_an_offset():
     g = complete_graph(5, offset=3)
     assert (g.vertices, g.edges) == (tuple(range(3, 8)), complete_graph_on(range(3, 8)).edges)
     assert g.edges[:2] == ((3, 4), (3, 5))
+
+
+def test_tower_checks_nesting_when_built():
+    k3, k4 = complete_graph(3), complete_graph(4)
+    c4 = cycle_graph(4)
+    for stages, target, index, message in (
+        ([k3, k4, k3], None, 2, "stage 2 does not contain stage 1"),
+        ([k4, c4], None, 1, "stage 1 does not contain stage 0"),
+        ([k3, k4], c4, 1, "final stage is not contained in the target"),
+    ):
+        with pytest.raises(NestingError) as err:
+            Tower(stages, target)
+        assert (err.value.index, str(err.value)) == (index, message)
+    assert Tower([c4.without_vertex(3), k3], k4).depth == 2
+    with pytest.raises(InputError, match="at least one stage"):
+        Tower([])
