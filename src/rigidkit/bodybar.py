@@ -223,8 +223,8 @@ def validate_multibody(
     short is ranked whole at the same placement and certified when that
     rank reaches norm.rigid_rank(n_i).  In the plane the certifying subgraph
     must also have a tight spanning subgraph.  Only a body that falls short
-    again is redrawn by is_rigid_generic, at up to five placements of its
-    own, and reported if it stays short.
+    again is ranked by is_rigid_generic, at one placement of its own for an
+    integer q and up to five otherwise, and reported if it stays short.
     """
     bs = tuple(tuple(sorted(int(v) for v in b)) for b in bodies)
     owner = {v: i for i, b in enumerate(bs) for v in b}
@@ -281,12 +281,12 @@ def tay_decide(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) -> TayVerdict:
     theorem also gives the generic rank of the structure: the body ranks
     norm.rigid_rank(n_i) plus the number of bars the pebble game accepts.
     At small sizes in dimension two or three the verdict is cross-checked
-    against the numeric rank of the full structure, drawn at the seeded
-    placements of is_rigid_generic (at most five) only until one reaches
-    that prediction or norm.rigid_rank(n).  A rank above the prediction, a
-    numeric verdict that disagrees with the count, or in the plane with the
-    tight-spanning count of the whole graph, would mean a broken invariant
-    and raises InconsistencyError.
+    against the numeric rank of the full structure at the seeded placement
+    of is_rigid_generic; a non-integer q draws more (at most five) only
+    until one reaches that prediction or norm.rigid_rank(n).  A rank above
+    the prediction, a numeric verdict that disagrees with the count, or in
+    the plane with the tight-spanning count of the whole graph, would mean a
+    broken invariant and raises InconsistencyError.
     """
     if m.n_bodies < 2:
         raise InputError(f"need at least 2 bodies, got {m.n_bodies}")
@@ -302,7 +302,7 @@ def tay_decide(m: MultiBodyGraph, norm: NormSpec, seed: int = 0) -> TayVerdict:
     checked = False
     if norm.d <= 3 and g.n_vertices <= _NUMERIC_CHECK_CAP:
         predicted = len(accepted) + sum(norm.rigid_rank(len(b)) for b in m.bodies)
-        rank, _ = _best_placement(g, norm, 5, seed, target=predicted)
+        rank, _ = _best_placement(g, norm, seed, target=predicted)
         top = norm.rigid_rank(g.n_vertices)
         if rank > predicted:
             raise InconsistencyError(

@@ -3,11 +3,12 @@
 Verbs map one-to-one onto library modules.  A verb registers only the flags
 that some mode of it reads: --seed on analyze, tower and bodybar, --tol on
 analyze and render, and a flag the chosen mode never reads is a usage error.
-Every analysis report embeds the tool version plus the norm, seed, trial
-count and tolerance, each the value the chosen mode takes or null, and
-identical invocations produce byte-identical output.  Exit codes: 0 analysis
-completed (whatever the verdict), 1 input or usage problem, 2 internal
-cross-check failure.
+Every analysis report embeds the tool version plus the norm, seed and
+tolerance, each the value the chosen mode takes or null.  A verdict depends
+on its input and these alone (at an integer q, --seed draws one placement),
+so identical invocations produce byte-identical output.  Exit codes: 0
+analysis completed (whatever the verdict), 1 input or usage problem, 2
+internal cross-check failure.
 """
 
 import argparse
@@ -62,7 +63,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="flex report for a framework")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--generic", action="store_true")
-    p.add_argument("--trials", type=int, default=None)
     common(p, seed=True, tol=True)
 
     p = sub.add_parser("sparsity", help="(k,l)-sparsity check")
@@ -141,9 +141,7 @@ def _emit_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _report(
-    norm: NormSpec | None, payload: dict, seed=None, trials=None, tolerance=None
-) -> dict:
+def _report(norm: NormSpec | None, payload: dict, seed=None, tolerance=None) -> dict:
     """The report of one computation: the settings its mode takes (None for
     one it does not take), then its payload."""
     from . import jsonio
@@ -152,7 +150,6 @@ def _report(
         "version": __version__,
         "norm": jsonio.norm_to_json(norm) if norm is not None else None,
         "seed": seed,
-        "trials": trials,
         "tolerance": tolerance,
     }
     out.update(payload)
@@ -162,7 +159,8 @@ def _report(
 def _resolve_norm(args, from_file: NormSpec | None) -> NormSpec:
     norm = args.norm or from_file
     if norm is None:
-        raise InputError("no norm given: add a 'norm' field or pass --norm")
+        field = "add a 'norm' field or " if args.verb in ("analyze", "render") else ""
+        raise InputError(f"no norm given: {field}pass --norm")
     return norm
 
 
@@ -172,9 +170,9 @@ def _cmd_analyze(args) -> None:
 
     if args.generic:
         _refuse_unread("with --generic", tol=args.tol)
-        settings = {"seed": _or_default(args.seed, 0), "trials": _or_default(args.trials, 5)}
+        settings = {"seed": _or_default(args.seed, 0)}
     else:
-        _refuse_unread("without --generic", seed=args.seed, trials=args.trials)
+        _refuse_unread("without --generic", seed=args.seed)
         settings = {"tolerance": _or_default(args.tol, RANK_EPS)}
     g, p, file_norm = jsonio.loose_input_from_json(_load(args.input))
     norm = _resolve_norm(args, file_norm)

@@ -918,37 +918,35 @@ def _certified_rank(
 # ---- generic-rank decisions --------------------------------------------
 
 
+_FLOAT_DRAWS = 5  # the SVD cutoff of a non-integer q can misread one placement
+
+
 def _best_placement(
-    g: SimpleGraph, norm: NormSpec, trials: int, seed: int, target: int | None = None
+    g: SimpleGraph, norm: NormSpec, seed: int, target: int | None = None
 ) -> tuple[int, Placement]:
-    """Highest rank over the placements of seeds seed, seed + 1, ..., with the
-    placement, stopping at the first whose rank reaches
-    min(target, norm.rigid_rank(n)).  The target defaults to |E|, which bounds
-    every rank; a caller that knows the generic rank passes that instead."""
-    if trials < 1:
-        raise InputError("generic rank sampling needs at least one trial")
-    _check_seed(seed)
-    if target is None:
-        target = g.n_edges
-    stop = min(target, norm.rigid_rank(g.n_vertices))
-    best: tuple[int, Placement] | None = None
-    for t in range(trials):
+    """Rank and placement at the seed.  A non-integer q keeps the highest rank
+    over seeds seed, seed + 1, ... (at most _FLOAT_DRAWS), stopping at the
+    first that reaches min(target, norm.rigid_rank(n)), target |E| if None."""
+    p = random_placement(g, norm, seed)
+    best = (placement_rank(g, p, norm), p)
+    if norm.q_is_integer:
+        return best
+    stop = min(g.n_edges if target is None else target, norm.rigid_rank(g.n_vertices))
+    for t in range(1, _FLOAT_DRAWS):
+        if best[0] >= stop:
+            break
         p = random_placement(g, norm, seed + t)
         rank = placement_rank(g, p, norm)
-        if best is None or rank > best[0]:
+        if rank > best[0]:
             best = (rank, p)
-        if rank >= stop:
-            break
-    assert best is not None
     return best
 
 
-def generic_rank(g: SimpleGraph, norm: NormSpec, trials: int = 5, seed: int = 0) -> int:
-    """Highest rank over seeded random placements, stopping at the first that
-    reaches min(|E|, norm.rigid_rank(n)).  For an integer q this certifies a
-    lower bound on the generic rank r, short of it with probability at most
-    r(q-1)/PRIME per placement; a non-integer q ranks by the SVD cutoff."""
-    return _best_placement(g, norm, trials, seed)[0]
+def generic_rank(g: SimpleGraph, norm: NormSpec, seed: int = 0) -> int:
+    """The rank of _best_placement: for an integer q a lower bound on the
+    generic rank r, short of it with probability at most r(q-1)/PRIME; a
+    non-integer q ranks by the SVD cutoff, at up to five placements."""
+    return _best_placement(g, norm, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -977,18 +975,16 @@ def _plane_cross_check(
     return comb
 
 
-def is_rigid_generic(
-    g: SimpleGraph, norm: NormSpec, trials: int = 5, seed: int = 0
-) -> GenericRigidityVerdict:
+def is_rigid_generic(g: SimpleGraph, norm: NormSpec, seed: int = 0) -> GenericRigidityVerdict:
     """Generic rigidity at the placement of generic_rank.
 
-    For an integer q, Rigid is certified by the exact rank mod PRIME, and
-    Flexible is wrong with probability at most r(q-1)/PRIME per placement; a
-    non-integer q decides by the SVD cutoff.  In the plane the verdict is
-    cross-checked against the tight-spanning combinatorial characterization;
-    disagreement raises InconsistencyError.
+    For an integer q, Rigid is certified by the exact rank mod PRIME at one
+    seeded placement, and Flexible is wrong with probability at most
+    r(q-1)/PRIME; a non-integer q decides by the SVD cutoff.  In the plane
+    the verdict is cross-checked against the tight-spanning combinatorial
+    characterization; disagreement raises InconsistencyError.
     """
-    rank, p = _best_placement(g, norm, trials, seed)
+    rank, p = _best_placement(g, norm, seed)
     report = report_at_rank(g, p, norm, rank)
     comb = _plane_cross_check(g, norm, report.rigid, report.rank)
     return GenericRigidityVerdict(

@@ -214,11 +214,11 @@ class Tower:
 
     Stages are simple graphs, or multi-body structures for the staged
     body-bar decision (bodybar.MultiBodyTower names this class), all of one
-    kind.  Construction checks nesting by the stages' own is_subgraph_of
-    (NestingError names the first stage not containing its predecessor, or
-    depth - 1 for the target), so the reference, the declared target or
-    else the final stage, holds every stage; vertex completeness is
-    measured against it.
+    kind; another kind, such as MultiGraph, raises InputError.  Construction
+    checks nesting by the stages' own is_subgraph_of (NestingError names the
+    first stage not containing its predecessor, or depth - 1 for the
+    target), so the reference, the declared target or else the final stage,
+    holds every stage; vertex completeness is measured against it.
     """
 
     stages: tuple[SimpleGraph, ...]
@@ -232,6 +232,9 @@ class Tower:
         kinds = {type(s).__name__ for s in self.stages + (() if target is None else (target,))}
         if len(kinds) > 1:
             raise InputError(f"a tower's stages and target mix {' and '.join(sorted(kinds))}")
+        if not hasattr(self.stages[0], "is_subgraph_of"):
+            kind = type(self.stages[0]).__name__
+            raise InputError(f"a tower takes SimpleGraph or MultiBodyGraph stages, not {kind}")
         for k in range(self.depth - 1):
             if not self.stages[k].is_subgraph_of(self.stages[k + 1]):
                 raise NestingError(k + 1, f"stage {k + 1} does not contain stage {k}")

@@ -6,7 +6,7 @@ which only read a norm, start without loading it.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 
 from .errors import InputError
 
@@ -50,6 +50,8 @@ class NormSpec:
             raise InputError(f"dimension d must be an integer, got {self.d!r}")
         if self.d < 2:
             raise InputError(f"dimension must be at least 2, got {self.d}")
+        if isinstance(self.q, bool) or not isinstance(self.q, Real):
+            raise InputError(f"norm exponent q must be a real number, got {self.q!r}")
         if not 1 < self.q <= 1024:  # nan fails both
             raise InputError(f"norm exponent must lie in (1, 1024], got {self.q}")
 

@@ -335,9 +335,9 @@ def tower_rigidity(t: Tower, norm: NormSpec, seed: int = 0) -> TowerVerdict:
     Flexible check reads the final stage's nullity from the same carry; in
     the plane it is cross-checked against the tight-spanning count, as
     is_rigid_generic's verdict is, and a disagreement (a rank that fell
-    short at the placement) raises InconsistencyError, where
-    is_rigid_generic would first have tried up to five placements.  Memory
-    stays at d n nullity int64 entries for the stages that are not
+    short at the placement) raises InconsistencyError, as is_rigid_generic
+    on the final stage at the same seed, which ranks that placement, would.
+    Memory stays at d n nullity int64 entries for the stages that are not
     certified rigid; a rigid stage reads its rigid motions.  Any other q
     ranks each pair by the SVD cutoff, and the Flexible check runs
     is_rigid_generic at the same seed, whose first placement is that one.
@@ -506,7 +506,7 @@ def exhaustive_rigid_container(
     for size in range(len(rest) + 1):
         for extra in combinations(rest, size):
             cand = induced_subgraph(g, base + extra)
-            if is_rigid_generic(cand, norm, trials=3, seed=seed).rigid:
+            if is_rigid_generic(cand, norm, seed=seed).rigid:
                 return cand
     return None
 

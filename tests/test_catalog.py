@@ -168,7 +168,7 @@ def test_strip_top_row_drift_is_a_flex(norm):
 
 def test_strip_generically_rigid_but_radially_flexible():
     fam = strip(3)
-    assert is_rigid_generic(fam.graph, EUCLID2, trials=3, seed=2).rigid
+    assert is_rigid_generic(fam.graph, EUCLID2, seed=2).rigid
     rep = flex_report(fam.graph, fam.placement, EUCLID2)
     assert rep.flex_dim >= 1
 
@@ -415,7 +415,7 @@ def test_tetra_refined_latitude_heights():
 @pytest.mark.parametrize("levels", [0, 1, 2])
 def test_tetra_refined_rigid_in_euclid_space(levels):
     g = tetra_refined(levels).graph
-    assert is_rigid_generic(g, EUCLID3, trials=3, seed=levels).rigid
+    assert is_rigid_generic(g, EUCLID3, seed=levels).rigid
 
 
 def test_tetra_refined_gains_three_flexes_off_euclid():
@@ -431,7 +431,7 @@ def test_octa_pointed_closed_surface(levels):
     assert g.n_vertices == 4 * levels + 6
     assert g.n_edges == 12 * levels + 12
     assert g.n_edges == 3 * g.n_vertices - 6
-    assert is_rigid_generic(g, EUCLID3, trials=3, seed=levels + 7).rigid
+    assert is_rigid_generic(g, EUCLID3, seed=levels + 7).rigid
 
 
 def test_octa_pointed_poles_and_latitudes():
@@ -504,7 +504,7 @@ def test_closed_drum_is_rigid_sphere():
     g = simplicial_holes(SimplicialMeta(0, (), 1), 2).graph
     assert g.n_vertices == 10
     assert g.n_edges == 24
-    assert is_rigid_generic(g, EUCLID3, trials=3, seed=9).rigid
+    assert is_rigid_generic(g, EUCLID3, seed=9).rigid
 
 
 @pytest.mark.parametrize(

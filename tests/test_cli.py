@@ -113,7 +113,6 @@ def test_analyze_framework_file(invoke, tmp_path):
     assert rep["version"] == rigidkit.__version__
     assert rep["norm"] == {"d": 2, "q": 3}
     assert rep["seed"] is None
-    assert rep["trials"] is None
     assert float(rep["tolerance"]) == RANK_EPS
     assert rep["flexDim"] == 1
     assert rep["rigid"] is False
@@ -131,7 +130,6 @@ def test_analyze_generic_from_stdin(invoke):
     assert rep["generic"] is True
     assert rep["combinatorialCrossCheck"] is True
     assert rep["seed"] == 3
-    assert rep["trials"] == 5
 
 
 def test_analyze_is_deterministic(invoke, tmp_path):
@@ -679,9 +677,18 @@ def _registered_flags():
 
 def test_each_verb_registers_only_the_flags_it_reads():
     flags = _registered_flags()
-    assert sum(map(len, flags.values())) == 27
+    assert sum(map(len, flags.values())) == 26
     assert [v for v, f in flags.items() if "--seed" in f] == ["analyze", "tower", "bodybar"]
     assert [v for v, f in flags.items() if "--tol" in f] == ["analyze", "render"]
+
+
+def test_every_flag_the_readme_names_is_registered():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    registered = set().union(*_registered_flags().values())
+    assert {"--seed", "--tol", "--norm"} <= named
+    assert named - registered == set()
 
 
 CHAIN = ["chain", "--mode", "euclidean", "--from", "a.json", "--to", "g.json"]
@@ -714,10 +721,13 @@ UNREAD_BY_RADIAL = "strip's radial placement takes no spacing or shear"
             "unrecognized arguments: --tol b.json",
         ),
         (["render", "--seed", "1", "f.json"], "unrecognized arguments: --seed f.json"),
+        (
+            ["analyze", "--generic", "--trials", "3", "f.json"],
+            "unrecognized arguments: --trials f.json",
+        ),
         # flags the chosen mode never reads
         (["analyze", "--generic", "--tol", "0.5", "f.json"], "--tol not read with --generic"),
         (["analyze", "--seed", "1", "f.json"], "--seed not read without --generic"),
-        (["analyze", "--trials", "3", "f.json"], "--trials not read without --generic"),
         (
             ["tower", "--mode", "laman", "--norm", "d=2,q=2", "--seed", "1", "t.json"],
             "--seed not read in laman mode",
@@ -735,29 +745,42 @@ def test_a_setting_no_mode_reads_is_refused(invoke, inputs, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv, seed, trials, tolerance",
+    "argv, seed, tolerance",
     [
-        (["analyze", "f.json"], None, None, RANK_EPS),
-        (["analyze", "--tol", "1e-6", "f.json"], None, None, 1e-6),
-        (["analyze", "--generic", "f.json"], 0, 5, None),
-        (["analyze", "--generic", "--seed", "4", "--trials", "2", "f.json"], 4, 2, None),
-        (["sparsity", "--count", "2,3", "g.json"], None, None, None),
-        (CHAIN, None, None, None),
-        (["tower", "--norm", "d=2,q=2", "--seed", "4", "t.json"], 4, None, None),
-        (["tower", "--mode", "sequential", "--norm", "d=2,q=2", "t.json"], 0, None, None),
-        (["tower", "--mode", "laman", "--norm", "d=2,q=2", "t.json"], None, None, None),
-        (["bodybar", "--norm", "d=2,q=2", "--seed", "4", "b.json"], 4, None, None),
+        (["analyze", "f.json"], None, RANK_EPS),
+        (["analyze", "--tol", "1e-6", "f.json"], None, 1e-6),
+        (["analyze", "--generic", "f.json"], 0, None),
+        (["analyze", "--generic", "--seed", "4", "f.json"], 4, None),
+        (["sparsity", "--count", "2,3", "g.json"], None, None),
+        (CHAIN, None, None),
+        (["tower", "--norm", "d=2,q=2", "--seed", "4", "t.json"], 4, None),
+        (["tower", "--mode", "sequential", "--norm", "d=2,q=2", "t.json"], 0, None),
+        (["tower", "--mode", "laman", "--norm", "d=2,q=2", "t.json"], None, None),
+        (["bodybar", "--norm", "d=2,q=2", "--seed", "4", "b.json"], 4, None),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, list) else None,
 )
-def test_a_report_echoes_the_settings_its_mode_takes(
-    invoke, inputs, argv, seed, trials, tolerance
-):
+def test_a_report_echoes_the_settings_its_mode_takes(invoke, inputs, argv, seed, tolerance):
     code, out, _ = invoke(*argv)
     assert code == 0
     rep = json.loads(out)
-    taken = (rep["seed"], rep["trials"], rep["tolerance"])
-    assert taken == (seed, trials, None if tolerance is None else jsonio.format_number(tolerance))
+    assert "trials" not in rep
+    taken = (rep["seed"], rep["tolerance"])
+    assert taken == (seed, None if tolerance is None else jsonio.format_number(tolerance))
+
+
+@pytest.mark.parametrize(
+    "argv, hint",
+    [
+        # tower and multibody files have no norm field
+        (["tower", "t.json"], "pass --norm"),
+        (["bodybar", "b.json"], "pass --norm"),
+        (["analyze", "--generic", "g.json"], "add a 'norm' field or pass --norm"),
+    ],
+    ids=["tower", "bodybar", "analyze"],
+)
+def test_a_missing_norm_names_where_a_norm_can_come_from(invoke, inputs, argv, hint):
+    assert invoke(*argv) == (1, "", f"rigidkit: no norm given: {hint}\n")
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,17 @@ def test_norm_spec_refuses_q_past_1024(q):
         NormSpec(2, q)
 
 
+@pytest.mark.parametrize("q", ["3", None, [3], 3 + 0j, np.complex128(3), True])
+def test_norm_spec_refuses_a_q_that_is_not_a_real_number(q):
+    with pytest.raises(InputError, match="norm exponent q must be a real number"):
+        NormSpec(2, q)
+
+
+@pytest.mark.parametrize("q", [3, 2.5, Fraction(5, 2), np.int64(3), np.float64(2.5), np.float32(3)])
+def test_norm_spec_takes_every_real_kind_of_q(q):
+    assert NormSpec(2, q).q == q
+
+
 def test_norm_spec_certifies_rigid_at_q_1024():
     verdict = is_rigid_generic(complete_graph(6), NormSpec(2, 1024))
     assert verdict.rigid and verdict.report.rank == NormSpec(2, 1024).rigid_rank(6)
@@ -494,9 +505,41 @@ def test_numeric_rank_agrees_with_exact(seed, q):
     # 2*5 - 2 for q = 3.
     g = SimpleGraph(range(5), [e for e in complete_graph(5).edges if e != (0, 3)])
     norm = NormSpec(2, q)
-    assert generic_rank(g, norm, trials=3, seed=seed) == {2: 7, 3: 8}[q]
+    assert generic_rank(g, norm, seed=seed) == {2: 7, 3: 8}[q]
     # K4 is (2,2)-tight: full row rank 2*4 - 2.
-    assert generic_rank(complete_graph(4), CUBIC, trials=3, seed=5) == 6
+    assert generic_rank(complete_graph(4), CUBIC, seed=5) == 6
+
+
+def _placement_ranks(monkeypatch):
+    calls = []
+    real = frameworks.placement_rank
+    monkeypatch.setattr(
+        frameworks, "placement_rank", lambda *a: calls.append(a[1]) or real(*a)
+    )
+    return calls
+
+
+def test_an_integer_q_verdict_ranks_one_placement(monkeypatch):
+    from rigidkit.catalog import banana_tower
+
+    g, norm = banana_tower(32), NormSpec(3, 2)
+    calls = _placement_ranks(monkeypatch)
+    verdict = is_rigid_generic(g, norm, seed=0)
+    assert not verdict.rigid
+    assert calls == [random_placement(g, norm, 0)] == [verdict.placement]
+    assert generic_rank(g, norm, seed=0) == verdict.report.rank
+    assert len(calls) == 2
+
+
+def test_a_non_integer_q_verdict_still_redraws_while_short(monkeypatch):
+    # K7 has 21 edges and ranks at most 18 in (R^3, l_{5/2}); the isolated
+    # vertex lifts rigid_rank to 21 = |E|, so no draw reaches the stop.
+    norm = NormSpec(3, Fraction(5, 2))
+    g = SimpleGraph(range(8), complete_graph(7).edges)
+    calls = _placement_ranks(monkeypatch)
+    verdict = is_rigid_generic(g, norm, seed=4)
+    assert not verdict.rigid and verdict.report.rank == 18
+    assert calls == [random_placement(g, norm, 4 + t) for t in range(5)]
 
 
 @pytest.mark.parametrize(
@@ -510,7 +553,7 @@ def test_numeric_rank_agrees_with_exact(seed, q):
     ],
 )
 def test_is_rigid_generic_with_planar_cross_check(g, norm, expect):
-    verdict = is_rigid_generic(g, norm, trials=3, seed=11)
+    verdict = is_rigid_generic(g, norm, seed=11)
     assert verdict.rigid is expect
     assert verdict.combinatorial is expect
 

@@ -58,3 +58,13 @@ def test_tower_checks_nesting_when_built():
     assert Tower([c4.without_vertex(3), k3], k4).depth == 2
     with pytest.raises(InputError, match="at least one stage"):
         Tower([])
+
+
+def test_tower_refuses_multigraph_stages():
+    two = MultiGraph(range(2), [(0, 1)])
+    for stages in ([two, MultiGraph(range(3), [(0, 1), (1, 2)])], [two]):
+        with pytest.raises(InputError) as err:
+            Tower(stages)
+        assert str(err.value) == (
+            "a tower takes SimpleGraph or MultiBodyGraph stages, not MultiGraph"
+        )
